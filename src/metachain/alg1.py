@@ -17,7 +17,8 @@ deterministic tie-break so cross-algorithm comparisons stay meaningful.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -38,6 +39,7 @@ from .stopping import StopCriterion
 __all__ = [
     "Bucket",
     "TGraph",
+    "TGraphs",
     "SinkRecord",
     "CycleRecord",
     "Alg1Report",
@@ -48,6 +50,7 @@ __all__ = [
     "detect_cycle_through",
     "run_algorithm1",
     "cycle_hierarchy",
+    "hierarchy_json",
 ]
 
 Pair = tuple
@@ -166,25 +169,73 @@ class _TSuccessors:
         return self._vertex_of[arc.head]
 
 
-@dataclass(frozen=True)
 class TGraph:
-    """Fully expanded transition graph in force up to a threshold exponent."""
+    """Fully expanded transition graph in force up to a threshold exponent.
 
-    vertices: tuple
-    arcs: tuple
-    threshold: Fraction
+    Its arcs are the first ``end`` entries of the sweep's transfer sequence,
+    sliced out on each access.
+    """
+
+    __slots__ = ("vertices", "threshold", "_transfers", "_end")
+
+    def __init__(self, vertices: tuple, transfers: Sequence, end: int, threshold: Fraction):
+        self.vertices = vertices
+        self.threshold = threshold
+        self._transfers = transfers
+        self._end = end
+
+    @property
+    def arcs(self) -> tuple:
+        return tuple(self._transfers[: self._end])
 
     def pairs(self) -> frozenset:
         return frozenset(a.pair() for a in self.arcs)
 
-    def to_json_dict(self) -> dict:
-        out = []
-        for a in self.arcs:
-            entry = {"from": _jstate(a.tail), "to": _jstate(a.head), "U": format_rational(a.weight)}
-            if a.kappa is not None:
-                entry["kappa"] = a.kappa
-            out.append(entry)
-        return {"threshold": format_rational(self.threshold), "arcs": out}
+    def __eq__(self, other):
+        if not isinstance(other, TGraph):
+            return NotImplemented
+        return (self.vertices, self.threshold, self.arcs) == (
+            other.vertices, other.threshold, other.arcs
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.threshold, self.arcs))
+
+
+@dataclass(frozen=True)
+class TGraphs(SequenceABC):
+    """The T-graphs of one sweep as prefixes of one shared transfer tuple.
+
+    Entry i holds ``transfers[:ends[i]]`` with threshold ``thresholds[i]``;
+    entry 0 is the empty graph at threshold 0.  Indexing builds a TGraph,
+    slicing gives another view over the same tuple.
+    """
+
+    states: tuple
+    transfers: tuple
+    ends: Sequence
+    thresholds: tuple
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TGraphs(self.states, self.transfers, self.ends[i], self.thresholds[i])
+        return TGraph(self.states, self.transfers, self.ends[i], self.thresholds[i])
+
+    def to_json(self) -> list:
+        return [
+            {"threshold": format_rational(t), "end": e}
+            for t, e in zip(self.thresholds, self.ends)
+        ]
+
+
+def _arc_json(a: Arc) -> dict:
+    entry = {"from": _jstate(a.tail), "to": _jstate(a.head), "U": format_rational(a.weight)}
+    if a.kappa is not None:
+        entry["kappa"] = a.kappa
+    return entry
 
 
 @dataclass(frozen=True)
@@ -216,7 +267,7 @@ class Alg1Report:
     tie_break: str
     gamma: tuple
     transfers: tuple
-    tgraphs: tuple
+    tgraphs: TGraphs
     delta: tuple
     alpha: Optional[tuple]
     sinks: dict
@@ -244,7 +295,7 @@ class Alg1Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "alg1-report",
             "n": self.n,
             "tie_break": self.tie_break,
@@ -267,8 +318,9 @@ class Alg1Report:
                 "step": self.symmetry_step,
                 "kind": self.symmetry_kind,
             },
-            "tgraphs": [t.to_json_dict() for t in self.tgraphs],
-            "contraction_tree": [n.to_json_dict() for n in cycle_hierarchy(self)],
+            "transfers": [_arc_json(a) for a in self.transfers],
+            "tgraphs": self.tgraphs.to_json(),
+            "contraction_tree": hierarchy_json(cycle_hierarchy(self)),
         }
 
 
@@ -458,21 +510,18 @@ def run_algorithm1(
                     )
                 )
         if stop.kind == "custom":
-            current = TGraph(g.states, tuple(transfers), w)
-            if stop.predicate(current, w):
+            if stop.predicate(TGraph(g.states, transfers, k, w), w):
                 stop_reason = "custom"
                 break
 
-    tgraphs = [TGraph(g.states, (), Fraction(0))]
-    for i in range(len(transfers)):
-        tgraphs.append(TGraph(g.states, tuple(transfers[: i + 1]), gamma[i]))
-
+    transfers = tuple(transfers)
+    gamma = tuple(gamma)
     report = Alg1Report(
         graph=g,
         tie_break=tie_break,
-        gamma=tuple(gamma),
-        transfers=tuple(transfers),
-        tgraphs=tuple(tgraphs),
+        gamma=gamma,
+        transfers=transfers,
+        tgraphs=TGraphs(g.states, transfers, range(k + 1), (Fraction(0),) + gamma),
         delta=tuple(delta),
         alpha=None if alpha is None else tuple(alpha),
         sinks=sinks,
@@ -522,9 +571,10 @@ class HierarchyNode:
     kind: str
     state: Optional[State]
     record: Optional[CycleRecord]
-    children: tuple
+    children: tuple = field(repr=False)  # a deep tree must not recurse in repr
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, child_indices: Sequence[int]) -> dict:
+        """This node alone; its children are given by their list positions."""
         if self.kind == "state":
             return {"kind": "state", "id": _jstate(self.state)}
         rec = self.record
@@ -535,8 +585,27 @@ class HierarchyNode:
             "exit": None if rec.exit_weight is None else format_rational(rec.exit_weight),
             "main": _jstate(rec.main_state),
             "contracted": rec.contracted,
-            "children": [c.to_json_dict() for c in self.children],
+            "children": list(child_indices),
         }
+
+
+def hierarchy_json(roots: Sequence[HierarchyNode]) -> list:
+    """Flat node list of a forest: children before parents, roots in order.
+
+    A root is a node that no other node names as a child.
+    """
+    out: list = []
+    position: dict = {}
+    stack = [(node, False) for node in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or not node.children:
+            position[id(node)] = len(out)
+            out.append(node.to_json_dict([position[id(c)] for c in node.children]))
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+    return out
 
 
 def cycle_hierarchy(report: Alg1Report) -> tuple:
@@ -545,39 +614,28 @@ def cycle_hierarchy(report: Alg1Report) -> tuple:
 
 
 def _hierarchy(states: Sequence, records: Sequence) -> tuple:
-    by_super = {rec.super_vid: rec for rec in records if rec.super_vid is not None}
-    nodes: dict = {}
-
-    def node_for(vid) -> HierarchyNode:
-        if vid in nodes:
-            return nodes[vid]
-        rec = by_super.get(vid)
-        if rec is None:
-            made = HierarchyNode("state", vid, None, ())
-        else:
-            made = HierarchyNode(
-                "cycle", None, rec, tuple(node_for(v) for v in _sorted_vids(rec.member_vids))
-            )
-        nodes[vid] = made
-        return made
-
+    # Records come in the order they were made, so every super-vertex among
+    # a record's members already has its node when the record is reached.
+    pending: dict = {}  # super-vertex -> node, until a later record absorbs it
+    made: list = []
     consumed: set = set()
     for rec in records:
         consumed.update(rec.member_vids)
-    roots: list[HierarchyNode] = []
-    for rec in records:
-        if rec.super_vid is None:
-            # uncontracted terminal cycle: always a root
-            roots.append(
-                HierarchyNode(
-                    "cycle", None, rec, tuple(node_for(v) for v in _sorted_vids(rec.member_vids))
-                )
-            )
-        elif rec.super_vid not in consumed:
-            roots.append(node_for(rec.super_vid))
-    for s in sorted(states, key=state_key):
-        if s not in consumed:
-            roots.append(node_for(s))
+        children = tuple(
+            pending.pop(v) if v in pending else HierarchyNode("state", v, None, ())
+            for v in _sorted_vids(rec.member_vids)
+        )
+        node = HierarchyNode("cycle", None, rec, children)
+        if rec.super_vid is not None:
+            pending[rec.super_vid] = node
+        made.append((rec, node))
+    # an uncontracted terminal cycle is always a root
+    roots = [node for rec, node in made if rec.super_vid is None or rec.super_vid in pending]
+    roots.extend(
+        HierarchyNode("state", s, None, ())
+        for s in sorted(states, key=state_key)
+        if s not in consumed
+    )
     return tuple(roots)
 
 

@@ -15,11 +15,23 @@ into exit code 2 because it can only mean an implementation bug.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional
 
-from .alg1 import Alg1Report, Bucket, TGraph, _hierarchy, run_algorithm1
+from .alg1 import (
+    Alg1Report,
+    Bucket,
+    TGraph,
+    TGraphs,
+    _arc_json,
+    _hierarchy,
+    _jstate,
+    hierarchy_json,
+    run_algorithm1,
+)
 from .chain import (
     Arc,
     ChainGraph,
@@ -29,6 +41,7 @@ from .chain import (
     ValidationFailure,
     closed_communicating_classes,
     state_key,
+    strongly_connected_components,
     validate,
 )
 from .contraction import WorkingGraph, super_vertex_name
@@ -44,10 +57,6 @@ __all__ = [
     "class_hierarchy",
     "compare_alg1_alg2",
 ]
-
-
-def _jstate(s: State):
-    return s if isinstance(s, int) else str(s)
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ class Alg2Report:
     theta: tuple
     multiplicity: tuple
     transfers_by_step: tuple
-    tgraphs: tuple
+    tgraphs: TGraphs
     classes: tuple
     final_closed_classes: tuple
     final_absorbing: tuple
@@ -97,6 +106,11 @@ class Alg2Report:
     def P(self) -> int:
         return len(self.theta)
 
+    @property
+    def transfers(self) -> tuple:
+        """Every released arc, in release order."""
+        return self.tgraphs.transfers
+
     def gamma_multiset(self) -> tuple:
         """The exponent multiset reconstructed as theta_p repeated m(p) times."""
         out = []
@@ -106,7 +120,7 @@ class Alg2Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "alg2-report",
             "n": self.n,
             "stop_reason": self.stop_reason,
@@ -136,8 +150,9 @@ class Alg2Report:
             "covering_class": None
             if self.covering_class is None
             else sorted((_jstate(s) for s in self.covering_class), key=str),
-            "tgraphs": [t.to_json_dict() for t in self.tgraphs],
-            "contraction_tree": [n.to_json_dict() for n in class_hierarchy(self)],
+            "transfers": [_arc_json(a) for a in self.transfers],
+            "tgraphs": self.tgraphs.to_json(),
+            "contraction_tree": hierarchy_json(class_hierarchy(self)),
         }
 
 
@@ -252,8 +267,7 @@ def run_algorithm2(
                 stop_reason = "class-covering"
                 break
         if stop.kind == "custom":
-            current = TGraph(g.states, tuple(released_all), w)
-            if stop.predicate(current, w):
+            if stop.predicate(TGraph(g.states, released_all, len(released_all), w), w):
                 stop_reason = "custom"
                 break
         if len(cc.nontrivial) == 1 and not cc.absorbing and set(cc.nontrivial[0]) == wg.vertices:
@@ -283,12 +297,9 @@ def run_algorithm2(
                 )
             )
 
-    tgraphs = [TGraph(g.states, (), Fraction(0))]
-    upto = 0
-    for i in range(p):
-        upto += len(transfers_by_step[i])
-        tgraphs.append(TGraph(g.states, tuple(released_all[:upto]), theta[i]))
-
+    theta = tuple(theta)
+    ends = tuple(accumulate((len(step) for step in transfers_by_step), initial=0))
+    tgraphs = TGraphs(g.states, tuple(released_all), ends, (Fraction(0),) + theta)
     final_cc = closed_communicating_classes(
         _expanded_adjacency(released_all), vertices=g.states
     )
@@ -298,10 +309,10 @@ def run_algorithm2(
 
     return Alg2Report(
         graph=g,
-        theta=tuple(theta),
+        theta=theta,
         multiplicity=tuple(multiplicity),
         transfers_by_step=tuple(transfers_by_step),
-        tgraphs=tuple(tgraphs),
+        tgraphs=tgraphs,
         classes=tuple(classes),
         final_closed_classes=final_cc.nontrivial,
         final_absorbing=final_cc.absorbing,
@@ -317,6 +328,82 @@ def _expanded_adjacency(arcs: Iterable[Arc]) -> dict:
     for a in arcs:
         adj.setdefault(a.tail, []).append(a.head)
     return adj
+
+
+class _GrowingClosedClasses:
+    """Closed communicating classes of a digraph that only gains arcs.
+
+    Every vertex starts as an absorbing class.  A closed class none of whose
+    vertices gains an arc stays closed, and a new closed class holds the tail
+    of a new arc.  So an update searches only from the new tails, treats each
+    touched class as one node whose only ways out are its new arcs, and stops
+    where the search meets an untouched class.  It also stops at a vertex
+    already seen to reach one: arcs are never removed, so that vertex still
+    reaches it, and cannot lie in a closed class while the class is untouched.
+    """
+
+    def __init__(self, vertices: Iterable[State]):
+        self.adj: dict = {v: [] for v in vertices}
+        self.class_of: dict = {v: frozenset((v,)) for v in self.adj}
+        self.reaches: dict = {}  # vertex -> a vertex it reaches that was in a closed class
+
+    def add(self, arcs: Iterable[Arc]) -> tuple:
+        """Add arcs; return the sets of closed classes lost and gained."""
+        class_of, reaches = self.class_of, self.reaches
+        touched: set = set()
+        leaving: dict = {}  # touched class -> heads of its new arcs outside it
+        starts: set = set()
+        for a in arcs:
+            self.adj[a.tail].append(a.head)
+            cls = class_of.get(a.tail)
+            if cls is None:
+                starts.add(a.tail)
+                continue
+            touched.add(cls)
+            starts.add(cls)
+            if a.head not in cls:
+                leaving.setdefault(cls, []).append(a.head)
+
+        def untouched_reached(v):
+            # v itself or what v is known to reach, if in an untouched class
+            if v not in class_of:
+                v = reaches.get(v)
+            cls = class_of.get(v)
+            return v if cls is not None and cls not in touched else None
+
+        # search nodes: touched classes and vertices outside closed classes
+        succ: dict = {}
+        leaky: set = set()  # nodes that reach an untouched class
+        stack = list(starts)
+        while stack:
+            x = stack.pop()
+            if x in succ:
+                continue
+            heads = leaving.get(x, ()) if isinstance(x, frozenset) else self.adj[x]
+            out = succ[x] = []
+            for h in heads:
+                w = untouched_reached(h)
+                if w is None:
+                    y = class_of.get(h, h)
+                    out.append(y)
+                    stack.append(y)
+                else:
+                    leaky.add(x)
+                    if not isinstance(x, frozenset):
+                        reaches[x] = w
+
+        gained: set = set()
+        for comp in strongly_connected_components(succ, list(succ)):
+            if comp.isdisjoint(leaky) and all(y in comp for x in comp for y in succ[x]):
+                gained.add(
+                    frozenset().union(*(x if isinstance(x, frozenset) else (x,) for x in comp))
+                )
+        for cls in touched:
+            for v in cls:
+                del class_of[v]
+        for cls in gained:
+            class_of.update(dict.fromkeys(cls, cls))
+        return touched - gained, gained - touched
 
 
 @dataclass(frozen=True)
@@ -389,20 +476,26 @@ def compare_alg1_alg2(
         )
     )
 
-    k_index = []
-    for th in r2.theta:
-        k_index.append(sum(1 for w in r1.gamma if w <= th))
+    gamma = r1.gamma
+    if any(b < a for a, b in zip(gamma, gamma[1:])):
+        raise InternalInvariantError("single-arc sweep thresholds decrease")
+    k_index = [bisect_right(gamma, th) for th in r2.theta]
+    if any(b < a for a, b in zip(k_index, k_index[1:])):
+        raise InternalInvariantError("simultaneous sweep thresholds decrease")
+    windows = list(enumerate(zip(k_index, r2.transfers_by_step), start=1))
 
+    # Statement 2: every earlier step lay inside an earlier (smaller) window,
+    # so a step fits its window exactly when its own arc does.
     ok2 = True
     detail2 = "every partial arc set is contained in its matching window"
+    window: set = set()
     prev = 0
-    for p, kp in enumerate(k_index, start=1):
-        t_pairs = r2.tgraphs[p].pairs()
+    for p, (kp, released) in windows:
+        window.update(a.pair() for a in released)
         for k in range(prev + 1, kp + 1):
-            g_pairs = r1.tgraphs[k].pairs()
-            if not g_pairs <= t_pairs:
+            if r1.transfers[k - 1].pair() not in window:
                 ok2 = False
-                extra = sorted(g_pairs - t_pairs)
+                extra = sorted(r1.tgraphs[k].pairs() - r2.tgraphs[p].pairs())
                 detail2 = f"step {k} holds arcs outside window {p}: {extra}"
                 break
         if not ok2:
@@ -413,30 +506,48 @@ def compare_alg1_alg2(
         detail2 = f"window index ends at {k_index[-1]} but the sweep took {r1.K} steps"
     statements.append(StatementResult(2, ok2, detail2))
 
-    ok3 = True
-    detail3 = "nontrivial closed classes coincide at every matching index"
-    ok4 = True
-    detail4 = "absorbing vertices coincide at every matching index"
-    for p, kp in enumerate(k_index, start=1):
+    # Statements 3/4: follow both closed-class families window by window and
+    # keep the classes that only one side holds; the last window where they
+    # differ is then described from scratch.
+    side1, side2 = _GrowingClosedClasses(g.states), _GrowingClosedClasses(g.states)
+    one_sided: set = set()
+    last3 = last4 = None
+    prev = 0
+    for p, (kp, released) in windows:
+        for lost, gained in (side1.add(r1.transfers[prev:kp]), side2.add(released)):
+            one_sided ^= lost
+            one_sided ^= gained
+        prev = kp
+        if one_sided:
+            if any(len(c) >= 2 for c in one_sided):
+                last3 = p
+            if any(len(c) == 1 for c in one_sided):
+                last4 = p
+
+    def classes_at(p: int) -> tuple:
+        kp = k_index[p - 1]
         cc1 = closed_communicating_classes(
             _expanded_adjacency(r1.tgraphs[kp].arcs), vertices=g.states
         )
         cc2 = closed_communicating_classes(
             _expanded_adjacency(r2.tgraphs[p].arcs), vertices=g.states
         )
-        if set(cc1.nontrivial) != set(cc2.nontrivial):
-            ok3 = False
-            detail3 = (
-                f"at window {p} (step {kp}): "
-                f"{[sorted(map(str, c)) for c in cc1.nontrivial]} vs "
-                f"{[sorted(map(str, c)) for c in cc2.nontrivial]}"
-            )
-        if cc1.absorbing != cc2.absorbing:
-            ok4 = False
-            detail4 = (
-                f"at window {p} (step {kp}): "
-                f"{list(map(str, cc1.absorbing))} vs {list(map(str, cc2.absorbing))}"
-            )
+        return f"at window {p} (step {kp}): ", cc1, cc2
+
+    ok3 = last3 is None
+    detail3 = "nontrivial closed classes coincide at every matching index"
+    if not ok3:
+        where, cc1, cc2 = classes_at(last3)
+        detail3 = (
+            where
+            + f"{[sorted(map(str, c)) for c in cc1.nontrivial]} vs "
+            f"{[sorted(map(str, c)) for c in cc2.nontrivial]}"
+        )
+    ok4 = last4 is None
+    detail4 = "absorbing vertices coincide at every matching index"
+    if not ok4:
+        where, cc1, cc2 = classes_at(last4)
+        detail4 = where + f"{list(map(str, cc1.absorbing))} vs {list(map(str, cc2.absorbing))}"
     statements.append(StatementResult(3, ok3, detail3))
     statements.append(StatementResult(4, ok4, detail4))
 

@@ -364,6 +364,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # anything else, RecursionError and MemoryError included
+        print(f"internal error (this is a bug): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

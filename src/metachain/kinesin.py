@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .alg2 import run_algorithm2
@@ -133,7 +134,7 @@ class SweepInterval:
 
     @property
     def final_arcs(self) -> frozenset:
-        return self.signature[-1] if self.signature else frozenset()
+        return frozenset().union(*self.signature)
 
     def to_json_dict(self) -> dict:
         fit = None
@@ -148,7 +149,8 @@ class SweepInterval:
             "exponent_fit": fit,
             "arcs": sorted(f"{t}->{h}" for (t, h) in self.final_arcs),
             "hierarchy": [
-                sorted(f"{t}->{h}" for (t, h) in step) for step in self.signature
+                sorted(f"{t}->{h}" for (t, h) in upto)
+                for upto in accumulate(self.signature, frozenset.union)
             ],
         }
 
@@ -191,10 +193,10 @@ class SweepResult:
 
 def _signature_at(zeta: Fraction, params: KinesinParams) -> tuple:
     report = run_algorithm2(build_kinesin(params.with_zeta(zeta)), stop=kinesin_stop())
-    # cumulative labeled arc sets, one per release step; equal tuples mean
-    # the same arcs entered in the same groups (theta values themselves may
-    # move with zeta inside an interval, so they are not part of the key)
-    steps = tuple(frozenset(a.pair() for a in tg.arcs) for tg in report.tgraphs[1:])
+    # labeled arc sets, one per release step; equal tuples mean the same
+    # arcs entered in the same groups (theta values themselves may move with
+    # zeta inside an interval, so they are not part of the key)
+    steps = tuple(frozenset(a.pair() for a in step) for step in report.transfers_by_step)
     theta_final = report.theta[-1] if report.theta else None
     return steps, theta_final
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import metachain as mc
 
@@ -24,6 +25,25 @@ settings.load_profile("fixed")
 
 # distinct multiples of 1/5: any two differ by at least 0.2
 FIFTH_GRID = [Fraction(k, 5) for k in range(1, 80)]
+# few small integers: weight ties are common
+SMALL_INTEGERS = [Fraction(k) for k in range(1, 6)]
+
+
+@st.composite
+def chain_graphs(draw, n=None, min_n=4, max_n=9):
+    """Strongly connected chains: a Hamiltonian cycle plus up to n + 3 more
+    arcs, weights drawn from the fifth grid or (ties likely) small integers."""
+    if n is None:
+        n = draw(st.integers(min_n, max_n))
+    states = list(range(1, n + 1))
+    perm = draw(st.permutations(states))
+    pairs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    others = [(a, b) for a in states for b in states if a != b and (a, b) not in pairs]
+    pairs.update(draw(st.lists(st.sampled_from(others), max_size=n + 3)))
+    pool = draw(st.sampled_from([FIFTH_GRID, SMALL_INTEGERS]))
+    arcs = sorted(pairs)
+    weights = draw(st.lists(st.sampled_from(pool), min_size=len(arcs), max_size=len(arcs)))
+    return mc.chain_graph([(t, h, w) for (t, h), w in zip(arcs, weights)])
 
 
 def random_strongly_connected(rng: random.Random, n: int, extra: int, pool, replace=False):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import metachain as mc
+from metachain import cli
 from metachain.cli import main
 
 
@@ -185,6 +186,17 @@ def test_malformed_weight_names_token(tmp_path, capsys):
     path.write_text("1\t2\tbanana\n2\t1\t1\n")
     assert main(["validate", "--input", str(path)]) == 1
     assert "banana" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_two(demo_file, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "alg1", broken)
+    assert main(["alg1", "--input", demo_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error (this is a bug): RuntimeError: boom\n"
 
 
 # DOT export

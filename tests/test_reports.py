@@ -1,0 +1,205 @@
+"""Report storage and JSON schema 2: shared transfer prefixes, flat
+contraction trees, deep chains, and the linear-time sweep cross-check."""
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import metachain as mc
+from conftest import chain_graphs
+from metachain.alg2 import _expanded_adjacency
+from metachain.cli import main
+
+
+def deep_funnel(n: int, seed: int = 0):
+    """Birth-death funnel draining into state 1.
+
+    The downhill exponent out of state i+1 rises with i and stays below the
+    uphill exponent out of state i, so the cycle around state 1 absorbs the
+    other states one at a time and the contraction tree nests n - 1 deep.
+    """
+    rng = random.Random(seed)
+    arcs = []
+    for i in range(1, n):
+        down = Fraction(7000 * i + rng.randint(1, 6999), 7)
+        up = down + Fraction(rng.randint(1, 35000), 7)
+        arcs.append((i, i + 1, up))
+        arcs.append((i + 1, i, down))
+    return mc.chain_graph(arcs)
+
+
+def tree_depth(flat: list) -> int:
+    """Levels of cycles above the deepest leaf of a flat contraction tree."""
+    depth = [0] * len(flat)
+    for i, node in enumerate(flat):
+        if node["kind"] == "cycle":
+            depth[i] = 1 + max(depth[c] for c in node["children"])
+    return max(depth)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_chain_reports_need_no_recursion(tmp_path):
+    n = 300
+    g = deep_funnel(n)
+    path = tmp_path / "deep.json"
+    mc.save_graph(g, path)
+    limit = _frame_depth() + 60
+    assert limit < n // 2
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        r1 = mc.run_algorithm1(g)
+        r2 = mc.run_algorithm2(g)
+        roots1 = mc.cycle_hierarchy(r1)
+        roots2 = mc.class_hierarchy(r2)
+        text1 = mc.dump_json(r1.to_json_dict())
+        text2 = mc.dump_json(r2.to_json_dict())
+        codes = [
+            main([alg, "--input", str(path), "--out", str(tmp_path / f"{alg}.json")])
+            for alg in ("alg1", "alg2")
+        ]
+    finally:
+        sys.setrecursionlimit(old)
+    assert codes == [0, 0]
+    # the simultaneous sweep stops at full closure, one contraction short
+    assert [len(roots1), len(roots2)] == [1, 2]
+    for text, name, depth in ((text1, "alg1", n - 1), (text2, "alg2", n - 2)):
+        doc = json.loads(text)
+        assert doc["schema"] == 2
+        assert tree_depth(doc["contraction_tree"]) == depth
+        assert (tmp_path / f"{name}.json").read_text() == text
+
+
+def test_alg1_json_schema_2():
+    rep = mc.run_algorithm1(mc.nested_cycle_chain())
+    doc = rep.to_json_dict()
+    assert doc["schema"] == 2
+    assert [(t["from"], t["to"], t["U"]) for t in doc["transfers"]] == [
+        (a.tail, a.head, mc.format_rational(a.weight)) for a in rep.transfers
+    ]
+    assert doc["tgraphs"] == [
+        {"threshold": mc.format_rational(t.threshold), "end": k}
+        for k, t in enumerate(rep.tgraphs)
+    ]
+    flat = doc["contraction_tree"]
+    referenced = [c for node in flat for c in node.get("children", ())]
+    assert sorted(referenced) == sorted(set(referenced))
+    assert all(c < i for i, node in enumerate(flat) for c in node.get("children", ()))
+    roots = [i for i in range(len(flat)) if i not in set(referenced)]
+    assert roots == [len(flat) - 1]
+    assert flat[-1]["kind"] == "cycle" and flat[-1]["index"] == 3
+    assert sorted(node["id"] for node in flat if node["kind"] == "state") == list(range(1, 8))
+    assert tree_depth(flat) == 3
+
+
+def test_alg2_json_schema_2():
+    rep = mc.run_algorithm2(mc.nested_cycle_chain_integer())
+    doc = rep.to_json_dict()
+    assert doc["schema"] == 2
+    assert len(doc["transfers"]) == len(rep.transfers) == 12
+    assert [t["end"] for t in doc["tgraphs"]] == [0, 2, 8, 12]
+    assert [t["threshold"] for t in doc["tgraphs"]] == ["0", "1", "3", "4"]
+    flat = doc["contraction_tree"]
+    assert [node["kind"] for node in flat] == ["state"] * 3 + ["cycle"] + ["state"] * 4
+    assert flat[3]["children"] == [0, 1, 2]
+
+
+def test_tgraph_views_slice_and_compare():
+    rep = mc.run_algorithm1(mc.nested_cycle_chain())
+    tail = rep.tgraphs[3:]
+    assert len(tail) == len(rep.tgraphs) - 3
+    assert tail[0] == rep.tgraphs[3]
+    assert [t.arcs for t in tail] == [rep.transfers[:k] for k in range(3, rep.K + 1)]
+    assert rep.tgraphs[-1].arcs == rep.transfers
+    assert rep.tgraphs[2] != rep.tgraphs[3]
+
+
+def test_custom_stop_sees_the_prefix_so_far():
+    seen = []
+
+    def stop(tgraph, w):
+        seen.append(tgraph)
+        return len(seen) == 4
+
+    g = mc.nested_cycle_chain()
+    rep = mc.run_algorithm1(g, stop=mc.StopCriterion.custom(stop))
+    full = mc.run_algorithm1(g)
+    assert rep.stop_reason == "custom" and rep.K == 4
+    assert [t.arcs for t in seen] == [full.transfers[:k] for k in range(1, 5)]
+    assert [t.threshold for t in seen] == list(full.gamma[:4])
+
+
+@given(chain_graphs())
+def test_tgraphs_are_prefixes_of_the_transfers(g):
+    r1 = mc.run_algorithm1(g)
+    assert len(r1.tgraphs) == r1.K + 1
+    for k, tg in enumerate(r1.tgraphs):
+        assert tg.arcs == r1.transfers[:k]
+        assert tg.threshold == (r1.gamma[k - 1] if k else 0)
+    r2 = mc.run_algorithm2(g)
+    released: list = []
+    assert r2.tgraphs[0].arcs == ()
+    for p, step in enumerate(r2.transfers_by_step, start=1):
+        released.extend(step)
+        assert r2.tgraphs[p].arcs == tuple(released)
+        assert r2.tgraphs[p].threshold == r2.theta[p - 1]
+    assert r2.transfers == tuple(released)
+
+
+def reference_comparison(g, r1, r2) -> list:
+    """Statements 1-4 recomputed from whole arc sets at every window."""
+
+    def strs(items):
+        return list(map(str, items))
+
+    def names(classes):
+        return [sorted(strs(c)) for c in classes]
+
+    distinct = r1.distinct_gamma()
+    s1 = (True, "distinct exponents agree")
+    if distinct != r2.theta:
+        s1 = (False, f"distinct exponents differ: {strs(distinct)} vs {strs(r2.theta)}")
+    k_index = [sum(1 for w in r1.gamma if w <= th) for th in r2.theta]
+    s2 = (True, "every partial arc set is contained in its matching window")
+    windows = list(zip(range(1, len(k_index) + 1), [0] + k_index, k_index))
+    for p, k in [(p, k) for p, lo, hi in windows for k in range(lo + 1, hi + 1)]:
+        extra = sorted(r1.tgraphs[k].pairs() - r2.tgraphs[p].pairs())
+        if extra:
+            s2 = (False, f"step {k} holds arcs outside window {p}: {extra}")
+            break
+    if s2[0] and k_index and k_index[-1] != r1.K:
+        s2 = (False, f"window index ends at {k_index[-1]} but the sweep took {r1.K} steps")
+    s3 = (True, "nontrivial closed classes coincide at every matching index")
+    s4 = (True, "absorbing vertices coincide at every matching index")
+    for p, kp in enumerate(k_index, start=1):
+        cc1, cc2 = (
+            mc.closed_communicating_classes(_expanded_adjacency(t.arcs), vertices=g.states)
+            for t in (r1.tgraphs[kp], r2.tgraphs[p])
+        )
+        where = f"at window {p} (step {kp}): "
+        if set(cc1.nontrivial) != set(cc2.nontrivial):
+            s3 = (False, where + f"{names(cc1.nontrivial)} vs {names(cc2.nontrivial)}")
+        if cc1.absorbing != cc2.absorbing:
+            s4 = (False, where + f"{strs(cc1.absorbing)} vs {strs(cc2.absorbing)}")
+    return [s1, s2, s3, s4]
+
+
+@given(st.data())
+def test_comparison_matches_reference(data):
+    g = data.draw(chain_graphs())
+    # half the time the second sweep runs on another chain over the same
+    # states, so the statements fail and their details are compared too
+    h = data.draw(st.one_of(st.just(g), chain_graphs(n=g.n)))
+    r1, r2 = mc.run_algorithm1(g), mc.run_algorithm2(h)
+    got = mc.compare_alg1_alg2(g, r1=r1, r2=r2)
+    assert [(s.ok, s.detail) for s in got.statements] == reference_comparison(g, r1, r2)

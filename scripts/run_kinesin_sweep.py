@@ -15,21 +15,7 @@ import sys
 from fractions import Fraction
 
 import metachain as mc
-
-
-def rational_grid(text: str) -> list:
-    try:
-        start, stop, step = (mc.parse_rational(tok) for tok in text.split(":"))
-    except (ValueError, mc.GraphError) as exc:
-        raise SystemExit(f"bad grid {text!r}: {exc}")
-    if step <= 0:
-        raise SystemExit("grid step must be positive")
-    out = []
-    z = start
-    while z <= stop:
-        out.append(z)
-        z += step
-    return out
+from metachain.kinesin import parse_grid
 
 
 def main(argv=None) -> int:
@@ -40,10 +26,12 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="kinesin_sweep.json")
     args = ap.parse_args(argv)
 
+    try:
+        grid = parse_grid(args.grid)
+    except mc.GraphError as exc:
+        raise SystemExit(f"bad grid {args.grid!r}: {exc}")
     params = mc.KinesinParams(zeta=Fraction(1), psi=mc.parse_rational(args.psi))
-    result = mc.kinesin_sweep(
-        rational_grid(args.grid), params=params, bisect=not args.no_bisect
-    )
+    result = mc.kinesin_sweep(grid, params=params, bisect=not args.no_bisect)
 
     with open(args.out, "w") as fh:
         fh.write(mc.dump_json(result.to_json_dict()))

@@ -25,15 +25,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .chain import (
     Arc,
     ChainGraph,
-    GraphError,
     InternalInvariantError,
     State,
     ValidationFailure,
+    parse_rational,
     state_key,
     validate,
 )
 from .contraction import WorkingGraph, super_vertex_name
-from .graphio import format_rational
+from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
 __all__ = [
@@ -56,25 +56,9 @@ __all__ = [
 Pair = tuple
 
 
-def _jstate(s: State):
-    return s if isinstance(s, int) else str(s)
-
-
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise GraphError(
-        f"exact rational required, got {value!r}; floats are not accepted"
-    )
-
-
 def updated_weight(u_ij, u_min_i, gamma_last) -> Fraction:
     """In-force weight of an arc leaving a freshly closed cycle."""
-    return _rat(u_ij) - _rat(u_min_i) + _rat(gamma_last)
+    return parse_rational(u_ij) - parse_rational(u_min_i) + parse_rational(gamma_last)
 
 
 def updated_prefactor(kappa_ij: float, kappa_min_i: float, kappa_last: float) -> float:
@@ -231,13 +215,6 @@ class TGraphs(SequenceABC):
         ]
 
 
-def _arc_json(a: Arc) -> dict:
-    entry = {"from": _jstate(a.tail), "to": _jstate(a.head), "U": format_rational(a.weight)}
-    if a.kappa is not None:
-        entry["kappa"] = a.kappa
-    return entry
-
-
 @dataclass(frozen=True)
 class SinkRecord:
     m: int
@@ -309,7 +286,7 @@ class Alg1Report:
             "delta_float": [None if d is None else float(d) for d in self.delta],
             "alpha": None if self.alpha is None else list(self.alpha),
             "sinks": {
-                str(m): {"k": rec.k, "s": _jstate(rec.s_star), "z": _jstate(rec.z_star)}
+                str(m): {"k": rec.k, "s": state_to_json(rec.s_star), "z": state_to_json(rec.z_star)}
                 for m, rec in sorted(self.sinks.items())
             },
             "cycle_steps": list(self.cycle_steps),
@@ -318,7 +295,7 @@ class Alg1Report:
                 "step": self.symmetry_step,
                 "kind": self.symmetry_kind,
             },
-            "transfers": [_arc_json(a) for a in self.transfers],
+            "transfers": [arc_to_json(a) for a in self.transfers],
             "tgraphs": self.tgraphs.to_json(),
             "contraction_tree": hierarchy_json(cycle_hierarchy(self)),
         }
@@ -334,8 +311,8 @@ def update_outgoing_cycle(
 ) -> dict:
     """Reweighted outgoing arc set for the super-vertex replacing a cycle.
 
-    Arcs internal to the cycle are implicitly dropped (the contraction
-    records them for expansion); every exit arc (i in cycle -> j outside)
+    Arcs internal to the cycle are dropped, since none of them can be
+    transferred any more; every exit arc (i in cycle -> j outside)
     gets weight U_ij - U_min(i) + gamma_last, and, when prefactors are
     carried, prefactor kappa_ij * kappa_last / kappa_min(i) where
     kappa_last belongs to the arc that closed the cycle.
@@ -576,14 +553,14 @@ class HierarchyNode:
     def to_json_dict(self, child_indices: Sequence[int]) -> dict:
         """This node alone; its children are given by their list positions."""
         if self.kind == "state":
-            return {"kind": "state", "id": _jstate(self.state)}
+            return {"kind": "state", "id": state_to_json(self.state)}
         rec = self.record
         return {
             "kind": "cycle",
             "index": rec.index,
             "birth": format_rational(rec.birth),
             "exit": None if rec.exit_weight is None else format_rational(rec.exit_weight),
-            "main": _jstate(rec.main_state),
+            "main": state_to_json(rec.main_state),
             "contracted": rec.contracted,
             "children": list(child_indices),
         }

@@ -6,7 +6,9 @@ contracts every nontrivial closed communicating class of the current
 transition graph simultaneously.  It therefore needs no tie-breaking and is
 the reference behaviour for graphs with weight symmetries.  Prefactors, if
 present, are carried through unmodified and flagged as ignored: the class
-update rule only preserves exponents.
+update rule only preserves exponents.  The closed classes are followed as
+arcs are released, by the same growing-graph tracker the comparison uses,
+never recomputed from scratch.
 
 ``compare_alg1_alg2`` checks the four consistency statements tying the two
 sweeps together; the command-line ``compare`` subcommand turns a violation
@@ -26,9 +28,7 @@ from .alg1 import (
     Bucket,
     TGraph,
     TGraphs,
-    _arc_json,
     _hierarchy,
-    _jstate,
     hierarchy_json,
     run_algorithm1,
 )
@@ -45,7 +45,7 @@ from .chain import (
     validate,
 )
 from .contraction import WorkingGraph, super_vertex_name
-from .graphio import format_rational
+from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
 __all__ = [
@@ -134,7 +134,7 @@ class Alg2Report:
                     "index": rec.index,
                     "step": rec.step,
                     "birth": format_rational(rec.birth),
-                    "members": sorted((_jstate(s) for s in rec.member_states), key=str),
+                    "members": sorted((state_to_json(s) for s in rec.member_states), key=str),
                     "exit": None
                     if rec.exit_weight is None
                     else format_rational(rec.exit_weight),
@@ -142,15 +142,15 @@ class Alg2Report:
                 for rec in self.classes
             ],
             "final_closed_classes": [
-                sorted((_jstate(s) for s in c), key=str)
+                sorted((state_to_json(s) for s in c), key=str)
                 for c in self.final_closed_classes
             ],
-            "final_absorbing": [_jstate(s) for s in self.final_absorbing],
-            "transient_states": [_jstate(s) for s in self.transient_states],
+            "final_absorbing": [state_to_json(s) for s in self.final_absorbing],
+            "transient_states": [state_to_json(s) for s in self.transient_states],
             "covering_class": None
             if self.covering_class is None
-            else sorted((_jstate(s) for s in self.covering_class), key=str),
-            "transfers": [_arc_json(a) for a in self.transfers],
+            else sorted((state_to_json(s) for s in self.covering_class), key=str),
+            "transfers": [arc_to_json(a) for a in self.transfers],
             "tgraphs": self.tgraphs.to_json(),
             "contraction_tree": hierarchy_json(class_hierarchy(self)),
         }
@@ -199,6 +199,12 @@ def run_algorithm2(
 ) -> Alg2Report:
     """Run the simultaneous-release sweep to the chosen stop criterion.
 
+    A class-covering stop looks at the closed classes of the current graph
+    after each release, before contraction: first the nontrivial ones, in
+    the order of their sorted current vertices, then the absorbing current
+    vertices in state order.  The first class meeting both targets is the
+    ``covering_class``.
+
     ``_class_order`` is a test hook: it receives the list of closed classes
     detected in one step and returns them in the order to contract.  The
     result is provably order-independent; the hook exists to verify that.
@@ -221,6 +227,7 @@ def run_algorithm2(
     for v in sorted(wg.vertices, key=state_key):
         _insert_min_set(wg, bucket, v, u_min)
 
+    tracker = _GrowingClosedClasses(g.states)
     theta: list = []
     multiplicity: list = []
     transfers_by_step: list = []
@@ -229,18 +236,6 @@ def run_algorithm2(
     covering: Optional[frozenset] = None
     stop_reason = "bucket-empty"
     p = 0
-
-    def current_closed_classes():
-        adj: dict = {v: set() for v in wg.vertices}
-        for a in released_all:
-            tv = wg.vertex_of[a.tail]
-            hv = wg.vertex_of[a.head]
-            if tv != hv:
-                adj[tv].add(hv)
-        return closed_communicating_classes(
-            {v: sorted(heads, key=state_key) for v, heads in adj.items()},
-            vertices=sorted(wg.vertices, key=state_key),
-        )
 
     while len(bucket):
         if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= stop.threshold:
@@ -256,12 +251,20 @@ def run_algorithm2(
         for a in released:
             wg.remove_arc(a)
 
-        cc = current_closed_classes()
-        expanded = [
-            frozenset().union(*(wg.members[v] for v in c)) for c in cc.nontrivial
-        ] + [wg.members[v] for v in cc.absorbing]
+        # Every closed class of the last step was contracted to one vertex,
+        # so the nontrivial closed classes of the contracted graph are
+        # exactly the classes this step gained.
+        gained = tracker.add(released)[1]
+        by_vids = {frozenset(wg.vertex_of[s] for s in cls): cls for cls in gained}
+        nontrivial = sorted(by_vids, key=lambda c: sorted(map(state_key, c)))
         if stop.kind == "class-covering":
-            hit = stop.covering_class(expanded)
+            absorbing = sorted(
+                (v for v, m in wg.members.items() if tracker.class_of.get(next(iter(m))) == m),
+                key=state_key,
+            )
+            hit = stop.covering_class(
+                [by_vids[c] for c in nontrivial] + [wg.members[v] for v in absorbing]
+            )
             if hit is not None:
                 covering = hit
                 stop_reason = "class-covering"
@@ -270,17 +273,16 @@ def run_algorithm2(
             if stop.predicate(TGraph(g.states, released_all, len(released_all), w), w):
                 stop_reason = "custom"
                 break
-        if len(cc.nontrivial) == 1 and not cc.absorbing and set(cc.nontrivial[0]) == wg.vertices:
+        if len(nontrivial) == 1 and len(nontrivial[0]) == len(wg.vertices):
             stop_reason = "full-closure"
             break
 
-        to_contract = list(cc.nontrivial)
+        to_contract = nontrivial
         if _class_order is not None:
-            to_contract = [frozenset(c) for c in _class_order(to_contract)]
-            if set(to_contract) != set(cc.nontrivial):
+            to_contract = [frozenset(c) for c in _class_order(nontrivial)]
+            if set(to_contract) != set(by_vids):
                 raise ValueError("_class_order must permute the detected classes")
         for cls in to_contract:
-            members = frozenset().union(*(wg.members[v] for v in cls))
             updated = update_outgoing_class(wg, cls, w, u_min)
             super_vid = wg.contract(cls, updated)
             exit_w = min((a.weight for a in updated.values()), default=None)
@@ -291,7 +293,7 @@ def run_algorithm2(
                     step=p,
                     birth=w,
                     member_vids=tuple(sorted(cls, key=state_key)),
-                    member_states=members,
+                    member_states=by_vids[cls],
                     super_vid=super_vid,
                     exit_weight=exit_w,
                 )
@@ -300,13 +302,7 @@ def run_algorithm2(
     theta = tuple(theta)
     ends = tuple(accumulate((len(step) for step in transfers_by_step), initial=0))
     tgraphs = TGraphs(g.states, tuple(released_all), ends, (Fraction(0),) + theta)
-    final_cc = closed_communicating_classes(
-        _expanded_adjacency(released_all), vertices=g.states
-    )
-    in_closed = set().union(*final_cc.nontrivial) if final_cc.nontrivial else set()
-    in_closed |= set(final_cc.absorbing)
-    transient = tuple(s for s in sorted(g.states, key=state_key) if s not in in_closed)
-
+    final = set(tracker.class_of.values())
     return Alg2Report(
         graph=g,
         theta=theta,
@@ -314,9 +310,15 @@ def run_algorithm2(
         transfers_by_step=tuple(transfers_by_step),
         tgraphs=tgraphs,
         classes=tuple(classes),
-        final_closed_classes=final_cc.nontrivial,
-        final_absorbing=final_cc.absorbing,
-        transient_states=transient,
+        final_closed_classes=tuple(
+            sorted((c for c in final if len(c) >= 2), key=lambda c: sorted(map(state_key, c)))
+        ),
+        final_absorbing=tuple(
+            sorted((next(iter(c)) for c in final if len(c) == 1), key=state_key)
+        ),
+        transient_states=tuple(
+            s for s in sorted(g.states, key=state_key) if s not in tracker.class_of
+        ),
         covering_class=covering,
         stop_reason=stop_reason,
         prefactors_ignored=g.has_prefactors,
@@ -332,6 +334,9 @@ def _expanded_adjacency(arcs: Iterable[Arc]) -> dict:
 
 class _GrowingClosedClasses:
     """Closed communicating classes of a digraph that only gains arcs.
+
+    It drives the tie-tolerant sweep, whose released arcs only grow, and
+    follows both sweeps side by side in ``compare_alg1_alg2``.
 
     Every vertex starts as an absorbing class.  A closed class none of whose
     vertices gains an arc stays closed, and a new closed class holds the tail

@@ -32,6 +32,7 @@ __all__ = [
     "closed_communicating_classes",
     "generator_matrix",
     "min_arcs",
+    "parse_rational",
     "state_key",
     "strongly_connected_components",
     "validate",
@@ -67,22 +68,30 @@ def state_key(s: State):
     return (1, 0, str(s))
 
 
-def _as_weight(value, where: str) -> Fraction:
+def parse_rational(value) -> Fraction:
+    """Parse an exact rational from an int, Fraction or string.
+
+    Strings accept both ``"3/4"`` and decimal forms like ``"1.1"`` (which
+    means exactly 11/10, not the nearest binary float).  Floats and bools
+    are rejected: an exponent must be exact, and a float rarely is.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise GraphError(f"cannot parse rational from {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        raise GraphError(
+            f"float {value!r} is not an exact rational; pass a Fraction, an int "
+            "or a decimal/rational string so exactness is preserved"
+        )
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"unparseable weight {value!r} for {where}") from exc
-    if isinstance(value, float):
-        raise GraphError(
-            f"float weight {value!r} for {where}; pass a Fraction, an int or a "
-            "decimal/rational string so exactness is preserved"
-        )
-    raise GraphError(f"unsupported weight type {type(value).__name__} for {where}")
+            raise GraphError(f"unparseable rational {value!r}") from exc
+    raise GraphError(f"cannot parse rational from {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,11 @@ def chain_graph(arcs: Iterable[Sequence], states: Iterable[State] | None = None)
             kappa = float(kappa)
         else:
             raise GraphError(f"arc tuple {item!r} must have 3 or 4 entries")
-        built.append(Arc(t, h, _as_weight(w, f"arc {t!r}->{h!r}"), kappa))
+        try:
+            w = parse_rational(w)
+        except GraphError as exc:
+            raise GraphError(f"arc {t!r}->{h!r}: {exc}") from exc
+        built.append(Arc(t, h, w, kappa))
     if states is None:
         seen: set[State] = set()
         for a in built:

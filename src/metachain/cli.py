@@ -25,7 +25,7 @@ from .chain import (
 from .demos import nested_cycle_chain
 from .dot import export_dot
 from .graphio import dump_json, load_graph, parse_rational
-from .kinesin import kinesin_sweep
+from .kinesin import kinesin_sweep, parse_grid
 from .kmc import census, census_vs_tgraph, simulate_ensemble
 from .spectral import (
     charpoly_identity_check,
@@ -251,6 +251,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_kmc(args) -> int:
+    if len(args.epsilon) > 1:
+        raise GraphError(f"kmc takes one --epsilon, got {len(args.epsilon)}")
     g = _load(args)
     eps = args.epsilon[0]
     x0 = _state_token(args.x0)
@@ -280,25 +282,10 @@ def _cmd_kmc(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise GraphError(f"grid must be start:stop:step, got {spec!r}")
-    start, stop, step = (parse_rational(p) for p in parts)
-    if step <= 0:
-        raise GraphError(f"grid step must be positive, got {step}")
-    out = []
-    z = start
-    while z <= stop:
-        out.append(z)
-        z += step
-    return out
-
-
 def _cmd_kinesin_sweep(args) -> int:
     grid: list = []
     if args.grid:
-        grid.extend(_parse_grid(args.grid))
+        grid.extend(parse_grid(args.grid))
     for z in args.zeta or ():
         grid.append(parse_rational(z))
     if not grid:

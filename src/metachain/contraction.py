@@ -1,10 +1,12 @@
-"""Contraction machinery: working multigraph with exact expand frames.
+"""Contraction machinery: the working multigraph the two sweeps shrink.
 
 The sweep algorithms operate on a mutable view of the input graph in which
 cycles (or closed classes) collapse into super-vertices.  Arcs never lose
 their original (tail, head) identity: after a contraction the super-vertex
 owns its members' surviving outgoing arcs keyed by that original pair, so
-parallel arcs to one current head are all kept and expansion is exact.
+parallel arcs to one current head are all kept.  Arcs inside a contracted
+group are dropped from the view; the sweeps keep what they need of them in
+their own transfer lists, so a contraction is never undone.
 
 Super-vertices are named by the sorted set of original states they contain,
 e.g. "{1,2,3}", which makes every report deterministic and diff-friendly.
@@ -12,28 +14,17 @@ e.g. "{1,2,3}", which makes every report deterministic and diff-friendly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .chain import Arc, ChainGraph, GraphError, State, state_key
 
-__all__ = ["WorkingGraph", "super_vertex_name", "contract", "expand"]
+__all__ = ["WorkingGraph", "super_vertex_name"]
 
 Pair = Tuple[State, State]
 
 
 def super_vertex_name(states: Iterable[State]) -> str:
     return "{" + ",".join(str(s) for s in sorted(states, key=state_key)) + "}"
-
-
-@dataclass(frozen=True)
-class _Frame:
-    """Everything a contraction destroyed, for exact restoration."""
-
-    super_vid: str
-    absorbed: tuple  # vids in deterministic order
-    members_backup: dict  # vid -> frozenset of original states
-    out_backup: dict  # vid -> {pair: Arc} as of the contract call
 
 
 class WorkingGraph:
@@ -47,20 +38,12 @@ class WorkingGraph:
     """
 
     def __init__(self, g: ChainGraph):
-        self.graph = g
         self.vertices: set = set(g.states)
         self.members: Dict = {s: frozenset((s,)) for s in g.states}
         self.vertex_of: Dict = {s: s for s in g.states}
         self.out: Dict[State, Dict[Pair, Arc]] = {s: {} for s in g.states}
         for a in g.arcs:
             self.out[a.tail][a.pair()] = a
-        self._frames: list[_Frame] = []
-
-    def current_head(self, arc: Arc) -> State:
-        return self.vertex_of[arc.head]
-
-    def current_tail(self, arc: Arc) -> State:
-        return self.vertex_of[arc.tail]
 
     def remove_arc(self, arc: Arc) -> None:
         del self.out[self.vertex_of[arc.tail]][arc.pair()]
@@ -87,8 +70,7 @@ class WorkingGraph:
 
         ``new_out`` supplies the super-vertex's outgoing arcs (typically the
         reweighted exit arcs); omitted, the exit arcs are kept verbatim.
-        Intra-group arcs are dropped from the view but remembered, so
-        expand() is an exact inverse.
+        Intra-group arcs are dropped.
         """
         group = sorted(set(vids), key=state_key)
         if len(group) < 2:
@@ -102,14 +84,6 @@ class WorkingGraph:
         vid = super_vertex_name(member_states)
         if vid in self.vertices:
             raise GraphError(f"super-vertex {vid!r} already present")
-        self._frames.append(
-            _Frame(
-                super_vid=vid,
-                absorbed=tuple(group),
-                members_backup={v: self.members[v] for v in group},
-                out_backup={v: dict(self.out[v]) for v in group},
-            )
-        )
         for v in group:
             self.vertices.discard(v)
             del self.out[v]
@@ -120,64 +94,3 @@ class WorkingGraph:
         for s in member_states:
             self.vertex_of[s] = vid
         return vid
-
-    def expand(self, super_vid: str) -> None:
-        """Exact inverse of the contraction that created ``super_vid``.
-
-        Only the most recent contraction can be undone first; expanding out
-        of order would corrupt nested membership.
-        """
-        if not self._frames:
-            raise GraphError("nothing to expand: no contraction recorded")
-        frame = self._frames[-1]
-        if frame.super_vid != super_vid:
-            raise GraphError(
-                f"cannot expand {super_vid!r}: last contraction was {frame.super_vid!r}"
-            )
-        if super_vid not in self.vertices:
-            raise GraphError(f"super-vertex {super_vid!r} not present")
-        self._frames.pop()
-        self.vertices.discard(super_vid)
-        del self.out[super_vid]
-        del self.members[super_vid]
-        for v in frame.absorbed:
-            self.vertices.add(v)
-            self.members[v] = frame.members_backup[v]
-            self.out[v] = dict(frame.out_backup[v])
-            for s in frame.members_backup[v]:
-                self.vertex_of[s] = v
-
-    def snapshot(self) -> dict:
-        """Plain-data view for equality checks in tests."""
-        return {
-            "vertices": frozenset(self.vertices),
-            "members": dict(self.members),
-            "arcs": {
-                v: {pair: (a.weight, a.kappa) for pair, a in arcs.items()}
-                for v, arcs in self.out.items()
-            },
-        }
-
-
-def contract(wg: WorkingGraph, vids: Iterable[State]) -> WorkingGraph:
-    """Pure version: returns a contracted copy, weights preserved."""
-    clone = _copy(wg)
-    clone.contract(vids)
-    return clone
-
-
-def expand(wg: WorkingGraph, super_vid: str) -> WorkingGraph:
-    """Pure version: returns a copy with ``super_vid`` expanded."""
-    clone = _copy(wg)
-    clone.expand(super_vid)
-    return clone
-
-
-def _copy(wg: WorkingGraph) -> WorkingGraph:
-    clone = WorkingGraph(wg.graph)
-    clone.vertices = set(wg.vertices)
-    clone.members = dict(wg.members)
-    clone.vertex_of = dict(wg.vertex_of)
-    clone.out = {v: dict(arcs) for v, arcs in wg.out.items()}
-    clone._frames = list(wg._frames)
-    return clone

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .chain import Arc, ChainGraph, GraphError, state_key
+from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key
 
 __all__ = [
     "parse_rational",
@@ -26,30 +26,6 @@ __all__ = [
 ]
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int, Fraction or string.
-
-    Strings accept both ``"3/4"`` and decimal forms like ``"1.1"`` (which
-    means exactly 11/10, not the nearest binary float).  Floats are parsed
-    through their shortest decimal repr so ``1.1`` still means 11/10; exact
-    callers should prefer strings.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise GraphError(f"cannot parse rational from {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"unparseable rational {value!r}") from exc
-    raise GraphError(f"cannot parse rational from {value!r}")
-
-
 def format_rational(q: Fraction) -> str:
     """Canonical string form: ``"3"`` for integers, ``"11/10"`` otherwise."""
     q = Fraction(q)
@@ -58,26 +34,31 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _state_to_json(s) -> Union[int, str]:
+def state_to_json(s: State) -> Union[int, str]:
+    """A state id as JSON: ints stay numbers, anything else becomes a string."""
     return s if isinstance(s, int) else str(s)
 
 
+def arc_to_json(a: Arc) -> dict:
+    entry = {
+        "from": state_to_json(a.tail),
+        "to": state_to_json(a.head),
+        "U": format_rational(a.weight),
+    }
+    if a.kappa is not None:
+        entry["kappa"] = a.kappa
+    return entry
+
+
 def graph_to_json_dict(g: ChainGraph) -> dict:
-    arcs = []
-    for a in sorted(g.arcs, key=lambda a: (state_key(a.tail), state_key(a.head))):
-        entry: dict = {
-            "from": _state_to_json(a.tail),
-            "to": _state_to_json(a.head),
-            "U": format_rational(a.weight),
-        }
-        if a.kappa is not None:
-            entry["kappa"] = a.kappa
-        arcs.append(entry)
     return {
         "schema": 1,
         "kind": "chain-graph",
-        "states": [_state_to_json(s) for s in sorted(g.states, key=state_key)],
-        "arcs": arcs,
+        "states": [state_to_json(s) for s in sorted(g.states, key=state_key)],
+        "arcs": [
+            arc_to_json(a)
+            for a in sorted(g.arcs, key=lambda a: (state_key(a.tail), state_key(a.head)))
+        ],
     }
 
 

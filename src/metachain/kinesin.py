@@ -28,8 +28,8 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .alg2 import run_algorithm2
-from .chain import Arc, ChainGraph, GraphError
-from .graphio import format_rational, parse_rational
+from .chain import Arc, ChainGraph, GraphError, parse_rational
+from .graphio import format_rational
 from .stopping import StopCriterion
 
 __all__ = [
@@ -40,14 +40,11 @@ __all__ = [
     "SweepBoundary",
     "SweepResult",
     "kinesin_sweep",
+    "parse_grid",
     "simplest_rational_between",
 ]
 
 MAX_BISECTION_STEPS = 20
-
-
-def _frac(x) -> Fraction:
-    return parse_rational(x)
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,10 @@ class KinesinParams:
             "zeta", "psi", "f1", "f2", "f3", "f4",
             "f12", "f21", "f34", "f43", "f23", "f32", "f41", "f14",
         ):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, parse_rational(getattr(self, name)))
 
     def with_zeta(self, zeta) -> "KinesinParams":
-        return replace(self, zeta=_frac(zeta))
+        return replace(self, zeta=parse_rational(zeta))
 
 
 def _ring_exponents(p: KinesinParams, psi: Fraction) -> dict:
@@ -191,6 +188,22 @@ class SweepResult:
         }
 
 
+def parse_grid(spec: str) -> list:
+    """The inclusive rational grid ``start:stop:step``, e.g. ``1/4:41/4:1/2``."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise GraphError(f"grid must be start:stop:step, got {spec!r}")
+    start, stop, step = (parse_rational(p) for p in parts)
+    if step <= 0:
+        raise GraphError(f"grid step must be positive, got {step}")
+    out = []
+    z = start
+    while z <= stop:
+        out.append(z)
+        z += step
+    return out
+
+
 def _signature_at(zeta: Fraction, params: KinesinParams) -> tuple:
     report = run_algorithm2(build_kinesin(params.with_zeta(zeta)), stop=kinesin_stop())
     # labeled arc sets, one per release step; equal tuples mean the same
@@ -246,7 +259,7 @@ def kinesin_sweep(
     intervals is reported as the bracketing grid pair, refined by
     exact-rational bisection when ``bisect`` is set.
     """
-    grid = [_frac(z) for z in zeta_grid]
+    grid = [parse_rational(z) for z in zeta_grid]
     if not grid:
         raise GraphError("sweep needs a nonempty grid")
     if any(z <= 0 for z in grid):

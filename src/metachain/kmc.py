@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chain import Arc, ChainGraph, GraphError, State, generator_matrix
+from .graphio import state_to_json
 
 __all__ = [
     "GENERATOR_NAME",
@@ -38,10 +39,6 @@ GENERATOR_NAME = "numpy-PCG64"
 
 # Asymptotic Kolmogorov-Smirnov critical value at significance 0.01.
 KS_CRITICAL_1PCT = 1.628
-
-
-def _jstate(s: State):
-    return s if isinstance(s, int) else str(s)
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ class TransitionCensus:
         for pair in sorted(self.counts, key=lambda p: (str(p[0]), str(p[1]))):
             c = self.counts[pair]
             freq = c / total if total else 0.0
-            lines.append(f"{_jstate(pair[0])}->{_jstate(pair[1])},({lo};{hi}],{c},{freq:.6g}")
+            lines.append(f"{state_to_json(pair[0])}->{state_to_json(pair[1])},({lo};{hi}],{c},{freq:.6g}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -220,7 +217,7 @@ class TransitionCensus:
             "generator": self.generator_name,
             "seeds": [int(s) for s in self.seeds],
             "counts": {
-                f"{_jstate(t)}->{_jstate(h)}": c
+                f"{state_to_json(t)}->{state_to_json(h)}": c
                 for (t, h), c in sorted(
                     self.counts.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
                 )
@@ -276,7 +273,7 @@ class CoverageReport:
             "on_count": self.on_count,
             "off_count": self.off_count,
             "off_arcs": {
-                f"{_jstate(t)}->{_jstate(h)}": c
+                f"{state_to_json(t)}->{state_to_json(h)}": c
                 for (t, h), c in sorted(
                     self.off_arcs.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
                 )

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .chain import parse_rational
+
 __all__ = ["StopCriterion"]
 
 _KINDS = (
@@ -51,7 +53,7 @@ class StopCriterion:
 
     @staticmethod
     def exponent_threshold(value) -> "StopCriterion":
-        return StopCriterion("exponent-threshold", threshold=Fraction(value))
+        return StopCriterion("exponent-threshold", threshold=parse_rational(value))
 
     @staticmethod
     def class_covering(targets_a, targets_b) -> "StopCriterion":

@@ -20,11 +20,10 @@ from .chain import (
     EnumerationCapError,
     GraphError,
     InternalInvariantError,
-    State,
     SymmetryError,
     state_key,
 )
-from .graphio import format_rational
+from .graphio import format_rational, state_to_json
 
 __all__ = [
     "WGraph",
@@ -38,10 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 9
-
-
-def _jstate(s: State):
-    return s if isinstance(s, int) else str(s)
 
 
 @dataclass(frozen=True)
@@ -62,8 +57,8 @@ class WGraph:
 
     def to_json_dict(self) -> dict:
         return {
-            "sinks": sorted((_jstate(s) for s in self.sinks), key=str),
-            "arcs": [[_jstate(t), _jstate(h)] for (t, h) in self.arcs],
+            "sinks": sorted((state_to_json(s) for s in self.sinks), key=str),
+            "arcs": [[state_to_json(t), state_to_json(h)] for (t, h) in self.arcs],
             "total_weight": format_rational(self.total_weight),
         }
 

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metachain as mc
+from conftest import chain_graphs
+from metachain.alg2 import _expanded_adjacency
 from metachain.contraction import WorkingGraph
 
 F = Fraction
@@ -226,3 +230,87 @@ def test_comparison_corpus_spot_check(oracle_corpus):
     for g, r1 in oracle_corpus[:10]:
         cmp = mc.compare_alg1_alg2(g, r1=r1)
         assert cmp.ok, [s.detail for s in cmp.statements if not s.ok]
+
+
+def test_covering_targets_may_overlap():
+    # the absorbing vertex 2 alone meets both overlapping target sets
+    g = mc.chain_graph([(1, 2, 1), (2, 1, 2)])
+    rep = mc.run_algorithm2(g, stop=mc.StopCriterion.class_covering({1, 2}, {2}))
+    assert rep.stop_reason == "class-covering"
+    assert rep.covering_class == frozenset({2})
+    assert rep.P == 1
+    # both the new class {1,2} and the absorbing 3 qualify: classes come first
+    g = mc.chain_graph([(1, 2, 1), (2, 1, 1), (2, 3, 2), (3, 1, 3)])
+    rep = mc.run_algorithm2(g, stop=mc.StopCriterion.class_covering({1, 3}, {2, 3}))
+    assert rep.covering_class == frozenset({1, 2})
+    assert rep.P == 1
+
+
+@st.composite
+def sweep_cases(draw):
+    """A 3-9-state chain and a stop: none, a threshold among its weights, or
+    a covering pair whose target sets may overlap."""
+    g = draw(chain_graphs(min_n=3))
+    kind = draw(st.sampled_from(["bucket-empty", "threshold", "covering"]))
+    if kind == "bucket-empty":
+        return g, None
+    if kind == "threshold":
+        weights = sorted({a.weight for a in g.arcs})
+        return g, mc.StopCriterion.exponent_threshold(draw(st.sampled_from(weights)))
+    subsets = st.sets(st.sampled_from(g.states), min_size=1, max_size=g.n)
+    a = draw(subsets)
+    b = draw(subsets)
+    if draw(st.booleans()):
+        b = b | {draw(st.sampled_from(sorted(a)))}
+    return g, mc.StopCriterion.class_covering(a, b)
+
+
+def _closed_at(g, rep, step):
+    return mc.closed_communicating_classes(
+        _expanded_adjacency(rep.tgraphs[step].arcs), vertices=g.states
+    )
+
+
+def _documented_order(rep, step, cc):
+    """The closed classes of the graph contracted before ``step``: nontrivial
+    classes by their sorted current vertices, then absorbing vertices."""
+    vid = {s: s for s in rep.graph.states}
+    for rec in rep.classes:  # creation order: an outer class comes later
+        if rec.step < step:
+            vid.update(dict.fromkeys(rec.member_states, rec.super_vid))
+    classes = list(cc.nontrivial) + [frozenset((s,)) for s in cc.absorbing]
+    vids = [frozenset(vid[s] for s in c) for c in classes]
+    nontrivial = sorted(
+        (c for c, v in zip(classes, vids) if len(v) >= 2),
+        key=lambda c: sorted(mc.state_key(vid[s]) for s in c),
+    )
+    absorbing = sorted(
+        (v for v in vids if len(v) == 1), key=lambda v: mc.state_key(next(iter(v)))
+    )
+    members = {v: frozenset(s for s in rep.graph.states if vid[s] in v) for v in absorbing}
+    return nontrivial + [members[v] for v in absorbing]
+
+
+@settings(max_examples=300)
+@given(sweep_cases())
+def test_closed_classes_match_a_fresh_scc_pass(case):
+    g, stop = case
+    rep = mc.run_algorithm2(g, stop=stop)
+    final = _closed_at(g, rep, rep.P)
+    assert rep.final_closed_classes == final.nontrivial
+    assert rep.final_absorbing == final.absorbing
+    closed = set().union(*final.nontrivial, final.absorbing)
+    assert rep.transient_states == tuple(
+        s for s in sorted(g.states, key=mc.state_key) if s not in closed
+    )
+    for rec in rep.classes:
+        assert rec.member_states in _closed_at(g, rep, rec.step).nontrivial
+    if stop is None or stop.kind != "class-covering":
+        return
+    for step in range(1, rep.P + 1):
+        first = stop.covering_class(_documented_order(rep, step, _closed_at(g, rep, step)))
+        if step < rep.P:
+            assert first is None
+        else:
+            assert rep.covering_class == first
+            assert (first is None) == (rep.stop_reason != "class-covering")

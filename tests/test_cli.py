@@ -5,9 +5,11 @@ what the console script runs, including the exit-code contract:
 0 success, 1 user error, 2 internal invariant violation.
 """
 
+import importlib.util
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +169,44 @@ def test_kinesin_sweep_grid(capsys):
 def test_kinesin_sweep_requires_grid(capsys):
     assert main(["kinesin-sweep"]) == 1
     assert "needs --grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["1:3", "1:3:0", "1:x:1"])
+def test_kinesin_sweep_bad_grid_exits_one(capsys, grid):
+    assert main(["kinesin-sweep", "--grid", grid]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_script_stops_on_bad_grid(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "run_kinesin_sweep", Path(__file__).parent.parent / "scripts" / "run_kinesin_sweep.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit, match="bad grid '1:3:0'"):
+        script.main(["--grid", "1:3:0", "--out", str(tmp_path / "sweep.json")])
+    assert not (tmp_path / "sweep.json").exists()
+
+
+def test_float_exponent_in_json_exits_one(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    arcs = [{"from": 1, "to": 2, "U": 1.1}, {"from": 2, "to": 1, "U": "2"}]
+    path.write_text(json.dumps({"states": [1, 2], "arcs": arcs}))
+    assert main(["alg1", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float 1.1" in captured.err
+
+
+def test_kmc_rejects_a_second_epsilon(capsys, two_state_file):
+    code = main(
+        ["kmc", "--input", two_state_file, "--epsilon", "0.5", "--epsilon", "0.3",
+         "--x0", "1", "--horizon", "10", "--n", "2"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one --epsilon" in captured.err
 
 
 def test_unknown_flag_exits_one(demo_file, capsys):

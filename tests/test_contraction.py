@@ -1,11 +1,11 @@
-"""Super-vertex contraction and its exact inverse."""
+"""Super-vertex contraction of the working graph."""
 
 from fractions import Fraction
 
 import pytest
 
 import metachain as mc
-from metachain.contraction import WorkingGraph, contract, expand, super_vertex_name
+from metachain.contraction import WorkingGraph, super_vertex_name
 
 
 def square():
@@ -42,7 +42,7 @@ def test_contract_defaults_to_exit_arcs():
     assert wg.vertex_of[1] == vid and wg.vertex_of[2] == vid
     # arcs stay keyed by the original endpoint pair
     assert set(wg.out[vid]) == {(2, 3), (1, 3)}
-    assert wg.current_head(wg.out[vid][(2, 3)]) == 3
+    assert wg.vertex_of[wg.out[vid][(2, 3)].head] == 3
 
 
 def test_contract_with_reweighted_exits():
@@ -55,26 +55,14 @@ def test_contract_with_reweighted_exits():
     assert wg.out[vid][(2, 3)].weight == Fraction(7, 2)
 
 
-def test_expand_restores_snapshot():
-    wg = WorkingGraph(square())
-    before = wg.snapshot()
-    vid = wg.contract({1, 2})
-    assert wg.snapshot() != before
-    wg.expand(vid)
-    assert wg.snapshot() == before
-
-
 def test_nested_contractions_expand_lifo():
     wg = WorkingGraph(square())
     first = wg.contract({1, 2})
-    before_second = wg.snapshot()
     second = wg.contract({first, 3})
     assert second == "{1,2,3}"
     assert wg.members[second] == frozenset({1, 2, 3})
-    with pytest.raises(mc.GraphError):
-        wg.expand(first)
-    wg.expand(second)
-    assert wg.snapshot() == before_second
+    assert wg.vertices == {second, 4}
+    assert all(wg.vertex_of[s] == second for s in (1, 2, 3))
 
 
 def test_contract_needs_two_existing_vertices():
@@ -90,23 +78,6 @@ def test_contract_rejects_name_collision():
     wg = WorkingGraph(g)
     with pytest.raises(mc.GraphError):
         wg.contract({1, 2})
-
-
-def test_expand_with_no_history():
-    wg = WorkingGraph(square())
-    with pytest.raises(mc.GraphError):
-        wg.expand("{1,2}")
-
-
-def test_pure_helpers_leave_input_untouched():
-    wg = WorkingGraph(square())
-    before = wg.snapshot()
-    bigger = contract(wg, {1, 2})
-    assert wg.snapshot() == before
-    assert "{1,2}" in bigger.vertices
-    back = expand(bigger, "{1,2}")
-    assert bigger.snapshot() != back.snapshot()
-    assert back.snapshot() == before
 
 
 def test_remove_arc_tracks_contracted_tail():
@@ -125,4 +96,4 @@ def test_triangle_cycle_contraction_by_hand():
     assert set(exit_arcs) == {(2, 3)}
     vid = wg.contract({1, 2})
     assert wg.vertices == {vid, 3}
-    assert wg.current_head(wg.out[3][(3, 1)]) == vid
+    assert wg.vertex_of[wg.out[3][(3, 1)].head] == vid

@@ -17,10 +17,15 @@ def test_parse_rational_accepts_common_shapes():
     assert mc.parse_rational("1.1") == Fraction(11, 10)
 
 
-def test_parse_rational_reads_floats_by_repr():
-    # 1.1 the float is not 11/10 in binary, but its shortest repr is "1.1"
-    assert mc.parse_rational(1.1) == Fraction(11, 10)
-    assert mc.parse_rational(0.5) == Fraction(1, 2)
+def test_parse_rational_rejects_floats():
+    # even a float that is exact in binary: the policy is by type, not value
+    for value in (1.1, 0.5, 3.0):
+        with pytest.raises(mc.GraphError, match="float"):
+            mc.parse_rational(value)
+    with pytest.raises(mc.GraphError):
+        mc.StopCriterion.exponent_threshold(0.1)
+    with pytest.raises(mc.GraphError):
+        mc.KinesinParams(zeta=2.5)
 
 
 def test_parse_rational_rejects_bool_and_junk():

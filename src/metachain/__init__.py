@@ -16,11 +16,7 @@ from .alg1 import (
     SinkRecord,
     TGraph,
     cycle_hierarchy,
-    detect_cycle_through,
     run_algorithm1,
-    update_outgoing_cycle,
-    updated_prefactor,
-    updated_weight,
 )
 from .alg2 import (
     Alg2Report,
@@ -29,7 +25,6 @@ from .alg2 import (
     class_hierarchy,
     compare_alg1_alg2,
     run_algorithm2,
-    update_outgoing_class,
 )
 from .chain import (
     Arc,
@@ -50,6 +45,7 @@ from .chain import (
     strongly_connected_components,
     validate,
 )
+from .contraction import updated_prefactor, updated_weight
 from .demos import (
     nested_cycle_chain,
     nested_cycle_chain_integer,
@@ -153,13 +149,10 @@ __all__ = [
     "cycle_hierarchy",
     "updated_weight",
     "updated_prefactor",
-    "update_outgoing_cycle",
-    "detect_cycle_through",
     "ClassRecord",
     "Alg2Report",
     "run_algorithm2",
     "class_hierarchy",
-    "update_outgoing_class",
     "ComparisonReport",
     "compare_alg1_alg2",
     "StopCriterion",

@@ -3,10 +3,11 @@
 The sweep keeps one min-arc per current vertex in an exact-weight bucket and
 transfers the globally cheapest arc at each step.  A transfer either extends
 the growing transition graph (a non-cycle step, which fixes one eigenvalue
-exponent) or closes a cycle, which is reweighted, contracted to a
-super-vertex and re-entered into the bucket.  Arcs keep their original
-(tail, head) identity throughout, so the fully expanded T-graph after k
-steps is simply the first k transferred arcs with their in-force weights.
+exponent) or closes a cycle, which the working graph contracts to a
+super-vertex with repriced exit arcs; the super-vertex's min-arc then
+enters the bucket.  Arcs keep their original (tail, head) identity
+throughout, so the fully expanded T-graph after k steps is simply the first
+k transferred arcs with their in-force weights.
 
 Exactness matters: weights are Fractions and every comparison is exact.
 Weight ties mean the symmetry-free assumptions fail; they are detected and
@@ -20,7 +21,7 @@ import heapq
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chain import (
     Arc,
@@ -28,11 +29,10 @@ from .chain import (
     InternalInvariantError,
     State,
     ValidationFailure,
-    parse_rational,
     state_key,
     validate,
 )
-from .contraction import WorkingGraph, super_vertex_name
+from .contraction import WorkingGraph, pair_key, super_vertex_name, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
@@ -44,30 +44,10 @@ __all__ = [
     "CycleRecord",
     "Alg1Report",
     "HierarchyNode",
-    "updated_weight",
-    "updated_prefactor",
-    "update_outgoing_cycle",
-    "detect_cycle_through",
     "run_algorithm1",
     "cycle_hierarchy",
     "hierarchy_json",
 ]
-
-Pair = tuple
-
-
-def updated_weight(u_ij, u_min_i, gamma_last) -> Fraction:
-    """In-force weight of an arc leaving a freshly closed cycle."""
-    return parse_rational(u_ij) - parse_rational(u_min_i) + parse_rational(gamma_last)
-
-
-def updated_prefactor(kappa_ij: float, kappa_min_i: float, kappa_last: float) -> float:
-    """Prefactor of an arc leaving a freshly closed cycle."""
-    return kappa_ij * kappa_last / kappa_min_i
-
-
-def _pair_key(tail: State, head: State):
-    return (state_key(tail), state_key(head))
 
 
 class Bucket:
@@ -80,7 +60,7 @@ class Bucket:
         return len(self._heap)
 
     def insert(self, arc: Arc) -> None:
-        heapq.heappush(self._heap, (arc.weight, _pair_key(arc.tail, arc.head), arc))
+        heapq.heappush(self._heap, (arc.weight, pair_key(arc), arc))
 
     def peek_min_weight(self) -> Fraction:
         if not self._heap:
@@ -101,7 +81,7 @@ class Bucket:
         the largest; the rest go back into the bucket.
         """
         group = self._pop_min_group()
-        group.sort(key=lambda a: _pair_key(a.tail, a.head))
+        group.sort(key=pair_key)
         chosen = group[0] if tie_break == "lex" else group[-1]
         for a in group:
             if a is not chosen:
@@ -111,46 +91,8 @@ class Bucket:
     def extract_all_min(self) -> tuple[Fraction, list[Arc]]:
         """Remove every arc attaining the current minimum weight."""
         group = self._pop_min_group()
-        group.sort(key=lambda a: _pair_key(a.tail, a.head))
+        group.sort(key=pair_key)
         return group[0].weight, group
-
-
-def detect_cycle_through(successors, tail: State, head: State) -> Optional[tuple]:
-    """The unique cycle through the new arc (tail -> head), if one exists.
-
-    ``successors`` maps each vertex to its unique out-neighbour (absent key
-    means a sink).  Walks from ``head``; reaching ``tail`` closes the cycle,
-    reaching a sink or revisiting a vertex means there is none.  Returns the
-    cycle's vertices starting at ``tail``.
-    """
-    walked: list = []
-    seen = set()
-    cur = head
-    while True:
-        if cur == tail:
-            return (tail, *walked)
-        if cur in seen:
-            return None
-        seen.add(cur)
-        walked.append(cur)
-        nxt = successors.get(cur)
-        if nxt is None:
-            return None
-        cur = nxt
-
-
-class _TSuccessors:
-    """Live successor view over the T-arcs of current vertices."""
-
-    def __init__(self, t_arc: dict, vertex_of: dict):
-        self._t_arc = t_arc
-        self._vertex_of = vertex_of
-
-    def get(self, vid):
-        arc = self._t_arc.get(vid)
-        if arc is None:
-            return None
-        return self._vertex_of[arc.head]
 
 
 class TGraph:
@@ -225,6 +167,10 @@ class SinkRecord:
 
 @dataclass(frozen=True)
 class CycleRecord:
+    """One closed cycle.  ``member_vids`` lists its vertices from the tail of
+    the closing arc on; a super-vertex among them is its member set.  A
+    cycle without exit arcs is the terminal one: ``contracted`` is False."""
+
     index: int
     step: int
     birth: Fraction
@@ -233,9 +179,13 @@ class CycleRecord:
     closing: tuple
     main_state: State
     contracted: bool
-    super_vid: Optional[str]
     exit_pair: Optional[tuple]
     exit_weight: Optional[Fraction]
+
+    @property
+    def super_vid(self) -> Optional[str]:
+        """Display name of the super-vertex this cycle became, if any."""
+        return super_vertex_name(self.member_states) if self.contracted else None
 
 
 @dataclass(frozen=True)
@@ -301,34 +251,6 @@ class Alg1Report:
         }
 
 
-def update_outgoing_cycle(
-    wg: WorkingGraph,
-    cycle_vids: Iterable[State],
-    gamma_last: Fraction,
-    u_min: Mapping,
-    kappa_min: Mapping,
-    kappa_last: Optional[float] = None,
-) -> dict:
-    """Reweighted outgoing arc set for the super-vertex replacing a cycle.
-
-    Arcs internal to the cycle are dropped, since none of them can be
-    transferred any more; every exit arc (i in cycle -> j outside)
-    gets weight U_ij - U_min(i) + gamma_last, and, when prefactors are
-    carried, prefactor kappa_ij * kappa_last / kappa_min(i) where
-    kappa_last belongs to the arc that closed the cycle.
-    """
-    exit_arcs, _intra = wg.split_outgoing(cycle_vids)
-    updated = {}
-    for pair, a in exit_arcs.items():
-        tail_vid = wg.vertex_of[a.tail]
-        w = updated_weight(a.weight, u_min[tail_vid], gamma_last)
-        kappa = a.kappa
-        if kappa is not None:
-            kappa = updated_prefactor(kappa, kappa_min[tail_vid], kappa_last)
-        updated[pair] = Arc(a.tail, a.head, w, kappa)
-    return updated
-
-
 def run_algorithm1(
     g: ChainGraph,
     stop: Optional[StopCriterion] = None,
@@ -358,7 +280,6 @@ def run_algorithm1(
     n = g.n
     wg = WorkingGraph(g)
     bucket = Bucket()
-    u_min: dict = {}
     kappa_min: dict = {}
     main: dict = {s: s for s in g.states}
 
@@ -369,18 +290,12 @@ def run_algorithm1(
             symmetry.update(detected=True, step=step, kind=kind)
 
     def select_min_arc(vid, step: int) -> Optional[Arc]:
-        arcs = wg.out[vid]
-        if not arcs:
+        attaining = wg.min_arcs(vid)
+        if not attaining:
             return None
-        w = min(a.weight for a in arcs.values())
-        attaining = sorted(
-            (a for a in arcs.values() if a.weight == w),
-            key=lambda a: _pair_key(a.tail, a.head),
-        )
         if len(attaining) > 1:
             note_symmetry(step, "min-arc-multiplicity")
         chosen = attaining[0] if tie_break == "lex" else attaining[-1]
-        u_min[vid] = w
         kappa_min[vid] = chosen.kappa
         bucket.insert(chosen)
         return chosen
@@ -395,31 +310,11 @@ def run_algorithm1(
     sinks: dict = {}
     cycles: list = []
     cycle_steps: list = []
-    t_arc: dict = {}
-    succ = _TSuccessors(t_arc, wg.vertex_of)
-    in_terminal: set = set()
-    terminal_main = None
+    t_arc: dict = {}  # current vertex -> its transferred arc, while uncontracted
     terminal_index = None
     k = 0
     r = 0
     stop_reason = "bucket-empty"
-
-    def resolve_sink(start_vid) -> State:
-        # Walk T-arcs to the component's sink, resolving super-vertices to
-        # their main states; entering the uncontracted terminal cycle
-        # resolves to that cycle's main state.
-        cur = start_vid
-        seen = set()
-        while True:
-            if cur in in_terminal:
-                return terminal_main
-            arc = t_arc.get(cur)
-            if arc is None:
-                return main[cur]
-            if cur in seen:
-                raise InternalInvariantError("sink walk looped outside the terminal cycle")
-            seen.add(cur)
-            cur = wg.vertex_of[arc.head]
 
     while len(bucket):
         if stop.kind == "bucket-size-one" and len(bucket) == 1:
@@ -437,55 +332,47 @@ def run_algorithm1(
         transfers.append(arc)
         tail_vid = wg.vertex_of[arc.tail]
         wg.remove_arc(arc)
-        cyc = detect_cycle_through(succ, tail_vid, wg.vertex_of[arc.head])
-        if cyc is None:
+        # Every cycle is contracted as it closes, so the T-arcs of the current
+        # vertices form an in-forest: the walk from the head either comes
+        # back to the tail (a cycle) or ends at its tree's sink.
+        walked: list = []
+        cur = wg.vertex_of[arc.head]
+        while cur != tail_vid and cur in t_arc:
+            walked.append(cur)
+            if len(walked) > len(t_arc):
+                raise InternalInvariantError("T-arc walk looped without closing a cycle")
+            cur = wg.vertex_of[t_arc[cur].head]
+        if cur != tail_vid:
             m = n - k + r
             if not (1 <= m <= n - 1):
                 raise InternalInvariantError(f"sink bookkeeping out of range: m={m}")
             delta[m - 1] = w
             if alpha is not None:
                 alpha[m - 1] = arc.kappa
-            s_star = resolve_sink(tail_vid)
-            z_star = resolve_sink(wg.vertex_of[arc.head])
-            sinks[m] = SinkRecord(m=m, k=k, s_star=s_star, z_star=z_star)
+            sinks[m] = SinkRecord(m=m, k=k, s_star=main[tail_vid], z_star=main[cur])
             t_arc[tail_vid] = arc
         else:
             r += 1
             cycle_steps.append(k)
-            t_arc[tail_vid] = arc
+            for v in walked:
+                del t_arc[v]
             cycle_main = main[tail_vid]
-            member_states = frozenset().union(*(wg.members[v] for v in cyc))
-            updated = update_outgoing_cycle(
-                wg, cyc, w, u_min, kappa_min, kappa_last=arc.kappa
-            )
-            if not updated:
+            sv = wg.contract([tail_vid, *walked], w, kappa_min, arc.kappa)
+            main[sv] = cycle_main
+            chosen = select_min_arc(sv, step=k)
+            if chosen is None:
                 if terminal_index is not None:
                     raise InternalInvariantError("second cycle without outgoing arcs")
-                in_terminal = set(cyc)
-                terminal_main = cycle_main
                 terminal_index = r
-                cycles.append(
-                    CycleRecord(
-                        index=r, step=k, birth=w, member_vids=tuple(cyc),
-                        member_states=member_states, closing=arc.pair(),
-                        main_state=cycle_main, contracted=False, super_vid=None,
-                        exit_pair=None, exit_weight=None,
-                    )
+            cycles.append(
+                CycleRecord(
+                    index=r, step=k, birth=w, member_vids=(tail_vid, *walked),
+                    member_states=sv, closing=arc.pair(), main_state=cycle_main,
+                    contracted=chosen is not None,
+                    exit_pair=None if chosen is None else chosen.pair(),
+                    exit_weight=None if chosen is None else wg.u_min[sv],
                 )
-            else:
-                for v in cyc:
-                    del t_arc[v]
-                super_vid = wg.contract(cyc, updated)
-                main[super_vid] = cycle_main
-                chosen = select_min_arc(super_vid, step=k)
-                cycles.append(
-                    CycleRecord(
-                        index=r, step=k, birth=w, member_vids=tuple(cyc),
-                        member_states=member_states, closing=arc.pair(),
-                        main_state=cycle_main, contracted=True, super_vid=super_vid,
-                        exit_pair=chosen.pair(), exit_weight=u_min[super_vid],
-                    )
-                )
+            )
         if stop.kind == "custom":
             if stop.predicate(TGraph(g.states, transfers, k, w), w):
                 stop_reason = "custom"
@@ -593,28 +480,21 @@ def cycle_hierarchy(report: Alg1Report) -> tuple:
 def _hierarchy(states: Sequence, records: Sequence) -> tuple:
     # Records come in the order they were made, so every super-vertex among
     # a record's members already has its node when the record is reached.
-    pending: dict = {}  # super-vertex -> node, until a later record absorbs it
-    made: list = []
+    pending: dict = {}  # member set -> node, until a later record absorbs it
     consumed: set = set()
     for rec in records:
         consumed.update(rec.member_vids)
         children = tuple(
             pending.pop(v) if v in pending else HierarchyNode("state", v, None, ())
-            for v in _sorted_vids(rec.member_vids)
+            for v in sorted(rec.member_vids, key=vertex_key)
         )
-        node = HierarchyNode("cycle", None, rec, children)
-        if rec.super_vid is not None:
-            pending[rec.super_vid] = node
-        made.append((rec, node))
-    # an uncontracted terminal cycle is always a root
-    roots = [node for rec, node in made if rec.super_vid is None or rec.super_vid in pending]
+        pending[rec.member_states] = HierarchyNode("cycle", None, rec, children)
+    # what no record absorbed is a root, in record order; an uncontracted
+    # terminal cycle is always one
+    roots = list(pending.values())
     roots.extend(
         HierarchyNode("state", s, None, ())
         for s in sorted(states, key=state_key)
         if s not in consumed
     )
     return tuple(roots)
-
-
-def _sorted_vids(vids: Iterable) -> list:
-    return sorted(vids, key=state_key)

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .alg1 import (
     Alg1Report,
@@ -44,7 +44,7 @@ from .chain import (
     strongly_connected_components,
     validate,
 )
-from .contraction import WorkingGraph, super_vertex_name
+from .contraction import WorkingGraph, super_vertex_name, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
@@ -52,7 +52,6 @@ __all__ = [
     "ClassRecord",
     "Alg2Report",
     "ComparisonReport",
-    "update_outgoing_class",
     "run_algorithm2",
     "class_hierarchy",
     "compare_alg1_alg2",
@@ -61,12 +60,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassRecord:
+    """One contracted closed class.  ``member_vids`` is the set of current
+    vertices it joined; a super-vertex among them is its member set."""
+
     index: int
     step: int
     birth: Fraction
-    member_vids: tuple
+    member_vids: frozenset
     member_states: frozenset
-    super_vid: str
     exit_weight: Optional[Fraction]
 
     # class_hierarchy reuses the cycle-forest builder, which looks these up
@@ -79,8 +80,9 @@ class ClassRecord:
         return min(self.member_states, key=state_key)
 
     @property
-    def exit_pair(self):
-        return None
+    def super_vid(self) -> str:
+        """Display name of the super-vertex this class became."""
+        return super_vertex_name(self.member_states)
 
 
 @dataclass(frozen=True)
@@ -161,37 +163,6 @@ def class_hierarchy(report: Alg2Report) -> tuple:
     return _hierarchy(report.graph.states, report.classes)
 
 
-def update_outgoing_class(
-    wg: WorkingGraph,
-    class_vids: Iterable[State],
-    theta: Fraction,
-    u_min: Mapping,
-) -> dict:
-    """Reweighted outgoing arc set for the super-vertex replacing a class.
-
-    Every exit arc (i inside -> j outside) gets weight
-    U_ij - U_min(i) + theta; prefactors pass through untouched.
-    """
-    exit_arcs, _intra = wg.split_outgoing(class_vids)
-    updated = {}
-    for pair, a in exit_arcs.items():
-        tail_vid = wg.vertex_of[a.tail]
-        w = a.weight - u_min[tail_vid] + theta
-        updated[pair] = Arc(a.tail, a.head, w, a.kappa)
-    return updated
-
-
-def _insert_min_set(wg: WorkingGraph, bucket: Bucket, vid, u_min: dict) -> None:
-    arcs = wg.out[vid]
-    if not arcs:
-        return
-    w = min(a.weight for a in arcs.values())
-    u_min[vid] = w
-    for a in arcs.values():
-        if a.weight == w:
-            bucket.insert(a)
-
-
 def run_algorithm2(
     g: ChainGraph,
     stop: Optional[StopCriterion] = None,
@@ -223,9 +194,9 @@ def run_algorithm2(
 
     wg = WorkingGraph(g)
     bucket = Bucket()
-    u_min: dict = {}
     for v in sorted(wg.vertices, key=state_key):
-        _insert_min_set(wg, bucket, v, u_min)
+        for a in wg.min_arcs(v):
+            bucket.insert(a)
 
     tracker = _GrowingClosedClasses(g.states)
     theta: list = []
@@ -256,15 +227,19 @@ def run_algorithm2(
         # exactly the classes this step gained.
         gained = tracker.add(released)[1]
         by_vids = {frozenset(wg.vertex_of[s] for s in cls): cls for cls in gained}
-        nontrivial = sorted(by_vids, key=lambda c: sorted(map(state_key, c)))
+        nontrivial = list(by_vids)
+        if len(nontrivial) > 1:
+            nontrivial.sort(key=lambda c: sorted(map(vertex_key, c)))
         if stop.kind == "class-covering":
-            absorbing = sorted(
-                (v for v, m in wg.members.items() if tracker.class_of.get(next(iter(m))) == m),
-                key=state_key,
-            )
-            hit = stop.covering_class(
-                [by_vids[c] for c in nontrivial] + [wg.members[v] for v in absorbing]
-            )
+            offered = [by_vids[c] for c in nontrivial]
+            # The absorbing current vertices are offered at step 1 only.  Later
+            # on, an absorbing state was absorbing at step 1 too, and an
+            # absorbing super-vertex holds the states of a class offered when
+            # it closed; a set that missed the targets then misses them now.
+            if p == 1:
+                absorbing = (c for c in tracker.class_of.values() if len(c) == 1)
+                offered += sorted(absorbing, key=lambda c: state_key(next(iter(c))))
+            hit = stop.covering_class(offered)
             if hit is not None:
                 covering = hit
                 stop_reason = "class-covering"
@@ -283,19 +258,17 @@ def run_algorithm2(
             if set(to_contract) != set(by_vids):
                 raise ValueError("_class_order must permute the detected classes")
         for cls in to_contract:
-            updated = update_outgoing_class(wg, cls, w, u_min)
-            super_vid = wg.contract(cls, updated)
-            exit_w = min((a.weight for a in updated.values()), default=None)
-            _insert_min_set(wg, bucket, super_vid, u_min)
+            sv = wg.contract(cls, w)
+            for a in wg.min_arcs(sv):
+                bucket.insert(a)
             classes.append(
                 ClassRecord(
                     index=len(classes) + 1,
                     step=p,
                     birth=w,
-                    member_vids=tuple(sorted(cls, key=state_key)),
-                    member_states=by_vids[cls],
-                    super_vid=super_vid,
-                    exit_weight=exit_w,
+                    member_vids=cls,
+                    member_states=sv,
+                    exit_weight=wg.u_min.get(sv),
                 )
             )
 

@@ -28,7 +28,9 @@ __all__ = [
     "SymmetryError",
     "EnumerationCapError",
     "InternalInvariantError",
+    "arc_rate",
     "chain_graph",
+    "check_epsilon",
     "closed_communicating_classes",
     "generator_matrix",
     "min_arcs",
@@ -60,12 +62,16 @@ class InternalInvariantError(AssertionError):
 
 
 def state_key(s: State):
-    """Deterministic total order over state ids; ints sort before strings."""
-    if isinstance(s, bool):
-        raise GraphError(f"invalid state id {s!r}")
-    if isinstance(s, int):
+    """Deterministic total order over state ids; ints sort before strings.
+
+    A state id is an int or a str; anything else (a bool, a float, None)
+    is rejected.
+    """
+    if isinstance(s, int) and not isinstance(s, bool):
         return (0, s, "")
-    return (1, 0, str(s))
+    if isinstance(s, str):
+        return (1, 0, str(s))
+    raise GraphError(f"invalid state id {s!r}: state ids are ints or strings")
 
 
 def parse_rational(value) -> Fraction:
@@ -125,6 +131,8 @@ class ChainGraph:
         prefactor_mode: bool | None = None
         for a in self.arcs:
             where = f"arc {a.tail!r}->{a.head!r}"
+            state_key(a.tail)
+            state_key(a.head)
             if a.tail not in seen or a.head not in seen:
                 raise GraphError(f"{where} references an unknown state")
             if a.tail == a.head:
@@ -380,6 +388,17 @@ class GeneratorMatrix:
         return float(np.max(np.abs(self.matrix)))
 
 
+def check_epsilon(epsilon) -> None:
+    if not (isinstance(epsilon, (int, float)) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
+
+
+def arc_rate(a: Arc, epsilon: float) -> float:
+    """Jump rate ``kappa * exp(-U/epsilon)`` of one arc; kappa is 1 when absent."""
+    kappa = 1.0 if a.kappa is None else a.kappa
+    return kappa * float(np.exp(-float(a.weight) / epsilon))
+
+
 def generator_matrix(g: ChainGraph, epsilon: float) -> GeneratorMatrix:
     """Dense generator ``L`` with ``L_ij = kappa_ij * exp(-U_ij/epsilon)``.
 
@@ -387,14 +406,12 @@ def generator_matrix(g: ChainGraph, epsilon: float) -> GeneratorMatrix:
     they default to 1 and the result is flagged ``order_one_only``: its
     entries are correct to exponential order only.
     """
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0):
-        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
+    check_epsilon(epsilon)
     idx = {s: i for i, s in enumerate(g.states)}
     n = g.n
     L = np.zeros((n, n), dtype=float)
     for a in g.arcs:
-        kappa = 1.0 if a.kappa is None else a.kappa
-        L[idx[a.tail], idx[a.head]] = kappa * float(np.exp(-float(a.weight) / epsilon))
+        L[idx[a.tail], idx[a.head]] = arc_rate(a, epsilon)
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
     return GeneratorMatrix(

@@ -1,24 +1,36 @@
-"""Contraction machinery: the working multigraph the two sweeps shrink.
+"""Contraction machinery: the working multigraph both sweeps shrink.
 
-The sweep algorithms operate on a mutable view of the input graph in which
-cycles (or closed classes) collapse into super-vertices.  Arcs never lose
-their original (tail, head) identity: after a contraction the super-vertex
-owns its members' surviving outgoing arcs keyed by that original pair, so
-parallel arcs to one current head are all kept.  Arcs inside a contracted
-group are dropped from the view; the sweeps keep what they need of them in
-their own transfer lists, so a contraction is never undone.
+Both sweeps shrink the graph with one move: they collapse a cycle or a
+closed class into a super-vertex and reprice every arc leaving it as
+``U_ij - U_min(i) + threshold``, Edmonds' reduced cost (Tarjan 1977,
+*Finding optimum branchings*).  ``WorkingGraph`` is the one place that
+makes that move.  Arcs never lose their original (tail, head) identity:
+after a contraction the super-vertex owns its members' surviving outgoing
+arcs keyed by that original pair, so parallel arcs to one current head are
+all kept.  Arcs inside a contracted group are dropped from the view; the
+sweeps keep what they need of them in their own transfer lists, so a
+contraction is never undone.
 
-Super-vertices are named by the sorted set of original states they contain,
-e.g. "{1,2,3}", which makes every report deterministic and diff-friendly.
+A super-vertex is the frozenset of the original states it holds, so it
+can never equal a state (an int or a str).  Its name, the sorted member
+list such as "{1,2,3}", is built only for sort keys and for display.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .chain import Arc, ChainGraph, GraphError, State, state_key
+from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key
 
-__all__ = ["WorkingGraph", "super_vertex_name"]
+__all__ = [
+    "WorkingGraph",
+    "pair_key",
+    "super_vertex_name",
+    "updated_prefactor",
+    "updated_weight",
+    "vertex_key",
+]
 
 Pair = Tuple[State, State]
 
@@ -27,70 +39,99 @@ def super_vertex_name(states: Iterable[State]) -> str:
     return "{" + ",".join(str(s) for s in sorted(states, key=state_key)) + "}"
 
 
+def vertex_key(v) -> tuple:
+    """Sort key of a current vertex: a state, or a super-vertex by its name.
+
+    A state named like a super-vertex sorts just before it.
+    """
+    if isinstance(v, frozenset):
+        return (*state_key(super_vertex_name(v)), 1)
+    return (*state_key(v), 0)
+
+
+def pair_key(a: Arc) -> tuple:
+    return (state_key(a.tail), state_key(a.head))
+
+
+def updated_weight(u_ij, u_min_i, threshold) -> Fraction:
+    """In-force weight of an arc leaving a freshly contracted group."""
+    return parse_rational(u_ij) - parse_rational(u_min_i) + parse_rational(threshold)
+
+
+def updated_prefactor(kappa_ij: float, kappa_min_i: float, kappa_last: float) -> float:
+    """Prefactor of an arc leaving a freshly closed cycle."""
+    return kappa_ij * kappa_last / kappa_min_i
+
+
 class WorkingGraph:
     """Mutable contracted view over a ChainGraph.
 
-    vertices: current vertex ids (original states or super-vertex names).
-    members[vid]: original states inside vid.
-    vertex_of[state]: current vid owning an original state.
+    vertices: current vertices (original states or super-vertices).
+    vertex_of[state]: current vertex owning an original state.
     out[vid]: outgoing arcs not yet transferred, keyed by original pair;
               each Arc carries its in-force (possibly updated) weight.
+    u_min[vid]: least weight of vid's arcs, as last read by ``min_arcs``.
     """
 
     def __init__(self, g: ChainGraph):
         self.vertices: set = set(g.states)
-        self.members: Dict = {s: frozenset((s,)) for s in g.states}
         self.vertex_of: Dict = {s: s for s in g.states}
-        self.out: Dict[State, Dict[Pair, Arc]] = {s: {} for s in g.states}
+        self.out: Dict = {s: {} for s in g.states}
+        self.u_min: Dict = {}
         for a in g.arcs:
             self.out[a.tail][a.pair()] = a
 
     def remove_arc(self, arc: Arc) -> None:
         del self.out[self.vertex_of[arc.tail]][arc.pair()]
 
-    def split_outgoing(self, vids: Iterable[State]):
-        """Partition the untransferred arcs of ``vids`` into (exit, intra)."""
-        group = set(vids)
-        exit_arcs: Dict[Pair, Arc] = {}
-        intra: Dict[Pair, Arc] = {}
-        for v in group:
-            for pair, a in self.out[v].items():
-                if self.vertex_of[a.head] in group:
-                    intra[pair] = a
-                else:
-                    exit_arcs[pair] = a
-        return exit_arcs, intra
+    def min_arcs(self, vid) -> list:
+        """The least-weight arcs of ``vid`` in (tail, head) order.
+
+        Records their weight as ``u_min[vid]``; a vertex without arcs gets
+        an empty list and no entry.
+        """
+        arcs = self.out[vid].values()
+        if not arcs:
+            return []
+        w = self.u_min[vid] = min(a.weight for a in arcs)
+        return sorted((a for a in arcs if a.weight == w), key=pair_key)
 
     def contract(
         self,
-        vids: Iterable[State],
-        new_out: Optional[Mapping[Pair, Arc]] = None,
-    ) -> str:
-        """Collapse ``vids`` into one super-vertex and return its name.
+        vids: Iterable,
+        threshold: Fraction,
+        kappa_min: Optional[Mapping] = None,
+        kappa_last: Optional[float] = None,
+    ) -> frozenset:
+        """Collapse ``vids`` into one super-vertex and return it.
 
-        ``new_out`` supplies the super-vertex's outgoing arcs (typically the
-        reweighted exit arcs); omitted, the exit arcs are kept verbatim.
-        Intra-group arcs are dropped.
+        Every exit arc (i inside -> j outside) gets weight
+        ``U_ij - u_min[i] + threshold``; arcs inside the group are dropped.
+        When the closing arc carries a prefactor ``kappa_last``, an exit
+        arc's prefactor becomes ``kappa_ij * kappa_last / kappa_min[i]``;
+        otherwise prefactors pass through.
         """
-        group = sorted(set(vids), key=state_key)
+        group = set(vids)
         if len(group) < 2:
             raise GraphError("contraction needs at least two vertices")
         for v in group:
             if v not in self.vertices:
                 raise GraphError(f"cannot contract missing vertex {v!r}")
-        if new_out is None:
-            new_out, _ = self.split_outgoing(group)
-        member_states = frozenset().union(*(self.members[v] for v in group))
-        vid = super_vertex_name(member_states)
-        if vid in self.vertices:
-            raise GraphError(f"super-vertex {vid!r} already present")
+        vertex_of = self.vertex_of
+        out: Dict[Pair, Arc] = {}
         for v in group:
-            self.vertices.discard(v)
-            del self.out[v]
-            del self.members[v]
-        self.vertices.add(vid)
-        self.members[vid] = member_states
-        self.out[vid] = dict(new_out)
-        for s in member_states:
-            self.vertex_of[s] = vid
-        return vid
+            for pair, a in self.out.pop(v).items():
+                if vertex_of[a.head] in group:
+                    continue
+                w = updated_weight(a.weight, self.u_min[v], threshold)
+                kappa = a.kappa
+                if kappa_last is not None:
+                    kappa = updated_prefactor(kappa, kappa_min[v], kappa_last)
+                out[pair] = Arc(a.tail, a.head, w, kappa)
+        sv = frozenset().union(*(v if isinstance(v, frozenset) else (v,) for v in group))
+        self.vertices -= group
+        self.vertices.add(sv)
+        self.out[sv] = out
+        for s in sv:
+            vertex_of[s] = sv
+        return sv

@@ -1,8 +1,10 @@
 """Kinetic Monte Carlo simulation and transition-census checks.
 
-The simulator draws exponential holding times with rate ``-L_ii`` and picks
-the next state proportionally to the outgoing rates, so trajectories are
-exact samples of the chain at the given epsilon.  Census helpers count
+The simulator draws exponential holding times with the total exit rate of
+the current state and picks the next arc proportionally to its rate, so
+trajectories are exact samples of the chain at the given epsilon.  The rate
+tables come from the arcs, never from a dense generator, and an ensemble
+builds them once for all its trajectories.  Census helpers count
 which arcs the jumps used inside a time window; comparing those counts
 against a transition graph's arc set quantifies how strongly the dynamics
 concentrates on the predicted transitions.
@@ -19,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain import Arc, ChainGraph, GraphError, State, generator_matrix
+from .chain import Arc, ChainGraph, GraphError, State, arc_rate, check_epsilon
 from .graphio import state_to_json
 
 __all__ = [
@@ -95,6 +97,26 @@ class Trajectory:
         return {s: dt / end for s, dt in time_in.items()}
 
 
+def _check_start(g: ChainGraph, x0: State, horizon: float) -> None:
+    if x0 not in set(g.states):
+        raise GraphError(f"unknown start state {x0!r}")
+    if not (horizon > 0):
+        raise GraphError(f"horizon must be positive, got {horizon!r}")
+
+
+def _rate_tables(g: ChainGraph, epsilon: float) -> tuple:
+    """Per state: its outgoing arcs, their cumulative rates and the total."""
+    check_epsilon(epsilon)
+    arcs_of: dict = {s: g.out_arcs(s) for s in g.states}
+    cum_of: dict = {}
+    total_of: dict = {}
+    for s, arcs in arcs_of.items():
+        if arcs:
+            cum_of[s] = np.cumsum([arc_rate(a, epsilon) for a in arcs])
+            total_of[s] = float(cum_of[s][-1])
+    return arcs_of, cum_of, total_of
+
+
 def simulate(
     g: ChainGraph,
     epsilon: float,
@@ -108,25 +130,12 @@ def simulate(
     Ends early when an absorbing state is reached (flagged ``absorbed``) or
     when the event cap trips (flagged ``truncated``, never silent).
     """
-    if x0 not in set(g.states):
-        raise GraphError(f"unknown start state {x0!r}")
-    if not (horizon > 0):
-        raise GraphError(f"horizon must be positive, got {horizon!r}")
-    gm = generator_matrix(g, epsilon)  # validates epsilon
-    idx = gm.index
-    L = gm.matrix
+    _check_start(g, x0, horizon)
+    return _walk(_rate_tables(g, epsilon), epsilon, x0, horizon, seed, max_events)
 
-    arcs_of: dict = {s: g.out_arcs(s) for s in g.states}
-    cum_of: dict = {}
-    total_of: dict = {}
-    for s in g.states:
-        arcs = arcs_of[s]
-        if not arcs:
-            continue
-        rates = np.array([L[idx[s], idx[a.head]] for a in arcs], dtype=float)
-        cum_of[s] = np.cumsum(rates)
-        total_of[s] = float(cum_of[s][-1])
 
+def _walk(tables: tuple, epsilon: float, x0: State, horizon: float, seed: int, max_events: int):
+    arcs_of, cum_of, total_of = tables
     rng = np.random.default_rng(seed)
     t = 0.0
     state = x0
@@ -172,13 +181,17 @@ def simulate_ensemble(
     seed: int,
     max_events: int = 10**6,
 ) -> tuple:
-    """n independent trajectories; per-trajectory seeds spawn from one root."""
+    """n independent trajectories; per-trajectory seeds spawn from one root.
+
+    The rate tables are built once and shared by every trajectory.
+    """
     if n <= 0:
         raise GraphError(f"ensemble size must be positive, got {n}")
+    _check_start(g, x0, horizon)
+    tables = _rate_tables(g, epsilon)
     child_seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
     return tuple(
-        simulate(g, epsilon, x0, horizon, int(s), max_events=max_events)
-        for s in child_seeds
+        _walk(tables, epsilon, x0, horizon, int(s), max_events) for s in child_seeds
     )
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "enumerate_all_optimal",
     "extract_wgraph",
     "weak_nested_violations",
-    "undirected_components",
     "DEFAULT_ENUMERATION_CAP",
 ]
 
@@ -233,30 +232,6 @@ def extract_wgraph(report, m: int) -> WGraph:
         arcs=_sorted_pairs(chosen_pairs),
         total_weight=total,
     )
-
-
-def undirected_components(vertices: Iterable, pairs: Iterable) -> list:
-    """Connected components (ignoring direction) as sorted frozensets."""
-    adj: dict = {v: set() for v in vertices}
-    for t, h in pairs:
-        adj[t].add(h)
-        adj[h].add(t)
-    seen: set = set()
-    comps = []
-    for v in adj:
-        if v in seen:
-            continue
-        stack = [v]
-        comp = set()
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adj[cur] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=lambda c: min(state_key(s) for s in c))
 
 
 def weak_nested_violations(fine: WGraph, coarse: WGraph) -> list:

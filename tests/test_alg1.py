@@ -70,10 +70,27 @@ def test_bucket_empty_peek_raises():
         mc.Bucket().peek_min_weight()
 
 
-def test_detect_cycle_through():
-    assert mc.detect_cycle_through({2: 3, 3: 1}, 1, 2) == (1, 2, 3)
-    assert mc.detect_cycle_through({2: 3}, 1, 2) is None
-    assert mc.detect_cycle_through({2: 3, 3: 2}, 1, 2) is None
+def test_walk_closes_cycles_and_finds_sinks():
+    """One T-arc walk from the head finds a closing cycle or the sink z*.
+
+    The 3-cycle closes through two T-arcs and has no exit arcs; the
+    transient states 4 and 5 transfer into it after it formed, the second
+    through the T-arc 4->2, so z* is the cycle's main state 3 both times.
+    """
+    g = mc.chain_graph([(1, 2, 1), (2, 3, 2), (3, 1, 3), (4, 2, 5), (5, 4, 6)])
+    rep = mc.run_algorithm1(g)
+    assert {m: (r.k, r.s_star, r.z_star) for m, r in rep.sinks.items()} == {
+        4: (1, 1, 2),  # the walk from 2 ends at once: 2 has no T-arc yet
+        3: (2, 2, 3),
+        2: (4, 4, 3),
+        1: (5, 5, 3),
+    }
+    (c,) = rep.cycles
+    assert c.member_vids == (3, 1, 2)  # from the tail of the closing arc
+    assert (c.step, c.closing, c.main_state) == (3, (3, 1), 3)
+    assert not c.contracted and c.super_vid is None and c.exit_pair is None
+    assert rep.terminal_cycle_index == 1
+    assert rep.delta == (F(6), F(5), F(2), F(1))
 
 
 # the worked 7-state example, traced by hand
@@ -133,7 +150,9 @@ def test_demo_second_cycle(demo_report):
     assert c.step == 7
     assert c.birth == F(7, 2)
     assert c.member_states == frozenset({1, 2, 3, 4, 5, 6})
-    assert set(c.member_vids) == {"{1,2,3}", 4, 5, 6}
+    # the first cycle's super-vertex is its member set
+    assert set(c.member_vids) == {frozenset({1, 2, 3}), 4, 5, 6}
+    assert c.super_vid == "{1,2,3,4,5,6}"
     assert c.closing == (1, 6)
     assert c.exit_pair == (6, 7)
     assert c.exit_weight == F(19, 5)

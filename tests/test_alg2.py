@@ -108,11 +108,12 @@ def test_class_update_rule():
         [(1, 2, 2), (1, 3, 2), (2, 1, 2), (3, 1, 2), (2, 4, 3), (4, 1, 1)]
     )
     wg = WorkingGraph(g)
-    updated = mc.update_outgoing_class(
-        wg, {1, 2, 3}, F(2), {1: F(2), 2: F(2), 3: F(2)}
-    )
-    assert set(updated) == {(2, 4)}
-    assert updated[(2, 4)].weight == F(3)  # 3 - 2 + 2
+    for v in (1, 2, 3):
+        wg.min_arcs(v)
+    assert wg.u_min == {1: F(2), 2: F(2), 3: F(2)}
+    sv = wg.contract({1, 2, 3}, F(2))
+    assert set(wg.out[sv]) == {(2, 4)}
+    assert wg.out[sv][(2, 4)].weight == F(3)  # 3 - 2 + 2
 
 
 def test_order_independence():

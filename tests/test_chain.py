@@ -23,6 +23,17 @@ def test_state_key_rejects_bool():
         mc.state_key(True)
 
 
+@pytest.mark.parametrize("bad", [2.5, None, (1, 2), frozenset({1, 2})])
+def test_state_id_must_be_int_or_str(bad):
+    with pytest.raises(mc.GraphError, match="ints or strings"):
+        mc.chain_graph([(1, bad, 1), (bad, 1, 1)], states=[1, bad])
+
+
+def test_arc_endpoint_must_be_int_or_str():
+    with pytest.raises(mc.GraphError, match="ints or strings"):
+        mc.ChainGraph((1, 2), (mc.Arc([1], 2, Fraction(1)), mc.Arc(2, 1, Fraction(1))))
+
+
 def test_chain_graph_infers_sorted_states():
     g = mc.chain_graph([(2, 1, 1), (1, 2, 2), (1, "a", 3), ("a", 1, 4)])
     assert g.states == (1, 2, "a")

@@ -198,6 +198,15 @@ def test_float_exponent_in_json_exits_one(tmp_path, capsys):
     assert "float 1.1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "alg1", "alg2", "compare"])
+def test_state_id_neither_int_nor_str_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "float_state.json"
+    arcs = [{"from": 1, "to": 2.5, "U": "1"}, {"from": 2.5, "to": 1, "U": "2"}]
+    path.write_text(json.dumps({"states": [1, 2.5], "arcs": arcs}))
+    assert main([command, "--input", str(path)]) == 1
+    assert "invalid state id 2.5" in capsys.readouterr().err
+
+
 def test_kmc_rejects_a_second_epsilon(capsys, two_state_file):
     code = main(
         ["kmc", "--input", two_state_file, "--epsilon", "0.5", "--epsilon", "0.3",

@@ -1,0 +1,66 @@
+"""Byte-exact command-line reports for the built-in example chains.
+
+Each file under ``tests/golden`` is the output of one ``metachain``
+invocation on one demo chain (saved next to it as ``<demo>.graph.json``).
+A refactor of the sweeps must leave every byte of these reports unchanged.
+
+Regenerate the files (only when a report is meant to change) with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+import metachain as mc
+from metachain.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+DEMOS = {
+    "nested": mc.nested_cycle_chain,
+    "nested_integer": mc.nested_cycle_chain_integer,
+    "two_state": mc.two_state_chain,
+    "tied_min_arc": mc.tied_min_arc_chain,
+    "tied_optimum": mc.tied_optimum_chain,
+}
+TIE_FREE = ("nested", "two_state")  # wgraphs refuses a run with ties
+
+
+def _cases() -> dict:
+    cases = {}
+    for demo in DEMOS:
+        graph = str(GOLDEN / f"{demo}.graph.json")
+        cases[f"{demo}.alg1_lex.json"] = ["alg1", "--input", graph]
+        cases[f"{demo}.alg1_revlex.json"] = ["alg1", "--input", graph, "--tie-break", "revlex"]
+        cases[f"{demo}.alg2.json"] = ["alg2", "--input", graph]
+        cases[f"{demo}.alg2_covering.json"] = ["alg2", "--input", graph, "--stop", "covering:1;2"]
+        cases[f"{demo}.compare.json"] = ["compare", "--input", graph]
+        if demo in TIE_FREE:
+            cases[f"{demo}.wgraphs.json"] = ["wgraphs", "--input", graph]
+    cases["kinesin_sweep.json"] = ["kinesin-sweep", "--grid", "1/4:41/4:1"]
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for demo, make in DEMOS.items():
+        mc.save_graph(make(), GOLDEN / f"{demo}.graph.json")
+    for name, argv in CASES.items():
+        if main(argv + ["--out", str(GOLDEN / name)]) != 0:
+            raise SystemExit(f"{name}: {' '.join(argv)} failed")
+
+
+if __name__ == "__main__":
+    _write_golden()

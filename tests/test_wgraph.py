@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import metachain as mc
-from metachain.wgraph import undirected_components
 
 F = Fraction
 
@@ -171,12 +170,6 @@ def test_weak_nesting_flags_foreign_sinks(demo_optima):
     )
     problems = mc.weak_nested_violations(alien, coarse)
     assert problems and "not contained" in problems[0]
-
-
-def test_undirected_components():
-    comps = undirected_components([1, 2, 3, 4, 5], [(1, 2), (3, 2), (4, 5)])
-    assert comps == [frozenset({1, 2, 3}), frozenset({4, 5})]
-    assert undirected_components([1], []) == [frozenset({1})]
 
 
 def test_corpus_extraction_spot_check(oracle_corpus, oracle_extractions):

@@ -21,6 +21,7 @@ import heapq
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .chain import (
@@ -32,7 +33,7 @@ from .chain import (
     state_key,
     validate,
 )
-from .contraction import WorkingGraph, pair_key, super_vertex_name, vertex_key
+from .contraction import WorkingGraph, pair_key, super_vertex_key, super_vertex_name, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
@@ -480,18 +481,34 @@ def cycle_hierarchy(report: Alg1Report) -> tuple:
 def _hierarchy(states: Sequence, records: Sequence) -> tuple:
     # Records come in the order they were made, so every super-vertex among
     # a record's members already has its node when the record is reached.
-    pending: dict = {}  # member set -> node, until a later record absorbs it
+    # pending: member set -> (its vertex_key, its states in state order as
+    # (state_key, name) pairs, its node), until a later record absorbs it.
+    # A record merges its members' ordered states by comparing those pairs,
+    # so a key calls state_key only for the record's own state members.
+    pending: dict = {}
     consumed: set = set()
     for rec in records:
         consumed.update(rec.member_vids)
-        children = tuple(
-            pending.pop(v) if v in pending else HierarchyNode("state", v, None, ())
-            for v in sorted(rec.member_vids, key=vertex_key)
+        children: list = []  # (vertex_key, node)
+        ordered: list = []
+        for v in rec.member_vids:
+            if v in pending:
+                key, member_states, node = pending.pop(v)
+                ordered += member_states
+            else:
+                key, node = vertex_key(v), HierarchyNode("state", v, None, ())
+                ordered.append((state_key(v), str(v)))
+            children.append((key, node))
+        children.sort(key=itemgetter(0))
+        ordered.sort()
+        pending[rec.member_states] = (
+            super_vertex_key([name for _k, name in ordered]),
+            ordered,
+            HierarchyNode("cycle", None, rec, tuple(node for _key, node in children)),
         )
-        pending[rec.member_states] = HierarchyNode("cycle", None, rec, children)
     # what no record absorbed is a root, in record order; an uncontracted
     # terminal cycle is always one
-    roots = list(pending.values())
+    roots = [node for _key, _ordered, node in pending.values()]
     roots.extend(
         HierarchyNode("state", s, None, ())
         for s in sorted(states, key=state_key)

@@ -68,16 +68,13 @@ class ClassRecord:
     birth: Fraction
     member_vids: frozenset
     member_states: frozenset
+    main_state: State  # the least member state
     exit_weight: Optional[Fraction]
 
-    # class_hierarchy reuses the cycle-forest builder, which looks these up
+    # class_hierarchy reuses the cycle-forest builder, which looks this up
     @property
     def contracted(self) -> bool:
         return True
-
-    @property
-    def main_state(self) -> State:
-        return min(self.member_states, key=state_key)
 
     @property
     def super_vid(self) -> str:
@@ -204,6 +201,7 @@ def run_algorithm2(
     transfers_by_step: list = []
     released_all: list = []
     classes: list = []
+    main: dict = {s: s for s in g.states}  # current vertex -> its least state
     covering: Optional[frozenset] = None
     stop_reason = "bucket-empty"
     p = 0
@@ -259,6 +257,7 @@ def run_algorithm2(
                 raise ValueError("_class_order must permute the detected classes")
         for cls in to_contract:
             sv = wg.contract(cls, w)
+            main[sv] = min((main[v] for v in cls), key=state_key)
             for a in wg.min_arcs(sv):
                 bucket.insert(a)
             classes.append(
@@ -268,6 +267,7 @@ def run_algorithm2(
                     birth=w,
                     member_vids=cls,
                     member_states=sv,
+                    main_state=main[sv],
                     exit_weight=wg.u_min.get(sv),
                 )
             )

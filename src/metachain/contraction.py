@@ -26,6 +26,7 @@ from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key
 __all__ = [
     "WorkingGraph",
     "pair_key",
+    "super_vertex_key",
     "super_vertex_name",
     "updated_prefactor",
     "updated_weight",
@@ -36,16 +37,23 @@ Pair = Tuple[State, State]
 
 
 def super_vertex_name(states: Iterable[State]) -> str:
-    return "{" + ",".join(str(s) for s in sorted(states, key=state_key)) + "}"
+    return _braced(str(s) for s in sorted(states, key=state_key))
+
+
+def _braced(names: Iterable[str]) -> str:
+    return "{" + ",".join(names) + "}"
+
+
+def super_vertex_key(ordered_names: Iterable[str]) -> tuple:
+    """Sort key of the super-vertex whose states, in state order, have
+    these names.  A state named like a super-vertex sorts just before it."""
+    return (*state_key(_braced(ordered_names)), 1)
 
 
 def vertex_key(v) -> tuple:
-    """Sort key of a current vertex: a state, or a super-vertex by its name.
-
-    A state named like a super-vertex sorts just before it.
-    """
+    """Sort key of a current vertex: a state, or a super-vertex by its name."""
     if isinstance(v, frozenset):
-        return (*state_key(super_vertex_name(v)), 1)
+        return super_vertex_key(str(s) for s in sorted(v, key=state_key))
     return (*state_key(v), 0)
 
 

@@ -252,7 +252,7 @@ def _coeffs_via_wgraphs(g: ChainGraph, epsilon: float, cap: int) -> np.ndarray:
     n = g.n
     C = np.zeros(n + 1)
     C[0] = 1.0
-    for chosen in _iter_assignments(g, cap):
+    for chosen, _total in _iter_assignments(g, cap):
         if not chosen:
             continue
         l = len(chosen)  # n - (number of sinks)

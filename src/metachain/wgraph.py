@@ -3,17 +3,22 @@
 A w-graph with m sinks assigns to each non-sink vertex exactly one of its
 outgoing arcs so that no cycle forms; equivalently it is a spanning forest
 of in-trees rooted at the m sinks.  Two routes to the optimal ones live
-here: brute-force enumeration (exponential, capped, used as an oracle) and
-linear-time extraction from a completed sweep report, which walks the
-k(m)-th transition graph backwards from the known sinks.
+here.  The oracle is an exact enumeration, pruned by branch and bound on
+integer weights: it skips only partial assignments whose every completion
+is strictly heavier than the best w-graph found, so it keeps every tied
+optimum, in enumeration order.  It stays exponential and is capped at 9
+states unless the caller raises the cap.  The other route is linear-time
+extraction from a completed sweep report, which walks the k(m)-th
+transition graph backwards from the known sinks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
     ChainGraph,
@@ -66,61 +71,82 @@ def _sorted_pairs(pairs: Iterable) -> tuple:
     return tuple(sorted(pairs, key=lambda p: (state_key(p[0]), state_key(p[1]))))
 
 
-def _make_wgraph(g: ChainGraph, chosen: Sequence) -> WGraph:
-    arcs = _sorted_pairs(a.pair() for a in chosen)
+def _integer_weights(g: ChainGraph) -> tuple:
+    """The arc weights over their common denominator: (scale, {pair: int})."""
+    scale = lcm(*(a.weight.denominator for a in g.arcs)) if g.arcs else 1
+    return scale, {a.pair(): int(a.weight * scale) for a in g.arcs}
+
+
+def _make_wgraph(g: ChainGraph, vertices: tuple, chosen: Sequence, total: Fraction) -> WGraph:
+    """The w-graph of an assignment.  Its arcs come in decision order, one
+    per tail, so they are already sorted."""
+    arcs = tuple(a.pair() for a in chosen)
     tails = {t for (t, _h) in arcs}
     sinks = frozenset(s for s in g.states if s not in tails)
-    total = sum((a.weight for a in chosen), Fraction(0))
-    return WGraph(
-        vertices=tuple(sorted(g.states, key=state_key)),
-        sinks=sinks,
-        arcs=arcs,
-        total_weight=total,
-    )
+    return WGraph(vertices=vertices, sinks=sinks, arcs=arcs, total_weight=total)
 
 
-def _iter_assignments(g: ChainGraph, cap: int):
-    """Yield every acyclic sink-or-arc assignment as a list of chosen arcs.
+def _decision_order(g: ChainGraph) -> list:
+    """The order in which ``_iter_assignments`` decides the vertices."""
+    return sorted(g.states, key=state_key)
 
-    Cycles are pruned during construction by walking the partial successor
-    map, so only genuine in-forests reach the caller.
+
+def _iter_assignments(
+    g: ChainGraph,
+    cap: int,
+    weight: Optional[Mapping] = None,
+    prune: Optional[Callable[[int, int, int], bool]] = None,
+):
+    """Yield every acyclic sink-or-arc assignment as (chosen arcs, total).
+
+    The walk decides the vertices in ``_decision_order``, each first as a
+    sink and then along its out-arcs in head order.  Cycles are pruned
+    during construction by walking the partial successor map, so only
+    genuine in-forests reach the caller.  ``chosen`` is the walk's own
+    list: copy it to keep it.  ``total`` sums ``weight[pair]`` over the
+    chosen arcs (0 without ``weight``).  Before the walk decides the i-th
+    vertex it asks ``prune(i, arcs chosen so far, total)``; on True it
+    skips every completion of the partial assignment.
     """
     if g.n > cap:
         raise EnumerationCapError(
             f"enumeration over {g.n} vertices exceeds the cap of {cap}; "
             "raise the cap explicitly if the blow-up is acceptable"
         )
-    verts = sorted(g.states, key=state_key)
-    out_choices = {
-        v: sorted(g.out_arcs(v), key=lambda a: state_key(a.head)) for v in verts
-    }
+    verts = _decision_order(g)
+    n = len(verts)
+    options = [
+        [
+            (a, weight[a.pair()] if weight is not None else 0)
+            for a in sorted(g.out_arcs(v), key=lambda a: state_key(a.head))
+        ]
+        for v in verts
+    ]
     succ: dict = {}
     chosen: list = []
 
-    def creates_cycle(v, h) -> bool:
-        cur = h
-        while cur in succ:
-            cur = succ[cur]
-            if cur == v:
-                return True
-        return False
-
-    def rec(i: int):
-        if i == len(verts):
-            yield list(chosen)
+    def rec(i: int, total: int):
+        if i == n:
+            yield chosen, total
             return
+        if prune is not None and prune(i, len(chosen), total):
+            return
+        yield from rec(i + 1, total)  # verts[i] is a sink
         v = verts[i]
-        yield from rec(i + 1)  # v is a sink
-        for arc in out_choices[v]:
-            if creates_cycle(v, arc.head):
-                continue
-            succ[v] = arc.head
-            chosen.append(arc)
-            yield from rec(i + 1)
-            chosen.pop()
-            del succ[v]
+        for arc, w in options[i]:
+            cur = arc.head
+            while cur in succ:
+                cur = succ[cur]
+                if cur == v:
+                    break  # the arc would close a cycle
+            else:
+                succ[v] = arc.head
+                chosen.append(arc)
+                yield from rec(i + 1, total + w)
+                chosen.pop()
+                del succ[v]
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def enumerate_wgraphs(g: ChainGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -128,9 +154,11 @@ def enumerate_wgraphs(g: ChainGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP)
     if not (1 <= m <= g.n):
         raise ValueError(f"sink count must lie in [1, {g.n}], got {m}")
     target_arcs = g.n - m
-    for chosen in _iter_assignments(g, cap):
+    scale, int_weight = _integer_weights(g)
+    vertices = tuple(_decision_order(g))
+    for chosen, total in _iter_assignments(g, cap, int_weight):
         if len(chosen) == target_arcs:
-            yield _make_wgraph(g, chosen)
+            yield _make_wgraph(g, vertices, chosen, Fraction(total, scale))
 
 
 def enumerate_optimal(
@@ -146,28 +174,58 @@ def enumerate_optimal(
 def enumerate_all_optimal(
     g: ChainGraph, cap: int = DEFAULT_ENUMERATION_CAP, only_m: Optional[int] = None
 ) -> dict:
-    """Minimum-weight w-graphs for every sink count in one enumeration pass.
+    """Minimum-weight w-graphs for every sink count in one pruned enumeration.
 
     Returns {m: (optima, unique)} where optima is a tuple of WGraphs tied
-    at the minimum and unique says whether exactly one attains it.  Weights
-    are compared as integers after clearing denominators, so ties are exact.
+    at the minimum, in enumeration order, and unique says whether exactly
+    one attains it.  Weights are compared as integers after clearing
+    denominators, so ties are exact.  A partial assignment is abandoned only
+    when, for every sink count its completions can still reach, even the
+    lightest completion weighs more than the best w-graph found so far:
+    completions that tie with the best are still visited, so every tied
+    optimum is found and the result equals that of the full enumeration.
     """
-    scale = lcm(*(a.weight.denominator for a in g.arcs)) if g.arcs else 1
-    int_weight = {a.pair(): int(a.weight * scale) for a in g.arcs}
-    best: dict = {}
-    for chosen in _iter_assignments(g, cap):
-        m = g.n - len(chosen)
-        if only_m is not None and m != only_m:
-            continue
-        total = sum(int_weight[a.pair()] for a in chosen)
-        slot = best.get(m)
-        if slot is None or total < slot[0]:
-            best[m] = (total, [list(chosen)])
-        elif total == slot[0]:
-            slot[1].append(list(chosen))
+    n = g.n
+    scale, int_weight = _integer_weights(g)
+    verts = _decision_order(g)
+    least_out = {
+        v: min(int_weight[a.pair()] for a in g.out_arcs(v)) for v in verts if g.out_arcs(v)
+    }
+    # least[i][k]: the k smallest least-out-arc weights among the vertices
+    # still undecided at depth i, summed; a completion that adds k arcs
+    # weighs at least that much more
+    least = [
+        list(accumulate(sorted(least_out[v] for v in verts[i:] if v in least_out), initial=0))
+        for i in range(n + 1)
+    ]
+    # ceiling[m]: the heaviest total still worth visiting with m sinks, the
+    # best found so far; before the first, more than any w-graph weighs, and
+    # less than any weighs for m = 0 (no w-graph is sinkless) or for a sink
+    # count other than only_m
+    unbounded = sum(int_weight.values()) + 1
+    ceiling = [unbounded if m and only_m in (None, m) else -1 for m in range(n + 1)]
+    optima: dict = {}  # m -> assignments weighing ceiling[m]
+
+    def hopeless(i: int, arcs: int, total: int) -> bool:
+        m = n - arcs
+        for extra in least[i]:  # a completion with m sinks
+            if total + extra <= ceiling[m]:
+                return False
+            m -= 1
+        return True
+
+    for chosen, total in _iter_assignments(g, cap, int_weight, hopeless):
+        m = n - len(chosen)
+        if total < ceiling[m]:
+            ceiling[m] = total
+            optima[m] = [list(chosen)]
+        elif total == ceiling[m]:
+            optima[m].append(list(chosen))
+    vertices = tuple(verts)
     result = {}
-    for m, (_total, assignments) in sorted(best.items()):
-        graphs = tuple(_make_wgraph(g, ch) for ch in assignments)
+    for m, assignments in sorted(optima.items()):
+        weight = Fraction(ceiling[m], scale)
+        graphs = tuple(_make_wgraph(g, vertices, ch, weight) for ch in assignments)
         result[m] = (graphs, len(graphs) == 1)
     return result
 
@@ -207,19 +265,22 @@ def extract_wgraph(report, m: int) -> WGraph:
     for a in tgraph.arcs:
         incoming.setdefault(a.head, []).append(a)
     for heads in incoming.values():
-        heads.sort(key=lambda a: state_key(a.tail))
+        if len(heads) > 1:
+            heads.sort(key=lambda a: state_key(a.tail))
 
     visited = set(sink_list)
-    queue = list(sink_list)
+    order = list(sink_list)  # breadth-first: grows while it is walked
     chosen_pairs: list = []
-    while queue:
-        v = queue.pop(0)
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
         for a in incoming.get(v, ()):
             if a.tail in visited:
                 continue
             visited.add(a.tail)
             chosen_pairs.append(a.pair())
-            queue.append(a.tail)
+            order.append(a.tail)
     if len(chosen_pairs) != n - m or len(visited) != n:
         raise InternalInvariantError(
             f"backward trace covered {len(visited)} of {n} vertices "

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metachain as mc
+from conftest import chain_graphs
 
 F = Fraction
 
@@ -180,3 +183,43 @@ def test_corpus_extraction_spot_check(oracle_corpus, oracle_extractions):
         assert unique
         assert by_m[m] == optima[0]
         assert by_m[m].total_weight - per_m[m + 1][0][0].total_weight == rep.delta[m - 1]
+
+
+@st.composite
+def oracle_graphs(draw):
+    """A 3-9-state chain, sometimes with every out-arc of one state dropped
+    (that state is then a sink of every w-graph)."""
+    g = draw(chain_graphs(min_n=3))
+    if draw(st.booleans()):
+        dead = draw(st.sampled_from(g.states))
+        g = mc.chain_graph(
+            [(a.tail, a.head, a.weight) for a in g.arcs if a.tail != dead], states=g.states
+        )
+    return g
+
+
+def reference_optima(g, m):
+    """The lightest w-graphs with m sinks from the full enumeration, in its
+    order, and whether there is exactly one; None when there are none."""
+    forests = list(mc.enumerate_wgraphs(g, m))
+    for w in forests:
+        assert w.total_weight == sum(g.arc_map[p].weight for p in w.arcs)
+    if not forests:
+        return None
+    low = min(w.total_weight for w in forests)
+    optima = tuple(w for w in forests if w.total_weight == low)
+    return optima, len(optima) == 1
+
+
+@settings(max_examples=150)
+@given(oracle_graphs())
+def test_pruned_oracle_matches_full_enumeration(g):
+    want = {m: reference_optima(g, m) for m in range(1, g.n + 1)}
+    got = mc.enumerate_all_optimal(g)
+    assert list(got.items()) == [(m, ref) for m, ref in want.items() if ref is not None]
+    for m, ref in want.items():
+        if ref is None:
+            with pytest.raises(mc.GraphError):
+                mc.enumerate_optimal(g, m)
+        else:
+            assert mc.enumerate_optimal(g, m) == ref

@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Optional
 
 from .alg1 import (
@@ -87,7 +86,6 @@ class Alg2Report:
     graph: ChainGraph
     theta: tuple
     multiplicity: tuple
-    transfers_by_step: tuple
     tgraphs: TGraphs
     classes: tuple
     final_closed_classes: tuple
@@ -110,6 +108,12 @@ class Alg2Report:
         """Every released arc, in release order."""
         return self.tgraphs.transfers
 
+    @property
+    def transfers_by_step(self) -> tuple:
+        """The arcs released at each step, one slice of ``transfers`` per step."""
+        t, ends = self.tgraphs.transfers, self.tgraphs.ends
+        return tuple(t[a:b] for a, b in zip(ends, ends[1:]))
+
     def gamma_multiset(self) -> tuple:
         """The exponent multiset reconstructed as theta_p repeated m(p) times."""
         out = []
@@ -119,7 +123,7 @@ class Alg2Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 2,
+            "schema": 3,
             "kind": "alg2-report",
             "n": self.n,
             "stop_reason": self.stop_reason,
@@ -128,18 +132,6 @@ class Alg2Report:
             "theta_float": [float(w) for w in self.theta],
             "multiplicity": list(self.multiplicity),
             "prefactors_ignored": self.prefactors_ignored,
-            "classes": [
-                {
-                    "index": rec.index,
-                    "step": rec.step,
-                    "birth": format_rational(rec.birth),
-                    "members": sorted((state_to_json(s) for s in rec.member_states), key=str),
-                    "exit": None
-                    if rec.exit_weight is None
-                    else format_rational(rec.exit_weight),
-                }
-                for rec in self.classes
-            ],
             "final_closed_classes": [
                 sorted((state_to_json(s) for s in c), key=str)
                 for c in self.final_closed_classes
@@ -198,7 +190,7 @@ def run_algorithm2(
     tracker = _GrowingClosedClasses(g.states)
     theta: list = []
     multiplicity: list = []
-    transfers_by_step: list = []
+    ends: list = [0]
     released_all: list = []
     classes: list = []
     main: dict = {s: s for s in g.states}  # current vertex -> its least state
@@ -213,8 +205,8 @@ def run_algorithm2(
         w, released = bucket.extract_all_min()
         p += 1
         theta.append(w)
-        transfers_by_step.append(tuple(released))
         released_all.extend(released)
+        ends.append(len(released_all))
         tails = {wg.vertex_of[a.tail] for a in released}
         multiplicity.append(len(tails))
         for a in released:
@@ -273,14 +265,12 @@ def run_algorithm2(
             )
 
     theta = tuple(theta)
-    ends = tuple(accumulate((len(step) for step in transfers_by_step), initial=0))
-    tgraphs = TGraphs(g.states, tuple(released_all), ends, (Fraction(0),) + theta)
+    tgraphs = TGraphs(g.states, tuple(released_all), tuple(ends), (Fraction(0),) + theta)
     final = set(tracker.class_of.values())
     return Alg2Report(
         graph=g,
         theta=theta,
         multiplicity=tuple(multiplicity),
-        transfers_by_step=tuple(transfers_by_step),
         tgraphs=tgraphs,
         classes=tuple(classes),
         final_closed_classes=tuple(

@@ -33,7 +33,6 @@ __all__ = [
     "check_epsilon",
     "closed_communicating_classes",
     "generator_matrix",
-    "min_arcs",
     "parse_rational",
     "state_key",
     "strongly_connected_components",
@@ -359,18 +358,6 @@ def validate(g: ChainGraph) -> ValidationReport:
         is_irreducible=len(sccs) == 1,
         satisfies_a2=len(closed) == 1,
     )
-
-
-def min_arcs(g: ChainGraph, s: State) -> tuple[Fraction, tuple[Arc, ...]]:
-    """Exact minimum outgoing weight of ``s`` and every arc attaining it."""
-    arcs = g.out_arcs(s)
-    if not arcs:
-        raise GraphError(f"state {s!r} has no outgoing arcs")
-    w = min(a.weight for a in arcs)
-    attaining = tuple(
-        sorted((a for a in arcs if a.weight == w), key=lambda a: state_key(a.head))
-    )
-    return w, attaining
 
 
 @dataclass(frozen=True)

@@ -70,13 +70,20 @@ def graph_from_json_dict(doc: dict) -> ChainGraph:
         raw_arcs = doc["arcs"]
     except KeyError as exc:
         raise GraphError(f"graph document missing key {exc.args[0]!r}") from exc
+    for key, value in (("states", states), ("arcs", raw_arcs)):
+        if not isinstance(value, list):
+            raise GraphError(f"graph {key!r} must be a JSON list, got {value!r}")
     arcs = []
     for entry in raw_arcs:
+        if not isinstance(entry, dict):
+            raise GraphError(f"arc entry must be a JSON object, got {entry!r}")
         try:
             tail, head, u = entry["from"], entry["to"], entry["U"]
         except KeyError as exc:
             raise GraphError(f"arc entry missing key {exc.args[0]!r}: {entry!r}") from exc
         kappa = entry.get("kappa")
+        if kappa is not None and (isinstance(kappa, bool) or not isinstance(kappa, (int, float))):
+            raise GraphError(f"arc prefactor must be a number, got {kappa!r}: {entry!r}")
         arc = Arc(
             tail,
             head,

@@ -250,7 +250,6 @@ def kinesin_sweep(
     zeta_grid: Sequence,
     params: Optional[KinesinParams] = None,
     bisect: bool = True,
-    max_steps: int = MAX_BISECTION_STEPS,
 ) -> SweepResult:
     """Sweep the switch exponent and partition the grid range by behavior.
 
@@ -290,7 +289,7 @@ def kinesin_sweep(
         refined = None
         exact = False
         if bisect:
-            refined, exact = _bisect_boundary(lo, hi, signature, max_steps)
+            refined, exact = _bisect_boundary(lo, hi, signature)
         boundaries.append(SweepBoundary(lo=lo, hi=hi, refined=refined, exact=exact))
 
     intervals: list[SweepInterval] = []
@@ -316,7 +315,7 @@ def _boundary_value(b: SweepBoundary) -> Fraction:
     return b.refined if b.refined is not None else (b.lo + b.hi) / 2
 
 
-def _bisect_boundary(lo: Fraction, hi: Fraction, signature, max_steps: int) -> tuple:
+def _bisect_boundary(lo: Fraction, hi: Fraction, signature) -> tuple:
     """Pin the class breakpoint in (lo, hi); returns (value, exact_flag).
 
     A midpoint whose class matches neither bracket end must itself be the
@@ -327,7 +326,7 @@ def _bisect_boundary(lo: Fraction, hi: Fraction, signature, max_steps: int) -> t
     """
     sig_lo = signature(lo)[0]
     sig_hi = signature(hi)[0]
-    for _ in range(max_steps):
+    for _ in range(MAX_BISECTION_STEPS):
         mid = (lo + hi) / 2
         sig_mid = signature(mid)[0]
         if sig_mid == sig_lo:

@@ -12,6 +12,11 @@ from fractions import Fraction
 
 import conftest
 import metachain as mc
+from metachain.chain import closed_communicating_classes
+from metachain.contraction import updated_weight
+from metachain.demos import tied_min_arc_chain, two_state_chain
+from metachain.kmc import mean_occupancy
+from metachain.wgraph import weak_nested_violations
 
 F = Fraction
 
@@ -20,10 +25,10 @@ SCHEDULE = conftest.SPECTRAL_SCHEDULE
 
 def test_criterion_01_update_rule_identities():
     t0 = time.perf_counter()
-    assert mc.updated_weight(14, "1.1", 3) == F(159, 10)
-    assert mc.updated_weight(2, 1, 3) == F(4)
-    assert mc.updated_weight("1.5", 1, 3) == F(7, 2)
-    assert mc.updated_weight("3.4", "3.1", "3.5") == F(19, 5)
+    assert updated_weight(14, "1.1", 3) == F(159, 10)
+    assert updated_weight(2, 1, 3) == F(4)
+    assert updated_weight("1.5", 1, 3) == F(7, 2)
+    assert updated_weight("3.4", "3.1", "3.5") == F(19, 5)
     dt = time.perf_counter() - t0
     assert dt < 0.001
     print(f"\nPASS 1: update-rule identities exact in {dt * 1e6:.0f} us")
@@ -121,7 +126,7 @@ def test_criterion_06_sweep_comparison(integer_corpus):
         cmp = mc.compare_alg1_alg2(g)
         assert cmp.ok, [s.detail for s in cmp.statements if not s.ok]
         assert [s.number for s in cmp.statements] == [1, 2, 3, 4]
-    tied = mc.tied_min_arc_chain()
+    tied = tied_min_arc_chain()
     for tb in ("lex", "revlex"):
         r1 = mc.run_algorithm1(tied, tie_break=tb)
         cmp = mc.compare_alg1_alg2(tied, tie_break=tb, r1=r1)
@@ -145,7 +150,7 @@ def test_criterion_07_golden_contraction_trace():
     assert rec.step == 2
     assert rec.exit_weight == F(4)
     t3 = rep.tgraphs[3]
-    cc = mc.closed_communicating_classes(
+    cc = closed_communicating_classes(
         {s: [a.head for a in t3.arcs if a.tail == s] for s in rep.graph.states},
         vertices=rep.graph.states,
     )
@@ -193,11 +198,11 @@ def test_criterion_08_kinesin_sweep():
 
 def test_criterion_09_kinetic_monte_carlo():
     t0 = time.perf_counter()
-    two = mc.two_state_chain()
+    two = two_state_chain()
 
     # long-run occupancy of the heavy state at eps = 0.2, 3 sigma
     trajs = mc.simulate_ensemble(two, 0.2, 2, 50_000.0, 200, seed=77)
-    mean, se = mc.mean_occupancy(trajs, 2)
+    mean, se = mean_occupancy(trajs, 2)
     pi2 = 1 / (1 + math.exp(-5))
     assert abs(mean - pi2) <= 3 * se
 
@@ -245,7 +250,7 @@ def test_criterion_10_weak_nesting(oracle_extractions):
     for _g, rep, by_m in oracle_extractions:
         n = rep.n
         for m in range(1, n - 1):
-            problems = mc.weak_nested_violations(by_m[m], by_m[m + 1])
+            problems = weak_nested_violations(by_m[m], by_m[m + 1])
             assert problems == [], (m, problems)
             pairs += 1
     print(f"\nPASS 10: weak nesting holds for all {pairs} consecutive optimum pairs")

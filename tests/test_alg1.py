@@ -6,6 +6,10 @@ from fractions import Fraction
 import pytest
 
 import metachain as mc
+from metachain.alg1 import Bucket, cycle_hierarchy
+from metachain.chain import Arc
+from metachain.contraction import updated_prefactor, updated_weight
+from metachain.demos import tied_min_arc_chain, two_state_chain
 
 F = Fraction
 
@@ -16,25 +20,25 @@ def demo_report():
 
 
 def test_updated_weight_identities():
-    assert mc.updated_weight(14, "1.1", 3) == F(159, 10)
-    assert mc.updated_weight(2, 1, 3) == F(4)
-    assert mc.updated_weight("3/2", 1, 3) == F(7, 2)
-    assert mc.updated_weight("17/5", "31/10", "7/2") == F(19, 5)
+    assert updated_weight(14, "1.1", 3) == F(159, 10)
+    assert updated_weight(2, 1, 3) == F(4)
+    assert updated_weight("3/2", 1, 3) == F(7, 2)
+    assert updated_weight("17/5", "31/10", "7/2") == F(19, 5)
 
 
 def test_updated_weight_rejects_floats():
     with pytest.raises(mc.GraphError):
-        mc.updated_weight(1.5, 1, 3)
+        updated_weight(1.5, 1, 3)
 
 
 def test_updated_prefactor():
-    assert mc.updated_prefactor(2.0, 4.0, 3.0) == 1.5
-    assert mc.updated_prefactor(1.0, 1.0, 1.0) == 1.0
+    assert updated_prefactor(2.0, 4.0, 3.0) == 1.5
+    assert updated_prefactor(1.0, 1.0, 1.0) == 1.0
 
 
 def test_bucket_orders_exactly():
-    b = mc.Bucket()
-    for arc in (mc.Arc(2, 3, F(1, 3)), mc.Arc(1, 2, F(1, 2)), mc.Arc(3, 1, F(2, 6))):
+    b = Bucket()
+    for arc in (Arc(2, 3, F(1, 3)), Arc(1, 2, F(1, 2)), Arc(3, 1, F(2, 6))):
         b.insert(arc)
     assert len(b) == 3
     assert b.peek_min_weight() == F(1, 3)
@@ -46,19 +50,19 @@ def test_bucket_orders_exactly():
 
 
 def test_bucket_revlex_takes_largest_pair():
-    b = mc.Bucket()
-    b.insert(mc.Arc(1, 2, F(1)))
-    b.insert(mc.Arc(2, 1, F(1)))
+    b = Bucket()
+    b.insert(Arc(1, 2, F(1)))
+    b.insert(Arc(2, 1, F(1)))
     arc, tied = b.extract_min(tie_break="revlex")
     assert arc.pair() == (2, 1)
     assert tied
 
 
 def test_bucket_extract_all_min():
-    b = mc.Bucket()
-    b.insert(mc.Arc(1, 2, F(1)))
-    b.insert(mc.Arc(2, 1, F(1)))
-    b.insert(mc.Arc(3, 1, F(2)))
+    b = Bucket()
+    b.insert(Arc(1, 2, F(1)))
+    b.insert(Arc(2, 1, F(1)))
+    b.insert(Arc(3, 1, F(2)))
     w, group = b.extract_all_min()
     assert w == F(1)
     assert [a.pair() for a in group] == [(1, 2), (2, 1)]
@@ -67,7 +71,7 @@ def test_bucket_extract_all_min():
 
 def test_bucket_empty_peek_raises():
     with pytest.raises(IndexError):
-        mc.Bucket().peek_min_weight()
+        Bucket().peek_min_weight()
 
 
 def test_walk_closes_cycles_and_finds_sinks():
@@ -199,7 +203,7 @@ def test_demo_tgraph_nesting(demo_report):
 
 
 def test_demo_hierarchy(demo_report):
-    roots = mc.cycle_hierarchy(demo_report)
+    roots = cycle_hierarchy(demo_report)
     assert len(roots) == 1
     root = roots[0]
     assert root.kind == "cycle" and root.record.step == 9
@@ -223,7 +227,7 @@ def test_demo_alpha_without_prefactors(demo_report):
 
 
 def test_two_state_run():
-    rep = mc.run_algorithm1(mc.two_state_chain())
+    rep = mc.run_algorithm1(two_state_chain())
     assert rep.gamma == (F(1), F(2))
     assert rep.delta == (F(1),)
     assert rep.K == 2 and rep.n_cycles == 1
@@ -290,11 +294,11 @@ def test_unknown_stop_kind_rejected():
 
 def test_bad_tie_break_rejected():
     with pytest.raises(ValueError):
-        mc.run_algorithm1(mc.two_state_chain(), tie_break="random")
+        mc.run_algorithm1(two_state_chain(), tie_break="random")
 
 
 def test_tie_is_flagged_not_hidden():
-    rep = mc.run_algorithm1(mc.tied_min_arc_chain())
+    rep = mc.run_algorithm1(tied_min_arc_chain())
     assert rep.symmetry_detected
     assert rep.symmetry_kind == "min-arc-multiplicity"
     assert rep.symmetry_step == 0  # found while seeding the bucket
@@ -310,8 +314,8 @@ def test_bucket_tie_kind():
 
 
 def test_tie_break_changes_selection_only():
-    lex = mc.run_algorithm1(mc.tied_min_arc_chain(), tie_break="lex")
-    rev = mc.run_algorithm1(mc.tied_min_arc_chain(), tie_break="revlex")
+    lex = mc.run_algorithm1(tied_min_arc_chain(), tie_break="lex")
+    rev = mc.run_algorithm1(tied_min_arc_chain(), tie_break="revlex")
     assert lex.distinct_gamma() == rev.distinct_gamma() == (F(1), F(2))
     # lex closes the 2-cycle, revlex never does
     assert lex.n_cycles == 1 and rev.n_cycles == 0

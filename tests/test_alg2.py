@@ -1,5 +1,6 @@
 """Simultaneous-release sweep: windows, class contraction, comparison."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs
-from metachain.alg2 import _expanded_adjacency
+from metachain.alg2 import _expanded_adjacency, class_hierarchy
+from metachain.chain import closed_communicating_classes, state_key
 from metachain.contraction import WorkingGraph
+from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
+from metachain.graphio import format_rational, state_to_json
 
 F = Fraction
 
@@ -79,12 +83,14 @@ def test_json_shape(integer_report):
     assert doc["kind"] == "alg2-report"
     assert doc["theta"] == ["1", "3", "4"]
     assert doc["multiplicity"] == [2, 4, 2]
-    assert doc["classes"][0]["members"] == [1, 2, 3]
+    tree = doc["contraction_tree"]
+    (cls,) = [node for node in tree if node["kind"] == "cycle"]
+    assert [tree[c]["id"] for c in cls["children"]] == [1, 2, 3]
     assert len(doc["tgraphs"]) == 4
 
 
 def test_class_hierarchy(integer_report):
-    roots = mc.class_hierarchy(integer_report)
+    roots = class_hierarchy(integer_report)
     by_kind = {}
     for node in roots:
         by_kind.setdefault(node.kind, []).append(node)
@@ -204,7 +210,7 @@ def test_comparison_on_integer_fixture(integer_report):
 
 
 def test_comparison_both_tie_breaks():
-    g = mc.tied_min_arc_chain()
+    g = tied_min_arc_chain()
     for tb in ("lex", "revlex"):
         cmp = mc.compare_alg1_alg2(g, tie_break=tb)
         assert cmp.ok, [s.detail for s in cmp.statements if not s.ok]
@@ -267,7 +273,7 @@ def sweep_cases(draw):
 
 
 def _closed_at(g, rep, step):
-    return mc.closed_communicating_classes(
+    return closed_communicating_classes(
         _expanded_adjacency(rep.tgraphs[step].arcs), vertices=g.states
     )
 
@@ -283,10 +289,10 @@ def _documented_order(rep, step, cc):
     vids = [frozenset(vid[s] for s in c) for c in classes]
     nontrivial = sorted(
         (c for c, v in zip(classes, vids) if len(v) >= 2),
-        key=lambda c: sorted(mc.state_key(vid[s]) for s in c),
+        key=lambda c: sorted(state_key(vid[s]) for s in c),
     )
     absorbing = sorted(
-        (v for v in vids if len(v) == 1), key=lambda v: mc.state_key(next(iter(v)))
+        (v for v in vids if len(v) == 1), key=lambda v: state_key(next(iter(v)))
     )
     members = {v: frozenset(s for s in rep.graph.states if vid[s] in v) for v in absorbing}
     return nontrivial + [members[v] for v in absorbing]
@@ -302,7 +308,7 @@ def test_closed_classes_match_a_fresh_scc_pass(case):
     assert rep.final_absorbing == final.absorbing
     closed = set().union(*final.nontrivial, final.absorbing)
     assert rep.transient_states == tuple(
-        s for s in sorted(g.states, key=mc.state_key) if s not in closed
+        s for s in sorted(g.states, key=state_key) if s not in closed
     )
     for rec in rep.classes:
         assert rec.member_states in _closed_at(g, rep, rec.step).nontrivial
@@ -315,3 +321,71 @@ def test_closed_classes_match_a_fresh_scc_pass(case):
         else:
             assert rep.covering_class == first
             assert (first is None) == (rep.stop_reason != "class-covering")
+
+
+def schema_2_classes(rep):
+    """The ``"classes"`` list a schema-2 alg2 report wrote, from the records."""
+    return [
+        {
+            "index": rec.index,
+            "step": rec.step,
+            "birth": format_rational(rec.birth),
+            "members": sorted((state_to_json(s) for s in rec.member_states), key=str),
+            "exit": None if rec.exit_weight is None else format_rational(rec.exit_weight),
+        }
+        for rec in rep.classes
+    ]
+
+
+def classes_from_tree(doc):
+    """The same list read back from a schema-3 report: a class is a cycle
+    node of the contraction tree, its members are the states below it, and
+    its step is the position of its birth in ``theta``."""
+    step_of = {w: p for p, w in enumerate(doc["theta"], start=1)}
+    below: list = []  # per tree node: the states under it
+    classes = []
+    for node in doc["contraction_tree"]:
+        if node["kind"] == "state":
+            below.append([node["id"]])
+            continue
+        below.append([s for c in node["children"] for s in below[c]])
+        classes.append(
+            {
+                "index": node["index"],
+                "step": step_of[node["birth"]],
+                "birth": node["birth"],
+                "members": sorted(below[-1], key=str),
+                "exit": node["exit"],
+            }
+        )
+    return sorted(classes, key=lambda c: c["index"])
+
+
+def _written(rep):
+    return json.loads(mc.dump_json(rep.to_json_dict()))
+
+
+@settings(max_examples=200)
+@given(sweep_cases())
+def test_schema_3_report_holds_every_class(case):
+    g, stop = case
+    rep = mc.run_algorithm2(g, stop=stop)
+    doc = _written(rep)
+    assert doc["schema"] == 3 and "classes" not in doc
+    assert classes_from_tree(doc) == schema_2_classes(rep)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        mc.nested_cycle_chain,
+        mc.nested_cycle_chain_integer,
+        two_state_chain,
+        tied_min_arc_chain,
+        tied_optimum_chain,
+    ],
+)
+@pytest.mark.parametrize("stop", [None, mc.StopCriterion.class_covering({1}, {2})])
+def test_schema_3_demo_reports_hold_every_class(make, stop):
+    rep = mc.run_algorithm2(make(), stop=stop)
+    assert classes_from_tree(_written(rep)) == schema_2_classes(rep)

@@ -8,6 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import metachain as mc
+from metachain.chain import (
+    Arc,
+    ChainGraph,
+    closed_communicating_classes,
+    generator_matrix,
+    state_key,
+    strongly_connected_components,
+)
 
 
 def triangle():
@@ -15,12 +23,12 @@ def triangle():
 
 
 def test_state_key_orders_ints_before_strings():
-    assert sorted(["b", 3, 1, "a"], key=mc.state_key) == [1, 3, "a", "b"]
+    assert sorted(["b", 3, 1, "a"], key=state_key) == [1, 3, "a", "b"]
 
 
 def test_state_key_rejects_bool():
     with pytest.raises(mc.GraphError):
-        mc.state_key(True)
+        state_key(True)
 
 
 @pytest.mark.parametrize("bad", [2.5, None, (1, 2), frozenset({1, 2})])
@@ -31,7 +39,7 @@ def test_state_id_must_be_int_or_str(bad):
 
 def test_arc_endpoint_must_be_int_or_str():
     with pytest.raises(mc.GraphError, match="ints or strings"):
-        mc.ChainGraph((1, 2), (mc.Arc([1], 2, Fraction(1)), mc.Arc(2, 1, Fraction(1))))
+        ChainGraph((1, 2), (Arc([1], 2, Fraction(1)), Arc(2, 1, Fraction(1))))
 
 
 def test_chain_graph_infers_sorted_states():
@@ -107,20 +115,20 @@ def test_nonpositive_prefactor_rejected():
 
 def test_scc_singletons_in_reverse_topological_order():
     g = mc.chain_graph([(1, 2, 1), (2, 3, 1)], states=[1, 2, 3])
-    comps = mc.strongly_connected_components(g)
+    comps = strongly_connected_components(g)
     assert comps == [frozenset({3}), frozenset({2}), frozenset({1})]
 
 
 def test_scc_two_blocks():
     g = mc.chain_graph([(1, 2, 1), (2, 1, 1), (2, 3, 2), (3, 4, 1), (4, 3, 1)])
-    comps = mc.strongly_connected_components(g)
+    comps = strongly_connected_components(g)
     assert set(comps) == {frozenset({1, 2}), frozenset({3, 4})}
     # the downstream block must come out first
     assert comps[0] == frozenset({3, 4})
 
 
 def test_scc_accepts_plain_adjacency():
-    comps = mc.strongly_connected_components({1: [2], 2: [1], 3: []}, vertices=[1, 2, 3])
+    comps = strongly_connected_components({1: [2], 2: [1], 3: []}, vertices=[1, 2, 3])
     assert set(comps) == {frozenset({1, 2}), frozenset({3})}
 
 
@@ -160,7 +168,7 @@ def test_scc_matches_transitive_closure_oracle(graph):
     expected = {
         frozenset(w for w in verts if v in reach[w] and w in reach[v]) for v in verts
     }
-    got = mc.strongly_connected_components(adj, vertices=verts)
+    got = strongly_connected_components(adj, vertices=verts)
     assert set(got) == expected
     # partition: every vertex in exactly one component
     assert sorted(v for c in got for v in c) == verts
@@ -173,22 +181,22 @@ def test_scc_invariant_under_relabeling(graph, rnd):
     rnd.shuffle(perm)
     relabel = {v: f"s{p}" for v, p in zip(verts, perm)}
     adj = {v: [h for t, h in edges if t == v] for v in verts}
-    base = mc.strongly_connected_components(adj, vertices=verts)
+    base = strongly_connected_components(adj, vertices=verts)
     radj = {relabel[v]: [relabel[h] for h in hs] for v, hs in adj.items()}
-    relabeled = mc.strongly_connected_components(radj, vertices=relabel.values())
+    relabeled = strongly_connected_components(radj, vertices=relabel.values())
     assert {frozenset(relabel[v] for v in c) for c in base} == set(relabeled)
 
 
 def test_closed_classes_split_nontrivial_and_absorbing():
     g = mc.chain_graph([(1, 2, 1), (2, 1, 1), (3, 1, 2), (3, 4, 1)], states=[1, 2, 3, 4])
-    cc = mc.closed_communicating_classes(g)
+    cc = closed_communicating_classes(g)
     assert cc.nontrivial == (frozenset({1, 2}),)
     assert cc.absorbing == (4,)
 
 
 def test_closed_classes_ignore_open_cycles():
     g = mc.chain_graph([(1, 2, 1), (2, 1, 1), (2, 3, 2)], states=[1, 2, 3])
-    cc = mc.closed_communicating_classes(g)
+    cc = closed_communicating_classes(g)
     assert cc.nontrivial == ()
     assert cc.absorbing == (3,)
 
@@ -218,36 +226,16 @@ def test_validate_two_sinks_fails_a2():
     assert sorted(v for c in rep.scc_partition for v in c) == [1, 2, 3]
 
 
-def test_min_arcs_unique():
-    g = mc.chain_graph([(1, 2, 2), (1, 3, 1), (3, 1, 1), (2, 1, 5)])
-    w, arcs = mc.min_arcs(g, 1)
-    assert w == Fraction(1)
-    assert [a.head for a in arcs] == [3]
-
-
-def test_min_arcs_tie_sorted_by_head():
-    g = mc.chain_graph([(1, 3, 1), (1, 2, 1), (2, 1, 2), (3, 1, 2)])
-    w, arcs = mc.min_arcs(g, 1)
-    assert w == Fraction(1)
-    assert [a.head for a in arcs] == [2, 3]
-
-
-def test_min_arcs_requires_outgoing():
-    g = mc.chain_graph([(1, 2, 1)], states=[1, 2])
-    with pytest.raises(mc.GraphError):
-        mc.min_arcs(g, 2)
-
-
 def test_generator_rows_sum_to_zero():
     g = mc.nested_cycle_chain()
-    L = mc.generator_matrix(g, 0.25)
+    L = generator_matrix(g, 0.25)
     sums = L.matrix.sum(axis=1)
     assert max(abs(s) for s in sums) <= 1e-12 * L.norm()
 
 
 def test_generator_off_diagonal_entries():
     g = mc.chain_graph([(1, 2, 1, 2.0), (2, 1, 2, 0.5)])
-    L = mc.generator_matrix(g, 0.5)
+    L = generator_matrix(g, 0.5)
     i, j = L.index[1], L.index[2]
     assert L.matrix[i][j] == pytest.approx(2.0 * math.exp(-1 / 0.5), rel=1e-15)
     assert L.matrix[j][i] == pytest.approx(0.5 * math.exp(-2 / 0.5), rel=1e-15)
@@ -255,7 +243,7 @@ def test_generator_off_diagonal_entries():
 
 
 def test_generator_order_one_flag_without_prefactors():
-    L = mc.generator_matrix(triangle(), 0.5)
+    L = generator_matrix(triangle(), 0.5)
     assert L.order_one_only
     assert L.epsilon == 0.5
     assert L.states == (1, 2, 3)
@@ -263,14 +251,14 @@ def test_generator_order_one_flag_without_prefactors():
 
 def test_generator_entries_shrink_with_epsilon():
     g = triangle()
-    hot = mc.generator_matrix(g, 0.5)
-    cold = mc.generator_matrix(g, 0.25)
+    hot = generator_matrix(g, 0.5)
+    cold = generator_matrix(g, 0.25)
     i, j = hot.index[1], hot.index[2]
     assert cold.matrix[i][j] < hot.matrix[i][j]
 
 
 def test_generator_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        mc.generator_matrix(triangle(), 0.0)
+        generator_matrix(triangle(), 0.0)
     with pytest.raises(ValueError):
-        mc.generator_matrix(triangle(), -1.0)
+        generator_matrix(triangle(), -1.0)

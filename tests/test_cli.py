@@ -16,6 +16,8 @@ import pytest
 import metachain as mc
 from metachain import cli
 from metachain.cli import main
+from metachain.demos import tied_min_arc_chain, two_state_chain
+from metachain.dot import export_dot
 
 
 @pytest.fixture()
@@ -28,7 +30,7 @@ def demo_file(tmp_path):
 @pytest.fixture()
 def two_state_file(tmp_path):
     path = tmp_path / "two.json"
-    mc.save_graph(mc.two_state_chain(), path)
+    mc.save_graph(two_state_chain(), path)
     return str(path)
 
 
@@ -92,7 +94,7 @@ def test_wgraphs_selected_sink_counts(capsys, demo_file):
 
 def test_wgraphs_on_tied_graph_exits_one(tmp_path, capsys):
     path = tmp_path / "tied.json"
-    mc.save_graph(mc.tied_min_arc_chain(), path)
+    mc.save_graph(tied_min_arc_chain(), path)
     assert main(["wgraphs", "--input", str(path)]) == 1
     assert "error" in capsys.readouterr().err
 
@@ -237,6 +239,28 @@ def test_malformed_weight_names_token(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+CYCLE_ARCS = [{"from": 1, "to": 2, "U": "1"}, {"from": 2, "to": 1, "U": "2"}]
+
+
+@pytest.mark.parametrize(
+    "doc, token",
+    [
+        ({"states": [1, 2], "arcs": [[1, 2, "1"], [2, 1, "2"]]}, "arc entry must be a JSON object"),
+        ({"states": [1, 2], "arcs": [dict(a, kappa=[1]) for a in CYCLE_ARCS]}, "prefactor must be"),
+        ({"states": [1, 2], "arcs": [dict(a, kappa="1") for a in CYCLE_ARCS]}, "prefactor must be"),
+        ({"states": "12", "arcs": CYCLE_ARCS}, "'states' must be a JSON list"),
+        ({"states": [1, 2], "arcs": {"1": CYCLE_ARCS}}, "'arcs' must be a JSON list"),
+    ],
+)
+def test_malformed_graph_json_exits_one(tmp_path, capsys, doc, token):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and token in captured.err
+
+
 def test_unexpected_exception_exits_two(demo_file, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
@@ -263,8 +287,8 @@ def _check_dot_shape(text):
 
 
 def test_export_dot_round_trips_weights():
-    g = mc.two_state_chain()
-    text = mc.export_dot(g)
+    g = two_state_chain()
+    text = export_dot(g)
     edges = _check_dot_shape(text)
     assert len(edges) == 2
     weights = sorted(Fraction(label) for _, _, label in edges)
@@ -273,7 +297,7 @@ def test_export_dot_round_trips_weights():
 
 def test_export_dot_styles():
     g = mc.nested_cycle_chain_integer()
-    text = mc.export_dot(
+    text = export_dot(
         g,
         clusters=[{1, 2, 3}],
         closed_classes=[{1, 2, 3}],
@@ -290,7 +314,7 @@ def test_export_dot_styles():
 
 def test_export_dot_renders_tgraphs():
     report = mc.run_algorithm2(mc.nested_cycle_chain_integer())
-    text = mc.export_dot(report.tgraphs[2], name="window2")
+    text = export_dot(report.tgraphs[2], name="window2")
     edges = _check_dot_shape(text)
     assert len(edges) == 8
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 import metachain as mc
+from metachain.alg1 import cycle_hierarchy
+from metachain.alg2 import class_hierarchy
 from metachain.cli import main
-from metachain.contraction import WorkingGraph, super_vertex_name
+from metachain.contraction import WorkingGraph, super_vertex_name, updated_prefactor
 
 F = Fraction
 
@@ -82,7 +84,7 @@ def test_contract_updates_prefactors_after_a_closing_prefactor():
     vid = wg.contract({1, 2}, F(2), kappa_min={1: 2.0, 2: 4.0}, kappa_last=3.0)
     exit_arc = wg.out[vid][(2, 3)]
     assert exit_arc.weight == F(3)
-    assert exit_arc.kappa == mc.updated_prefactor(1.5, 4.0, 3.0) == 1.125
+    assert exit_arc.kappa == updated_prefactor(1.5, 4.0, 3.0) == 1.125
     # without a closing prefactor (the class sweep) prefactors pass through
     wg = priced(g)
     assert wg.out[wg.contract({1, 2}, F(2))][(2, 3)].kappa == 1.5
@@ -131,10 +133,10 @@ def test_state_named_like_a_super_vertex_stays_apart():
     assert mc.compare_alg1_alg2(g, r1=r1, r2=r2).ok
     # alg1 closes a second, terminal cycle over both; a state sorts before
     # the super-vertex of the same name
-    (root,) = mc.cycle_hierarchy(r1)
+    (root,) = cycle_hierarchy(r1)
     state, inner1 = root.children
     # alg2 stops at full closure with the class {1,2} and the state as roots
-    inner2, state2 = mc.class_hierarchy(r2)
+    inner2, state2 = class_hierarchy(r2)
     for state, inner in ((state, inner1), (state2, inner2)):
         assert (state.kind, state.state) == ("state", "{1,2}")
         assert inner.kind == "cycle" and inner.record.member_states == frozenset({1, 2})

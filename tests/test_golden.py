@@ -15,15 +15,16 @@ import pytest
 
 import metachain as mc
 from metachain.cli import main
+from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 
 GOLDEN = Path(__file__).parent / "golden"
 
 DEMOS = {
     "nested": mc.nested_cycle_chain,
     "nested_integer": mc.nested_cycle_chain_integer,
-    "two_state": mc.two_state_chain,
-    "tied_min_arc": mc.tied_min_arc_chain,
-    "tied_optimum": mc.tied_optimum_chain,
+    "two_state": two_state_chain,
+    "tied_min_arc": tied_min_arc_chain,
+    "tied_optimum": tied_optimum_chain,
 }
 TIE_FREE = ("nested", "two_state")  # wgraphs refuses a run with ties
 

@@ -8,6 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import metachain as mc
+from metachain.chain import ChainGraph
+from metachain.demos import two_state_chain
+from metachain.graphio import (
+    format_rational,
+    graph_from_json_dict,
+    graph_from_tsv,
+    graph_to_json_dict,
+    graph_to_tsv,
+)
 
 
 def test_parse_rational_accepts_common_shapes():
@@ -36,16 +45,16 @@ def test_parse_rational_rejects_bool_and_junk():
 
 
 def test_format_rational():
-    assert mc.format_rational(Fraction(3)) == "3"
-    assert mc.format_rational(Fraction(11, 10)) == "11/10"
+    assert format_rational(Fraction(3)) == "3"
+    assert format_rational(Fraction(11, 10)) == "11/10"
 
 
 @given(st.fractions(min_value=-100, max_value=100))
 def test_format_parse_round_trip(q):
-    assert mc.parse_rational(mc.format_rational(q)) == q
+    assert mc.parse_rational(format_rational(q)) == q
 
 
-def _same_graph(a: mc.ChainGraph, b: mc.ChainGraph) -> bool:
+def _same_graph(a: ChainGraph, b: ChainGraph) -> bool:
     if a.states != b.states:
         return False
     am = {p: (x.weight, x.kappa) for p, x in a.arc_map.items()}
@@ -55,33 +64,33 @@ def _same_graph(a: mc.ChainGraph, b: mc.ChainGraph) -> bool:
 
 def test_json_round_trip_plain():
     g = mc.nested_cycle_chain()
-    doc = mc.graph_to_json_dict(g)
+    doc = graph_to_json_dict(g)
     assert doc["schema"] == 1
     assert doc["kind"] == "chain-graph"
-    assert _same_graph(mc.graph_from_json_dict(doc), g)
+    assert _same_graph(graph_from_json_dict(doc), g)
 
 
 def test_json_round_trip_with_prefactors():
     g = mc.chain_graph([(1, 2, "1/3", 1.25), (2, 1, 2, 0.7)])
-    doc = mc.graph_to_json_dict(g)
-    back = mc.graph_from_json_dict(doc)
+    doc = graph_to_json_dict(g)
+    back = graph_from_json_dict(doc)
     assert _same_graph(back, g)
     assert back.arc_map[(1, 2)].kappa == 1.25
 
 
 def test_json_dict_survives_serialization():
-    g = mc.two_state_chain()
-    text = mc.dump_json(mc.graph_to_json_dict(g))
-    assert _same_graph(mc.graph_from_json_dict(json.loads(text)), g)
+    g = two_state_chain()
+    text = mc.dump_json(graph_to_json_dict(g))
+    assert _same_graph(graph_from_json_dict(json.loads(text)), g)
 
 
 def test_json_missing_key_rejected():
     with pytest.raises(mc.GraphError):
-        mc.graph_from_json_dict({"schema": 1, "kind": "chain-graph"})
+        graph_from_json_dict({"schema": 1, "kind": "chain-graph"})
 
 
 def test_dump_json_is_deterministic():
-    doc = mc.graph_to_json_dict(mc.nested_cycle_chain())
+    doc = graph_to_json_dict(mc.nested_cycle_chain())
     one = mc.dump_json(doc)
     two = mc.dump_json(json.loads(one))
     assert one == two
@@ -90,26 +99,26 @@ def test_dump_json_is_deterministic():
 
 def test_tsv_round_trip_plain():
     g = mc.nested_cycle_chain()
-    back = mc.graph_from_tsv(mc.graph_to_tsv(g))
+    back = graph_from_tsv(graph_to_tsv(g))
     assert _same_graph(back, g)
 
 
 def test_tsv_round_trip_with_prefactors():
     g = mc.chain_graph([(1, 2, 1, 2.0), (2, 1, "7/5", 0.3)])
-    back = mc.graph_from_tsv(mc.graph_to_tsv(g))
+    back = graph_from_tsv(graph_to_tsv(g))
     assert _same_graph(back, g)
 
 
 def test_tsv_skips_comments_and_blanks():
     text = "# weighted arcs\n\n1\t2\t1\n2\t1\t3/2\n"
-    g = mc.graph_from_tsv(text)
+    g = graph_from_tsv(text)
     assert g.states == (1, 2)
     assert g.arc_map[(2, 1)].weight == Fraction(3, 2)
 
 
 def test_tsv_malformed_line_names_line_number():
     with pytest.raises(mc.GraphError, match="line 2"):
-        mc.graph_from_tsv("1\t2\t1\n2\t1\n")
+        graph_from_tsv("1\t2\t1\n2\t1\n")
 
 
 def test_save_load_by_suffix(tmp_path):
@@ -121,10 +130,10 @@ def test_save_load_by_suffix(tmp_path):
 
 
 def test_load_format_override(tmp_path):
-    g = mc.two_state_chain()
+    g = two_state_chain()
     path = tmp_path / "graph.dat"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(mc.graph_to_tsv(g))
+        fh.write(graph_to_tsv(g))
     assert _same_graph(mc.load_graph(path, fmt="tsv"), g)
     with pytest.raises(ValueError):
         mc.load_graph(path)
@@ -132,4 +141,4 @@ def test_load_format_override(tmp_path):
 
 def test_save_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
-        mc.save_graph(mc.two_state_chain(), tmp_path / "g.json", fmt="xml")
+        mc.save_graph(two_state_chain(), tmp_path / "g.json", fmt="xml")

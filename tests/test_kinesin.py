@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import metachain as mc
+from metachain.kinesin import kinesin_stop, simplest_rational_between
 
 F = Fraction
 
@@ -61,7 +62,7 @@ def test_construction_guard_rails():
 
 def test_two_target_stop_run():
     g = mc.build_kinesin(mc.KinesinParams(zeta=7))
-    rep = mc.run_algorithm2(g, stop=mc.kinesin_stop())
+    rep = mc.run_algorithm2(g, stop=kinesin_stop())
     assert rep.stop_reason == "class-covering"
     assert rep.theta == (F(1, 2), F(9, 2), F(11, 2), F(6), F(7))
     assert rep.covering_class == frozenset({"1+", "2+", "2-", "3-", "4+", "4-"})
@@ -69,7 +70,7 @@ def test_two_target_stop_run():
 
 
 def test_simplest_rational_between():
-    srb = mc.simplest_rational_between
+    srb = simplest_rational_between
     assert srb(F(1, 3), F(1, 2)) == F(2, 5)
     assert srb(F(1, 2), F(3, 4)) == F(2, 3)
     assert srb(F(2), F(3)) == F(5, 2)
@@ -82,7 +83,7 @@ def test_simplest_rational_between():
 def test_simplest_rational_is_interior():
     vals = [(F(3, 7), F(4, 7)), (F(99, 100), F(100, 99)), (F(5, 3), F(12, 7))]
     for lo, hi in vals:
-        mid = mc.simplest_rational_between(lo, hi)
+        mid = simplest_rational_between(lo, hi)
         assert lo < mid < hi
 
 

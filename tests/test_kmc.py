@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import metachain as mc
-from metachain.kmc import KS_CRITICAL_1PCT
+from metachain.demos import two_state_chain
+from metachain.kmc import GENERATOR_NAME, KS_CRITICAL_1PCT, exponential_ks, mean_occupancy
 
-TWO = mc.two_state_chain()
+TWO = two_state_chain()
 
 
 def test_seed_reproducibility():
@@ -17,7 +18,7 @@ def test_seed_reproducibility():
     assert a == b
     c = mc.simulate(TWO, 0.5, 1, 200.0, seed=43)
     assert a.jumps != c.jumps
-    assert a.generator_name == mc.GENERATOR_NAME == "numpy-PCG64"
+    assert a.generator_name == GENERATOR_NAME == "numpy-PCG64"
 
 
 def test_trajectory_bookkeeping():
@@ -127,18 +128,18 @@ def test_coverage_needs_jumps():
 
 def test_occupancy_matches_stationary_law():
     trajs = mc.simulate_ensemble(TWO, 0.5, 2, 400.0, 200, seed=78)
-    mean, se = mc.mean_occupancy(trajs, 2)
+    mean, se = mean_occupancy(trajs, 2)
     pi2 = 1 / (1 + math.exp(-2))
     assert abs(mean - pi2) <= 3 * se
     with pytest.raises(mc.GraphError):
-        mc.mean_occupancy(trajs[:1], 2)
+        mean_occupancy(trajs[:1], 2)
 
 
 def test_holding_times_are_exponential():
     tr = mc.simulate(TWO, 0.5, 2, 1e9, seed=12345, max_events=400)
     h1 = tr.holding_times()[1]
     assert len(h1) == 200
-    res = mc.exponential_ks(h1, math.exp(-2.0))
+    res = exponential_ks(h1, math.exp(-2.0))
     assert res.passed and res.critical_value == KS_CRITICAL_1PCT
     assert res.statistic == pytest.approx(0.70759, abs=1e-4)
 
@@ -146,7 +147,7 @@ def test_holding_times_are_exponential():
 def test_ks_statistic_separates_rates():
     rng = np.random.default_rng(5)
     xs = rng.exponential(2.0, 800)
-    assert mc.exponential_ks(xs, 0.5).passed
-    assert not mc.exponential_ks(xs, 5.0).passed
+    assert exponential_ks(xs, 0.5).passed
+    assert not exponential_ks(xs, 5.0).passed
     with pytest.raises(mc.GraphError):
-        mc.exponential_ks([], 1.0)
+        exponential_ks([], 1.0)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import metachain as mc
-from metachain import Arc
+from metachain.chain import Arc, generator_matrix
+from metachain.quasistationary import (
+    cycle_exit_exponent,
+    quasi_invariant_class,
+    quasi_invariant_cycle,
+)
 
 F = Fraction
 
@@ -17,7 +22,7 @@ def two_cycle(k1=None, k2=None):
 
 
 def test_cycle_law_two_states():
-    law = mc.quasi_invariant_cycle(two_cycle(), 0.5)
+    law = quasi_invariant_cycle(two_cycle(), 0.5)
     assert law.states == (1, 2)
     assert law.peak_state == 2
     assert law.u_max == F(2)
@@ -27,24 +32,24 @@ def test_cycle_law_two_states():
 
 
 def test_cycle_law_prefactor_tilt():
-    law = mc.quasi_invariant_cycle(two_cycle(4.0, 2.0), 0.5)
+    law = quasi_invariant_cycle(two_cycle(4.0, 2.0), 0.5)
     # weight of a member scales with kappa_peak / kappa_member
     assert law.weights == pytest.approx((0.5 * exp(-2), 1.0))
 
 
 def test_cycle_law_rejects_malformed_input():
     with pytest.raises(mc.GraphError):
-        mc.quasi_invariant_cycle([Arc(1, 1, F(1))], 0.5)
+        quasi_invariant_cycle([Arc(1, 1, F(1))], 0.5)
     with pytest.raises(mc.GraphError):
-        mc.quasi_invariant_cycle([Arc(1, 2, F(1)), Arc(3, 1, F(1))], 0.5)
+        quasi_invariant_cycle([Arc(1, 2, F(1)), Arc(3, 1, F(1))], 0.5)
     with pytest.raises(mc.GraphError):
-        mc.quasi_invariant_cycle([Arc(1, 2, F(1)), Arc(2, 3, F(1))], 0.5)
+        quasi_invariant_cycle([Arc(1, 2, F(1)), Arc(2, 3, F(1))], 0.5)
     with pytest.raises(mc.GraphError):
-        mc.quasi_invariant_cycle(
+        quasi_invariant_cycle(
             [Arc(1, 2, F(1)), Arc(2, 1, F(1)), Arc(1, 3, F(1))], 0.5
         )
     with pytest.raises(ValueError):
-        mc.quasi_invariant_cycle(two_cycle(), 0.0)
+        quasi_invariant_cycle(two_cycle(), 0.0)
 
 
 def triangle():
@@ -54,24 +59,24 @@ def triangle():
 
 def test_exit_exponents_match_contraction_rule():
     # exits of the first contracted class of the integer demo
-    assert mc.cycle_exit_exponent(triangle(), Arc(1, 5, F(2))) == F(4)
-    assert mc.cycle_exit_exponent(triangle(), Arc(1, 6, F(2))) == F(4)
-    assert mc.cycle_exit_exponent(triangle(), Arc(2, 5, F(4))) == F(4)
-    assert mc.cycle_exit_exponent(triangle(), Arc(3, 4, F(14))) == F(16)
+    assert cycle_exit_exponent(triangle(), Arc(1, 5, F(2))) == F(4)
+    assert cycle_exit_exponent(triangle(), Arc(1, 6, F(2))) == F(4)
+    assert cycle_exit_exponent(triangle(), Arc(2, 5, F(4))) == F(4)
+    assert cycle_exit_exponent(triangle(), Arc(3, 4, F(14))) == F(16)
     with pytest.raises(mc.GraphError):
-        mc.cycle_exit_exponent(triangle(), Arc(9, 5, F(2)))
+        cycle_exit_exponent(triangle(), Arc(9, 5, F(2)))
 
 
 def test_exit_exponent_agrees_with_law_method():
-    law = mc.quasi_invariant_cycle(triangle(), 0.25)
+    law = quasi_invariant_cycle(triangle(), 0.25)
     for arc in (Arc(1, 5, F(2)), Arc(2, 5, F(4)), Arc(3, 4, F(14))):
-        assert law.exit_exponent(arc) == mc.cycle_exit_exponent(triangle(), arc)
+        assert law.exit_exponent(arc) == cycle_exit_exponent(triangle(), arc)
     with pytest.raises(mc.GraphError):
         law.exit_exponent(Arc(9, 5, F(2)))
 
 
 def test_exit_rate_combines_occupation_and_arc_rate():
-    law = mc.quasi_invariant_cycle(triangle(), 0.25)
+    law = quasi_invariant_cycle(triangle(), 0.25)
     arc = Arc(2, 5, F(4), 1.5)
     i = law.states.index(2)
     assert law.exit_rate(arc) == pytest.approx(law.probs[i] * 1.5 * exp(-16.0))
@@ -86,9 +91,9 @@ def test_pure_cycle_law_is_the_stationary_distribution():
         Arc(3, 4, F(1, 2), 1.0),
         Arc(4, 1, F(3, 2), 0.9),
     ]
-    law = mc.quasi_invariant_cycle(arcs, eps)
+    law = quasi_invariant_cycle(arcs, eps)
     g = mc.chain_graph([(a.tail, a.head, a.weight, a.kappa) for a in arcs])
-    L = mc.generator_matrix(g, eps)
+    L = generator_matrix(g, eps)
     _u, s, vt = np.linalg.svd(L.matrix.T)
     pi = np.abs(vt[-1])
     pi /= pi.sum()
@@ -102,7 +107,7 @@ def tie_class_arcs():
 
 
 def test_class_law_uniform_exponents():
-    law = mc.quasi_invariant_class((1, 2, 3), tie_class_arcs(), 0.2)
+    law = quasi_invariant_class((1, 2, 3), tie_class_arcs(), 0.2)
     assert law.theta == F(2)
     assert law.u_min == {1: F(2), 2: F(2), 3: F(2)}
     # the rate skeleton is doubly balanced here, so the law is uniform
@@ -114,8 +119,8 @@ def test_class_law_uniform_exponents():
 
 def test_class_law_matches_cycle_law_on_a_cycle():
     eps = 0.4
-    cyc = mc.quasi_invariant_cycle(two_cycle(), eps)
-    cls = mc.quasi_invariant_class((1, 2), two_cycle(), eps)
+    cyc = quasi_invariant_cycle(two_cycle(), eps)
+    cls = quasi_invariant_class((1, 2), two_cycle(), eps)
     assert cls.theta == cyc.u_max
     for st in (1, 2):
         assert cls.probs[cls.states.index(st)] == pytest.approx(
@@ -125,25 +130,25 @@ def test_class_law_matches_cycle_law_on_a_cycle():
 
 def test_class_law_guard_rails():
     with pytest.raises(mc.GraphError):
-        mc.quasi_invariant_class((1,), [], 0.5)
+        quasi_invariant_class((1,), [], 0.5)
     with pytest.raises(mc.GraphError):
-        mc.quasi_invariant_class((1, 2), [Arc(1, 2, F(1)), Arc(2, 3, F(1))], 0.5)
+        quasi_invariant_class((1, 2), [Arc(1, 2, F(1)), Arc(2, 3, F(1))], 0.5)
     with pytest.raises(mc.GraphError):  # vertex 1 with two different weights
-        mc.quasi_invariant_class(
+        quasi_invariant_class(
             (1, 2), [Arc(1, 2, F(1)), Arc(1, 2, F(2)), Arc(2, 1, F(1))], 0.5
         )
     with pytest.raises(mc.GraphError):  # member 3 never leaves
-        mc.quasi_invariant_class(
+        quasi_invariant_class(
             (1, 2, 3), [Arc(1, 2, F(1)), Arc(2, 1, F(1))], 0.5
         )
     with pytest.raises(ValueError):
-        mc.quasi_invariant_class((1, 2), two_cycle(), -1.0)
+        quasi_invariant_class((1, 2), two_cycle(), -1.0)
 
 
 def test_class_law_rejects_disconnected_skeleton():
     arcs = [Arc(1, 2, F(1)), Arc(2, 1, F(1)), Arc(3, 4, F(1)), Arc(4, 3, F(1))]
     with pytest.raises(mc.ValidationFailure) as err:
-        mc.quasi_invariant_class((1, 2, 3, 4), arcs, 0.5)
+        quasi_invariant_class((1, 2, 3, 4), arcs, 0.5)
     assert "dimension 2" in str(err.value)
 
 
@@ -154,7 +159,7 @@ def test_escape_rate_exponent():
     )
     defects = []
     for eps in (0.15, 0.1):
-        gm = mc.generator_matrix(g, eps)
+        gm = generator_matrix(g, eps)
         keep = [gm.index[s] for s in (1, 2, 3)]
         killed = gm.matrix[np.ix_(keep, keep)]
         rate = -np.max(np.real(np.linalg.eigvals(killed)))
@@ -171,9 +176,9 @@ def test_escape_rate_level():
         [(1, 2, 2), (1, 3, 2), (2, 1, 2), (3, 1, 2), (2, 4, 3), (4, 1, 1)]
     )
     for eps in (0.2, 0.15, 0.1):
-        law = mc.quasi_invariant_class((1, 2, 3), tie_class_arcs(), eps)
+        law = quasi_invariant_class((1, 2, 3), tie_class_arcs(), eps)
         predicted = law.probs[law.states.index(2)] * exp(-3.0 / eps)
-        gm = mc.generator_matrix(g, eps)
+        gm = generator_matrix(g, eps)
         keep = [gm.index[s] for s in (1, 2, 3)]
         rate = -np.max(np.real(np.linalg.eigvals(gm.matrix[np.ix_(keep, keep)])))
         assert abs(rate - predicted) <= 0.10 * rate

@@ -1,5 +1,6 @@
-"""Report storage and JSON schema 2: shared transfer prefixes, flat
-contraction trees, deep chains, and the linear-time sweep cross-check."""
+"""Report storage and JSON schemas (2 for alg1, 3 for alg2): shared transfer
+prefixes, flat contraction trees, deep chains, and the linear-time sweep
+cross-check."""
 
 import json
 import random
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs
-from metachain.alg2 import _expanded_adjacency
+from metachain.alg1 import cycle_hierarchy
+from metachain.alg2 import _expanded_adjacency, class_hierarchy
+from metachain.chain import closed_communicating_classes
 from metachain.cli import main
+from metachain.graphio import format_rational
 
 
 def deep_funnel(n: int, seed: int = 0):
@@ -60,8 +64,8 @@ def test_deep_chain_reports_need_no_recursion(tmp_path):
     try:
         r1 = mc.run_algorithm1(g)
         r2 = mc.run_algorithm2(g)
-        roots1 = mc.cycle_hierarchy(r1)
-        roots2 = mc.class_hierarchy(r2)
+        roots1 = cycle_hierarchy(r1)
+        roots2 = class_hierarchy(r2)
         text1 = mc.dump_json(r1.to_json_dict())
         text2 = mc.dump_json(r2.to_json_dict())
         codes = [
@@ -73,9 +77,9 @@ def test_deep_chain_reports_need_no_recursion(tmp_path):
     assert codes == [0, 0]
     # the simultaneous sweep stops at full closure, one contraction short
     assert [len(roots1), len(roots2)] == [1, 2]
-    for text, name, depth in ((text1, "alg1", n - 1), (text2, "alg2", n - 2)):
+    for text, name, depth, schema in ((text1, "alg1", n - 1, 2), (text2, "alg2", n - 2, 3)):
         doc = json.loads(text)
-        assert doc["schema"] == 2
+        assert doc["schema"] == schema
         assert tree_depth(doc["contraction_tree"]) == depth
         assert (tmp_path / f"{name}.json").read_text() == text
 
@@ -85,10 +89,10 @@ def test_alg1_json_schema_2():
     doc = rep.to_json_dict()
     assert doc["schema"] == 2
     assert [(t["from"], t["to"], t["U"]) for t in doc["transfers"]] == [
-        (a.tail, a.head, mc.format_rational(a.weight)) for a in rep.transfers
+        (a.tail, a.head, format_rational(a.weight)) for a in rep.transfers
     ]
     assert doc["tgraphs"] == [
-        {"threshold": mc.format_rational(t.threshold), "end": k}
+        {"threshold": format_rational(t.threshold), "end": k}
         for k, t in enumerate(rep.tgraphs)
     ]
     flat = doc["contraction_tree"]
@@ -102,16 +106,19 @@ def test_alg1_json_schema_2():
     assert tree_depth(flat) == 3
 
 
-def test_alg2_json_schema_2():
+def test_alg2_json_schema_3():
     rep = mc.run_algorithm2(mc.nested_cycle_chain_integer())
     doc = rep.to_json_dict()
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3 and "classes" not in doc
     assert len(doc["transfers"]) == len(rep.transfers) == 12
     assert [t["end"] for t in doc["tgraphs"]] == [0, 2, 8, 12]
     assert [t["threshold"] for t in doc["tgraphs"]] == ["0", "1", "3", "4"]
     flat = doc["contraction_tree"]
     assert [node["kind"] for node in flat] == ["state"] * 3 + ["cycle"] + ["state"] * 4
     assert flat[3]["children"] == [0, 1, 2]
+    # the class's members and step, read from the tree and theta
+    assert [flat[c]["id"] for c in flat[3]["children"]] == [1, 2, 3]
+    assert doc["theta"].index(flat[3]["birth"]) + 1 == rep.classes[0].step == 2
 
 
 def test_tgraph_views_slice_and_compare():
@@ -183,7 +190,7 @@ def reference_comparison(g, r1, r2) -> list:
     s4 = (True, "absorbing vertices coincide at every matching index")
     for p, kp in enumerate(k_index, start=1):
         cc1, cc2 = (
-            mc.closed_communicating_classes(_expanded_adjacency(t.arcs), vertices=g.states)
+            closed_communicating_classes(_expanded_adjacency(t.arcs), vertices=g.states)
             for t in (r1.tgraphs[kp], r2.tgraphs[p])
         )
         where = f"at window {p} (step {kp}): "

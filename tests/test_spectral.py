@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import metachain as mc
+from metachain.chain import generator_matrix
+from metachain.demos import tied_min_arc_chain, two_state_chain
+from metachain.spectral import count_near_zero, eigenvalue_magnitudes, numerical_eigenvalues
 
 F = Fraction
 
@@ -27,26 +30,26 @@ def five_state_graph():
 
 
 def test_eigenvalue_order_and_zero():
-    gm = mc.generator_matrix(mc.two_state_chain(), 0.1)
-    eigs = mc.numerical_eigenvalues(gm)
+    gm = generator_matrix(two_state_chain(), 0.1)
+    eigs = numerical_eigenvalues(gm)
     assert len(eigs) == 2
     assert abs(eigs[0]) <= 1e-12 * gm.norm()
     assert eigs[0].real >= eigs[1].real
-    assert mc.count_near_zero(eigs, gm.norm()) == 1
+    assert count_near_zero(eigs, gm.norm()) == 1
 
 
 def test_two_state_magnitude_exactly():
-    gm = mc.generator_matrix(mc.two_state_chain(), 0.1)
-    (lam,) = mc.eigenvalue_magnitudes(mc.numerical_eigenvalues(gm))
+    gm = generator_matrix(two_state_chain(), 0.1)
+    (lam,) = eigenvalue_magnitudes(numerical_eigenvalues(gm))
     exact = exp(-10) + exp(-20)
     assert lam == pytest.approx(exact, rel=1e-12)
-    est = mc.eigenvalue_estimates(mc.run_algorithm1(mc.two_state_chain()), 0.1)
+    est = mc.eigenvalue_estimates(mc.run_algorithm1(two_state_chain()), 0.1)
     rel_err = abs(lam - est.lam[0]) / lam
     assert rel_err == pytest.approx(exp(-10), rel=1e-3)
 
 
 def test_estimates_basic():
-    rep = mc.run_algorithm1(mc.two_state_chain())
+    rep = mc.run_algorithm1(two_state_chain())
     est = mc.eigenvalue_estimates(rep, 0.1)
     assert est.lam == (exp(-10),)
     assert est.log_lam == (-10.0,)
@@ -65,10 +68,10 @@ def test_estimates_underflow_keeps_logs():
 
 
 def test_estimates_guard_rails():
-    rep = mc.run_algorithm1(mc.two_state_chain())
+    rep = mc.run_algorithm1(two_state_chain())
     with pytest.raises(ValueError):
         mc.eigenvalue_estimates(rep, 0.0)
-    tied = mc.run_algorithm1(mc.tied_min_arc_chain())
+    tied = mc.run_algorithm1(tied_min_arc_chain())
     with pytest.raises(mc.SymmetryError):
         mc.eigenvalue_estimates(tied, 0.1)
     partial = mc.run_algorithm1(
@@ -79,7 +82,7 @@ def test_estimates_guard_rails():
 
 
 def test_compare_spectrum_bare_exponents():
-    g = mc.two_state_chain()
+    g = two_state_chain()
     rows = mc.compare_spectrum(g, mc.run_algorithm1(g), (0.5, 0.25))
     assert [r.epsilon for r in rows] == [0.5, 0.25]
     # defect is eps*log(1 + e^(-1/eps)) here, so it must shrink
@@ -104,7 +107,7 @@ def test_compare_spectrum_with_prefactors():
 
 
 def test_compare_spectrum_row_json():
-    g = mc.two_state_chain()
+    g = two_state_chain()
     (row,) = mc.compare_spectrum(g, mc.run_algorithm1(g), (0.5,))
     doc = row.to_json_dict()
     assert set(doc) == {
@@ -135,8 +138,8 @@ def leverrier_faddeev(M):
 
 
 def test_five_state_spectrum_against_trace_recursion():
-    gm = mc.generator_matrix(five_state_graph(), 0.7)
-    eigs = mc.numerical_eigenvalues(gm)
+    gm = generator_matrix(five_state_graph(), 0.7)
+    eigs = numerical_eigenvalues(gm)
     roots = np.roots(leverrier_faddeev(gm.matrix))
     key = lambda z: (round(z.real, 10), round(z.imag, 10))
     for a, b in zip(sorted(eigs, key=key), sorted(roots, key=key)):
@@ -144,7 +147,7 @@ def test_five_state_spectrum_against_trace_recursion():
 
 
 def test_charpoly_two_state_exact():
-    rep = mc.charpoly_identity_check(mc.two_state_chain(), 1.0)
+    rep = mc.charpoly_identity_check(two_state_chain(), 1.0)
     assert rep.minors_path_used
     assert rep.max_rel_residual == 0.0
     assert rep.t0_coefficient == 0.0

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs
+from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
+from metachain.wgraph import WGraph, enumerate_optimal, enumerate_wgraphs, weak_nested_violations
 
 F = Fraction
 
@@ -25,56 +27,56 @@ def demo_optima(demo):
 
 
 def test_two_state_enumeration():
-    g = mc.two_state_chain()
-    singles = sorted(mc.enumerate_wgraphs(g, 1), key=lambda w: w.arcs)
+    g = two_state_chain()
+    singles = sorted(enumerate_wgraphs(g, 1), key=lambda w: w.arcs)
     assert [w.arcs for w in singles] == [((1, 2),), ((2, 1),)]
     assert [w.sinks for w in singles] == [frozenset({2}), frozenset({1})]
     assert singles[0].total_weight == F(1)
     assert singles[0].m == 1
-    full = list(mc.enumerate_wgraphs(g, 2))
+    full = list(enumerate_wgraphs(g, 2))
     assert len(full) == 1
     assert full[0].arcs == () and full[0].total_weight == 0
 
 
 def test_two_state_unique_optimum():
-    optima, unique = mc.enumerate_optimal(mc.two_state_chain(), 1)
+    optima, unique = enumerate_optimal(two_state_chain(), 1)
     assert unique
     assert optima[0].arcs == ((1, 2),)
     assert optima[0].total_weight == F(1)
 
 
 def test_wgraph_json_shape():
-    optima, _ = mc.enumerate_optimal(mc.two_state_chain(), 1)
+    optima, _ = enumerate_optimal(two_state_chain(), 1)
     doc = optima[0].to_json_dict()
     assert doc == {"sinks": [2], "arcs": [[1, 2]], "total_weight": "1"}
 
 
 def test_successor_map():
-    optima, _ = mc.enumerate_optimal(mc.two_state_chain(), 1)
+    optima, _ = enumerate_optimal(two_state_chain(), 1)
     assert optima[0].successor_map() == {1: 2}
 
 
 def test_sink_count_bounds():
-    g = mc.two_state_chain()
+    g = two_state_chain()
     with pytest.raises(ValueError):
-        list(mc.enumerate_wgraphs(g, 0))
+        list(enumerate_wgraphs(g, 0))
     with pytest.raises(ValueError):
-        list(mc.enumerate_wgraphs(g, 3))
+        list(enumerate_wgraphs(g, 3))
 
 
 def test_enumeration_cap():
     ring = [(i, i % 10 + 1, i) for i in range(1, 11)]
     g = mc.chain_graph(ring)
     with pytest.raises(mc.EnumerationCapError):
-        list(mc.enumerate_wgraphs(g, 1))
-    assert len(list(mc.enumerate_wgraphs(g, 1, cap=10))) == 10
+        list(enumerate_wgraphs(g, 1))
+    assert len(list(enumerate_wgraphs(g, 1, cap=10))) == 10
 
 
 def test_missing_sink_count_reported():
     # states 2 and 3 have no outgoing arcs, so one sink is impossible
     g = mc.chain_graph([(1, 2, 1)], states=[1, 2, 3])
     with pytest.raises(mc.GraphError):
-        mc.enumerate_optimal(g, 1)
+        enumerate_optimal(g, 1)
 
 
 def test_demo_optimum_single_sink(demo_optima):
@@ -121,7 +123,7 @@ def test_extraction_matches_enumeration(demo, demo_optima):
 
 
 def test_extraction_respects_tie_flag():
-    rep = mc.run_algorithm1(mc.tied_min_arc_chain())
+    rep = mc.run_algorithm1(tied_min_arc_chain())
     with pytest.raises(mc.SymmetryError):
         mc.extract_wgraph(rep, 1)
 
@@ -143,7 +145,7 @@ def test_extraction_sink_count_bounds(demo):
 
 
 def test_tied_optima_both_enumerated():
-    optima, unique = mc.enumerate_optimal(mc.tied_optimum_chain(), 2)
+    optima, unique = enumerate_optimal(tied_optimum_chain(), 2)
     assert not unique
     assert sorted(w.arcs for w in optima) == [((2, 1),), ((2, 3),)]
     assert {w.total_weight for w in optima} == {F(1)}
@@ -153,25 +155,25 @@ def test_weak_nesting_on_demo(demo_optima):
     for m in range(1, 7):
         fine = demo_optima[m][0][0]
         coarse = demo_optima[m + 1][0][0]
-        assert mc.weak_nested_violations(fine, coarse) == []
+        assert weak_nested_violations(fine, coarse) == []
 
 
 def test_weak_nesting_rejects_non_consecutive(demo_optima):
     fine = demo_optima[1][0][0]
     coarse = demo_optima[3][0][0]
-    problems = mc.weak_nested_violations(fine, coarse)
+    problems = weak_nested_violations(fine, coarse)
     assert problems and "not consecutive" in problems[0]
 
 
 def test_weak_nesting_flags_foreign_sinks(demo_optima):
     coarse = demo_optima[2][0][0]
-    alien = mc.WGraph(
+    alien = WGraph(
         vertices=coarse.vertices,
         sinks=frozenset({3}),
         arcs=((1, 2), (2, 3), (4, 3), (5, 4), (6, 5), (7, 6)),
         total_weight=F(1),
     )
-    problems = mc.weak_nested_violations(alien, coarse)
+    problems = weak_nested_violations(alien, coarse)
     assert problems and "not contained" in problems[0]
 
 
@@ -201,7 +203,7 @@ def oracle_graphs(draw):
 def reference_optima(g, m):
     """The lightest w-graphs with m sinks from the full enumeration, in its
     order, and whether there is exactly one; None when there are none."""
-    forests = list(mc.enumerate_wgraphs(g, m))
+    forests = list(enumerate_wgraphs(g, m))
     for w in forests:
         assert w.total_weight == sum(g.arc_map[p].weight for p in w.arcs)
     if not forests:
@@ -220,6 +222,6 @@ def test_pruned_oracle_matches_full_enumeration(g):
     for m, ref in want.items():
         if ref is None:
             with pytest.raises(mc.GraphError):
-                mc.enumerate_optimal(g, m)
+                enumerate_optimal(g, m)
         else:
-            assert mc.enumerate_optimal(g, m) == ref
+            assert enumerate_optimal(g, m) == ref

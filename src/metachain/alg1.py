@@ -21,6 +21,7 @@ import heapq
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -36,6 +37,7 @@ from .chain import (
 from .contraction import WorkingGraph, pair_key, super_vertex_key, super_vertex_name, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
+from .wgraph import ForestExpansion
 
 __all__ = [
     "Bucket",
@@ -217,6 +219,11 @@ class Alg1Report:
     @property
     def complete(self) -> bool:
         return self.stop_reason in ("bucket-empty",)
+
+    @cached_property
+    def forest_expansion(self) -> ForestExpansion:
+        """This report replayed once for ``extract_wgraph``."""
+        return ForestExpansion(self)
 
     def distinct_gamma(self) -> tuple:
         return tuple(sorted(set(self.gamma)))

@@ -7,13 +7,17 @@ here.  The oracle is an exact enumeration, pruned by branch and bound on
 integer weights: it skips only partial assignments whose every completion
 is strictly heavier than the best w-graph found, so it keeps every tied
 optimum, in enumeration order.  It stays exponential and is capped at 9
-states unless the caller raises the cap.  The other route is linear-time
-extraction from a completed sweep report, which walks the k(m)-th
-transition graph backwards from the known sinks.
+states unless the caller raises the cap.  The other route reads the
+optimum off a completed symmetry-free sweep report by Edmonds' expansion:
+the first k(m) transfers form the contracted in-forest the sweep held
+with m sinks, and expanding its cycles drops one T-arc per cycle.  The
+report is replayed once into O(n + K) integers, after which each sink
+count costs O(n + K).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -65,10 +69,6 @@ class WGraph:
             "arcs": [[state_to_json(t), state_to_json(h)] for (t, h) in self.arcs],
             "total_weight": format_rational(self.total_weight),
         }
-
-
-def _sorted_pairs(pairs: Iterable) -> tuple:
-    return tuple(sorted(pairs, key=lambda p: (state_key(p[0]), state_key(p[1]))))
 
 
 def _integer_weights(g: ChainGraph) -> tuple:
@@ -230,14 +230,135 @@ def enumerate_all_optimal(
     return result
 
 
+class ForestExpansion:
+    """A symmetry-free sweep report replayed once for in-forest extraction.
+
+    Vertex ids: the states in state order are 0..n-1, and the report's i-th
+    cycle is n + i.  The replay follows the transfers with a union-find
+    over those ids and records, in O(n + K) integers,
+
+    * ``parent[v]``: the cycle that absorbed vertex v, or -1;
+    * ``out[v]``: the transfer index of v's own T-arc, the one it sent
+      while it was a current vertex, or -1 if it sent none;
+    * ``main[i]``: the rank of cycle i's main state;
+    * per transfer its pair, tail rank and original weight as an integer
+      over ``scale``, prefix sums of those weights, and the transfer order
+      by (tail, head) that the extracted arcs are listed in;
+    * ``suffix[m]``: delta_m + ... + delta_(n-1) as an integer over
+      ``scale``, for every m whose exponents the run has fixed.
+    """
+
+    __slots__ = (
+        "states", "rank", "scale", "pairs", "tails", "weights", "prefix",
+        "by_tail", "steps", "parent", "out", "main", "suffix",
+    )
+
+    def __init__(self, report):
+        g = report.graph
+        self.states = tuple(_decision_order(g))
+        rank = self.rank = {s: i for i, s in enumerate(self.states)}
+        n = len(self.states)
+        self.scale, int_weight = _integer_weights(g)
+        self.pairs = [a.pair() for a in report.transfers]
+        tails = self.tails = [rank[t] for (t, _h) in self.pairs]
+        self.weights = [int_weight[p] for p in self.pairs]
+        self.prefix = list(accumulate(self.weights, initial=0))
+        self.by_tail = sorted(
+            range(len(self.pairs)), key=lambda i: (tails[i], rank[self.pairs[i][1]])
+        )
+        cycles = report.cycles
+        self.steps = [rec.step for rec in cycles]
+        self.main = [rank[rec.main_state] for rec in cycles]
+        vid = {rec.member_states: n + i for i, rec in enumerate(cycles)}
+        parent = self.parent = [-1] * (n + len(cycles))
+        out = self.out = [-1] * (n + len(cycles))
+        if cycles and cycles[-1].step > len(tails):
+            raise InternalInvariantError("a cycle closes after the last transfer")
+        closing = {rec.step: rec for rec in cycles}
+        up = list(range(n + len(cycles)))  # union-find: the current vertex of each id
+        for i, t in enumerate(tails):
+            while up[t] != t:
+                up[t] = up[up[t]]
+                t = up[t]
+            if out[t] != -1:
+                raise InternalInvariantError(f"vertex {t} sends two T-arcs")
+            out[t] = i
+            rec = closing.get(i + 1)
+            if rec is not None:
+                for v in rec.member_vids:
+                    v = vid[v] if isinstance(v, frozenset) else rank[v]
+                    parent[v] = up[v] = vid[rec.member_states]
+        self.suffix = [None] * (n + 1)
+        self.suffix[n] = total = 0
+        for m in range(n - 1, 0, -1):
+            d = report.delta[m - 1]
+            if d is None:
+                break
+            d *= self.scale
+            if d.denominator != 1:
+                raise InternalInvariantError(f"delta_{m} is off the weights' grid 1/{self.scale}")
+            self.suffix[m] = total = total + d.numerator
+
+    def forest(self, m: int, k: int, sinks: Iterable) -> tuple:
+        """(arcs, integer total) of the optimal in-forest with these m sinks,
+        the roots of the contracted forest after step k = k(m)."""
+        n = len(self.states)
+        r = bisect_right(self.steps, k)  # cycles closed by step k
+        if n - k + r != m:
+            raise InternalInvariantError(f"{r} cycles by step {k} leave {n - k + r} sinks, not {m}")
+        parent, out, tails, main = self.parent, self.out, self.tails, self.main
+        # Outer cycles first: each cycle not yet resolved gets its root
+        # point (the tail of its kept T-arc, or its main state when it sent
+        # none by step k) and the T-arcs of every vertex between that point
+        # and the cycle are dropped; those vertices hold their parents'
+        # root points, so they are resolved too.
+        dropped: set = set()
+        resolved: set = set()
+        for c in range(n + r - 1, n - 1, -1):
+            if c in resolved:
+                continue
+            o = out[c]
+            x = tails[o] if 0 <= o < k else main[c - n]
+            while x != c:
+                if x < 0:
+                    raise InternalInvariantError(f"root point of cycle {c - n + 1} lies outside it")
+                resolved.add(x)
+                dropped.add(out[x])
+                x = parent[x]
+        kept = [i for i in self.by_tail if i < k and i not in dropped]
+        covered = {tails[i] for i in kept}
+        covered.update(self.rank[s] for s in sinks)
+        if len(kept) != n - m or len(covered) != n:
+            raise InternalInvariantError(
+                f"expansion after step {k} gives {len(kept)} arcs, not {n - m}, or its "
+                f"tails and the {m} sinks cover {len(covered)} of the {n} states"
+            )
+        total = self.prefix[k] - sum(self.weights[i] for i in dropped)
+        if total != self.suffix[m]:
+            raise InternalInvariantError(
+                f"the {m}-sink forest weighs {Fraction(total, self.scale)}, "
+                f"not delta_{m} + ... + delta_{n - 1}"
+            )
+        return tuple(self.pairs[i] for i in kept), total
+
+
 def extract_wgraph(report, m: int) -> WGraph:
     """Optimal w-graph with m sinks, read off a completed sweep report.
 
-    Sinks are the recorded z*(1) together with s*(1..m-1); the arcs are
-    found by tracing the k(m)-th transition graph backwards from the sinks,
-    visiting each vertex once.  Weights come from the original graph.
-    Refuses reports with detected symmetry (optima need not be unique) and
-    reports stopped before step k(m).
+    The sinks are the recorded z*(1) together with s*(1..m-1).  The arcs
+    come from Edmonds' expansion of the contracted forest the sweep holds
+    after step k(m) (Edmonds 1967, "Optimum branchings", *J. Res. NBS*
+    71B; Camerini, Fratta & Maffioli 1979, "A note on finding optimum
+    branchings", *Networks* 9): start from the first k(m) transfers and,
+    for every cycle closed by then, drop the T-arc of the member holding
+    the cycle's root point.  A cycle's root point is the tail of its own
+    T-arc when that arc is kept; a cycle that holds its outer cycle's root
+    point loses its own T-arc and takes that point; a cycle that sent no
+    T-arc by step k(m) takes its main state, a sink.  The report is
+    replayed once (``ForestExpansion``, kept on the report) and each m
+    costs O(n + K).  Weights come from the original graph, summed as
+    integers.  Refuses reports with detected symmetry (optima need not be
+    unique) and reports stopped before step k(m).
     """
     if report.symmetry_detected:
         raise SymmetryError(
@@ -245,53 +366,24 @@ def extract_wgraph(report, m: int) -> WGraph:
             f"{report.symmetry_step} ({report.symmetry_kind}); "
             "extraction is only valid without ties"
         )
-    g = report.graph
-    n = g.n
+    n = report.graph.n
     if not (1 <= m <= n - 1):
         raise ValueError(f"sink count must lie in [1, {n - 1}], got {m}")
-    needed = set(range(1, m + 1))
-    missing = [j for j in sorted(needed) if j not in report.sinks]
-    if missing or report.sinks[m].k >= len(report.tgraphs):
+    missing = [j for j in range(1, m + 1) if j not in report.sinks]
+    if missing or report.sinks[m].k > report.K:
         raise GraphError(
             f"report stopped too early to extract the {m}-sink optimum"
         )
-    rec_m = report.sinks[m]
-    tgraph = report.tgraphs[rec_m.k]
-    sink_list = [report.sinks[1].z_star] + [report.sinks[j].s_star for j in range(1, m)]
-    if len(set(sink_list)) != m:
+    sinks = frozenset([report.sinks[1].z_star] + [report.sinks[j].s_star for j in range(1, m)])
+    if len(sinks) != m:
         raise InternalInvariantError("recorded sinks are not pairwise distinct")
-
-    incoming: dict = {}
-    for a in tgraph.arcs:
-        incoming.setdefault(a.head, []).append(a)
-    for heads in incoming.values():
-        if len(heads) > 1:
-            heads.sort(key=lambda a: state_key(a.tail))
-
-    visited = set(sink_list)
-    order = list(sink_list)  # breadth-first: grows while it is walked
-    chosen_pairs: list = []
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for a in incoming.get(v, ()):
-            if a.tail in visited:
-                continue
-            visited.add(a.tail)
-            chosen_pairs.append(a.pair())
-            order.append(a.tail)
-    if len(chosen_pairs) != n - m or len(visited) != n:
-        raise InternalInvariantError(
-            f"backward trace covered {len(visited)} of {n} vertices "
-            f"with {len(chosen_pairs)} arcs"
-        )
-    total = sum((g.arc_map[p].weight for p in chosen_pairs), Fraction(0))
+    expansion = report.forest_expansion
+    arcs, total = expansion.forest(m, report.sinks[m].k, sinks)
     return WGraph(
-        vertices=tuple(sorted(g.states, key=state_key)),
-        sinks=frozenset(sink_list),
-        arcs=_sorted_pairs(chosen_pairs),
-        total_weight=total,
+        vertices=expansion.states,
+        sinks=sinks,
+        arcs=arcs,
+        total_weight=Fraction(total, expansion.scale),
     )
 
 
@@ -317,12 +409,17 @@ def weak_nested_violations(fine: WGraph, coarse: WGraph) -> list:
     (lost_sink,) = lost
 
     succ = coarse.successor_map()
+    root: dict = {}  # vertex -> its tree's sink, for every vertex walked so far
 
     def root_of(v):
-        cur = v
-        while cur in succ:
-            cur = succ[cur]
-        return cur
+        path = []
+        while v in succ and v not in root:
+            path.append(v)
+            v = succ[v]
+        r = root.get(v, v)
+        for p in path:
+            root[p] = r
+        return r
 
     basin = {v for v in coarse.vertices if root_of(v) == lost_sink}
     outside_coarse = {p for p in coarse.arcs if p[0] not in basin}

@@ -1,5 +1,7 @@
 """Spanning in-forest enumeration, sweep-based extraction and nesting."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,6 +122,132 @@ def test_extraction_matches_enumeration(demo, demo_optima):
         got = mc.extract_wgraph(rep, m)
         want = demo_optima[m][0][0]
         assert got == want
+
+
+def test_extraction_expands_the_cycle_holding_the_sink():
+    # State 2 sends both its arc 2->5 on the cycle {2,3,5} and that
+    # cycle's exit arc 2->1.  The cycle {1,2,3,5} holds the sink 3, so its
+    # expansion drops the exit arc 2->1 and keeps 2->5; a breadth-first
+    # walk from the sink meets 2->1 first and returns a forest of 289.
+    g = mc.chain_graph(
+        [(1, 3, 49), (2, 1, 70), (2, 5, 52), (3, 2, 73),
+         (4, 1, 94), (5, 3, 15), (5, 6, 86), (6, 4, 61)]
+    )
+    rep = mc.run_algorithm1(g)
+    assert not rep.symmetry_detected
+    got = mc.extract_wgraph(rep, 1)
+    assert got.total_weight == 271
+    assert got.arcs == ((1, 3), (2, 5), (4, 1), (5, 3), (6, 4))
+    per_m = mc.enumerate_all_optimal(g)
+    for m in range(1, g.n):
+        optima, unique = per_m[m]
+        assert unique
+        assert mc.extract_wgraph(rep, m) == optima[0]
+
+
+def unscreened_chain(rng, n_range=(4, 7)):
+    """A Hamiltonian cycle plus random arcs up to 2n in all, with distinct
+    integer weights 1..999; the sweep may still see repriced ties."""
+    n = rng.randint(*n_range)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    seen = set(pairs)
+    target = rng.randint(n, 2 * n)
+    while len(pairs) < target:
+        t, h = rng.randint(1, n), rng.randint(1, n)
+        if t != h and (t, h) not in seen:
+            seen.add((t, h))
+            pairs.append((t, h))
+    weights = rng.sample(range(1, 1000), len(pairs))
+    return mc.chain_graph([(t, h, w) for (t, h), w in zip(pairs, weights)])
+
+
+def test_extraction_matches_enumeration_on_unscreened_chains():
+    rng = random.Random(3)
+    checked = refused = 0
+    for _ in range(3000):
+        g = unscreened_chain(rng)
+        rep = mc.run_algorithm1(g)
+        if rep.symmetry_detected:
+            with pytest.raises(mc.SymmetryError):
+                mc.extract_wgraph(rep, 1)
+            refused += 1
+            continue
+        per_m = mc.enumerate_all_optimal(g)
+        for m in range(1, g.n):
+            optima, unique = per_m[m]
+            assert unique
+            assert mc.extract_wgraph(rep, m) == optima[0], (g.arcs, m)
+            checked += 1
+    assert checked > 10000 and refused < 30
+
+
+def distinct_chain(rng, n):
+    """A Hamiltonian cycle plus random arcs, 3n in all, with distinct
+    exponents on the 1/7 grid."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    seen = set(pairs)
+    while len(pairs) < 3 * n:
+        t, h = rng.randint(1, n), rng.randint(1, n)
+        if t != h and (t, h) not in seen:
+            seen.add((t, h))
+            pairs.append((t, h))
+    ks = rng.sample(range(7, 7 * 10**5), len(pairs))
+    return mc.chain_graph([(t, h, F(k, 7)) for (t, h), k in zip(pairs, ks)])
+
+
+def funnel_chain(rng, n):
+    """A birth-death funnel draining into state 1 whose cycles nest n - 1
+    levels deep."""
+    arcs = []
+    for i in range(1, n):
+        down = F(7000 * i + rng.randint(1, 6999), 7)
+        arcs.append((i, i + 1, down + F(rng.randint(1, 35000), 7)))
+        arcs.append((i + 1, i, down))
+    return mc.chain_graph(arcs)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [distinct_chain(random.Random(3), 250), funnel_chain(random.Random(1), 600)],
+    ids=["distinct-250", "funnel-600"],
+)
+def test_large_chain_identity_and_weak_nesting(g):
+    rep = mc.run_algorithm1(g)
+    assert not rep.symmetry_detected
+    ws = [mc.extract_wgraph(rep, m) for m in range(1, g.n)]
+    later = F(0)  # W(n) = 0
+    for m in range(g.n - 1, 0, -1):
+        w = ws[m - 1]
+        assert len(w.arcs) == g.n - m
+        assert w.total_weight - later == rep.delta[m - 1], m
+        later = w.total_weight
+    for m in range(1, g.n - 1):
+        assert weak_nested_violations(ws[m - 1], ws[m]) == [], m
+
+
+def _shift_delta_1(rep):
+    return dataclasses.replace(rep, delta=(rep.delta[0] + 1,) + rep.delta[1:])
+
+
+def _move_last_sink(rep):
+    sinks = dict(rep.sinks)
+    sinks[1] = dataclasses.replace(sinks[1], z_star=1)  # state 1 sends an arc
+    return dataclasses.replace(rep, sinks=sinks)
+
+
+def _drop_first_cycle(rep):
+    return dataclasses.replace(rep, cycles=rep.cycles[1:])
+
+
+@pytest.mark.parametrize("tamper", [_shift_delta_1, _move_last_sink, _drop_first_cycle])
+def test_extraction_checks_its_invariants(demo, tamper):
+    _, rep = demo
+    with pytest.raises(mc.InternalInvariantError):
+        mc.extract_wgraph(tamper(rep), 1)
 
 
 def test_extraction_respects_tie_flag():

@@ -15,6 +15,7 @@ import math
 import sys
 
 import metachain as mc
+from metachain.chain import parse_state
 
 
 def main(argv=None) -> int:
@@ -36,11 +37,7 @@ def main(argv=None) -> int:
         )
     tgraph = sweep.tgraphs[args.tgraph]
     threshold = float(tgraph.threshold)
-    if args.x0 is None:
-        x0 = g.states[0]
-    else:
-        tok = args.x0.strip()
-        x0 = int(tok) if tok.lstrip("+-").isdigit() else tok
+    x0 = g.states[0] if args.x0 is None else parse_state(args.x0)
 
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
     results = []

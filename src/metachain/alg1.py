@@ -30,11 +30,11 @@ from .chain import (
     ChainGraph,
     InternalInvariantError,
     State,
-    ValidationFailure,
     state_key,
+    super_vertex_name,
     validate,
 )
-from .contraction import WorkingGraph, pair_key, super_vertex_key, super_vertex_name, vertex_key
+from .contraction import WorkingGraph, super_vertex_key, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 from .wgraph import ForestExpansion
@@ -54,48 +54,41 @@ __all__ = [
 
 
 class Bucket:
-    """Exact min-priority structure over arcs; ties are reported, not hidden."""
+    """Exact min-priority structure over arcs; ties are reported, not hidden.
 
-    def __init__(self):
+    Arcs are keyed on (weight, rank of their pair), so arcs of one weight
+    leave in rank order (``WorkingGraph.rank``).
+    """
+
+    def __init__(self, rank: dict):
         self._heap: list = []
+        self._rank = rank
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def insert(self, arc: Arc) -> None:
-        heapq.heappush(self._heap, (arc.weight, pair_key(arc), arc))
+        heapq.heappush(self._heap, (arc.weight, self._rank[arc.tail, arc.head], arc))
 
     def peek_min_weight(self) -> Fraction:
         if not self._heap:
             raise IndexError("bucket is empty")
         return self._heap[0][0]
 
-    def _pop_min_group(self) -> list[Arc]:
-        w = self.peek_min_weight()
-        group = [heapq.heappop(self._heap)[2]]
-        while self._heap and self._heap[0][0] == w:
-            group.append(heapq.heappop(self._heap)[2])
-        return group
-
-    def extract_min(self, tie_break: str = "lex") -> tuple[Arc, bool]:
-        """Remove and return a globally minimal arc plus a tie flag.
-
-        Among tied arcs, "lex" picks the smallest (tail, head), "revlex"
-        the largest; the rest go back into the bucket.
-        """
-        group = self._pop_min_group()
-        group.sort(key=pair_key)
-        chosen = group[0] if tie_break == "lex" else group[-1]
-        for a in group:
-            if a is not chosen:
-                self.insert(a)
-        return chosen, len(group) > 1
+    def extract_min(self) -> tuple[Arc, bool]:
+        """Remove the least-rank arc of minimal weight; the flag tells
+        whether another arc has that weight too."""
+        w, _, arc = heapq.heappop(self._heap)
+        return arc, bool(self._heap) and self._heap[0][0] == w
 
     def extract_all_min(self) -> tuple[Fraction, list[Arc]]:
-        """Remove every arc attaining the current minimum weight."""
-        group = self._pop_min_group()
-        group.sort(key=pair_key)
-        return group[0].weight, group
+        """Remove every arc attaining the current minimum weight, in rank order."""
+        heap = self._heap
+        w, _, arc = heapq.heappop(heap)
+        group = [arc]
+        while heap and heap[0][0] == w:
+            group.append(heapq.heappop(heap)[2])
+        return w, group
 
 
 class TGraph:
@@ -278,16 +271,11 @@ def run_algorithm1(
     if stop.kind not in ("bucket-empty", "bucket-size-one", "exponent-threshold", "custom"):
         raise ValueError(f"stop criterion {stop.kind!r} does not apply to this sweep")
     vreport = validate(g)
-    if not vreport.satisfies_a2:
-        raise ValidationFailure(
-            "the sweep needs exactly one closed communicating class, found "
-            f"{len(vreport.closed_classes)}: "
-            + ", ".join(super_vertex_name(c) for c in vreport.closed_classes)
-        )
+    vreport.require_one_closed_class()
 
     n = g.n
-    wg = WorkingGraph(g)
-    bucket = Bucket()
+    wg = WorkingGraph(g, revlex=tie_break == "revlex")
+    bucket = Bucket(wg.rank)
     kappa_min: dict = {}
     main: dict = {s: s for s in g.states}
 
@@ -303,7 +291,7 @@ def run_algorithm1(
             return None
         if len(attaining) > 1:
             note_symmetry(step, "min-arc-multiplicity")
-        chosen = attaining[0] if tie_break == "lex" else attaining[-1]
+        chosen = attaining[0]
         kappa_min[vid] = chosen.kappa
         bucket.insert(chosen)
         return chosen
@@ -331,7 +319,7 @@ def run_algorithm1(
         if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= stop.threshold:
             stop_reason = "exponent-threshold"
             break
-        arc, tied = bucket.extract_min(tie_break)
+        arc, tied = bucket.extract_min()
         k += 1
         if tied:
             note_symmetry(k, "bucket-min-multiplicity")

@@ -37,13 +37,13 @@ from .chain import (
     GraphError,
     InternalInvariantError,
     State,
-    ValidationFailure,
     closed_communicating_classes,
     state_key,
     strongly_connected_components,
+    super_vertex_name,
     validate,
 )
-from .contraction import WorkingGraph, super_vertex_name, vertex_key
+from .contraction import WorkingGraph, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
@@ -173,16 +173,10 @@ def run_algorithm2(
         stop = StopCriterion.bucket_empty()
     if stop.kind not in ("bucket-empty", "exponent-threshold", "class-covering", "custom"):
         raise ValueError(f"stop criterion {stop.kind!r} does not apply to this sweep")
-    vreport = validate(g)
-    if not vreport.satisfies_a2:
-        raise ValidationFailure(
-            "the sweep needs exactly one closed communicating class, found "
-            f"{len(vreport.closed_classes)}: "
-            + ", ".join(super_vertex_name(c) for c in vreport.closed_classes)
-        )
+    validate(g).require_one_closed_class()
 
     wg = WorkingGraph(g)
-    bucket = Bucket()
+    bucket = Bucket(wg.rank)
     for v in sorted(wg.vertices, key=state_key):
         for a in wg.min_arcs(v):
             bucket.insert(a)

@@ -8,14 +8,19 @@ stands for an infinite exponent, i.e. a forbidden transition.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 State = Union[int, str]
+
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "Arc",
@@ -34,8 +39,10 @@ __all__ = [
     "closed_communicating_classes",
     "generator_matrix",
     "parse_rational",
+    "parse_state",
     "state_key",
     "strongly_connected_components",
+    "super_vertex_name",
     "validate",
 ]
 
@@ -71,6 +78,20 @@ def state_key(s: State):
     if isinstance(s, str):
         return (1, 0, str(s))
     raise GraphError(f"invalid state id {s!r}: state ids are ints or strings")
+
+
+def parse_state(token: str) -> State:
+    """Read a state id from text: an ASCII ``[+-]?[0-9]+`` token is an int,
+    anything else is the stripped token as a string."""
+    t = token.strip()
+    if t.isascii() and (t.isdigit() or t[:1] in ("+", "-") and t[1:].isdigit()):
+        return int(t)
+    return t
+
+
+def super_vertex_name(states: Iterable[State]) -> str:
+    """Display name of a state set, such as "{1,2,3}": its members in state order."""
+    return "{" + ",".join(str(s) for s in sorted(states, key=state_key)) + "}"
 
 
 def parse_rational(value) -> Fraction:
@@ -114,6 +135,8 @@ class Arc:
 
 @dataclass(frozen=True)
 class ChainGraph:
+    """A checked chain.  A prefactor is a finite positive int or float, stored as a float."""
+
     states: tuple[State, ...]
     arcs: tuple[Arc, ...]
 
@@ -127,31 +150,35 @@ class ChainGraph:
                 raise GraphError(f"duplicate state {s!r}")
             seen.add(s)
         pairs: set[tuple[State, State]] = set()
-        prefactor_mode: bool | None = None
-        for a in self.arcs:
-            where = f"arc {a.tail!r}->{a.head!r}"
-            state_key(a.tail)
-            state_key(a.head)
-            if a.tail not in seen or a.head not in seen:
-                raise GraphError(f"{where} references an unknown state")
-            if a.tail == a.head:
-                raise GraphError(f"{where} is a self-loop")
-            if a.pair() in pairs:
-                raise GraphError(f"{where} appears more than once")
-            pairs.add(a.pair())
-            if not isinstance(a.weight, Fraction):
-                raise GraphError(f"{where} has non-Fraction weight {a.weight!r}")
-            if a.weight <= 0:
-                raise GraphError(f"{where} has nonpositive weight {a.weight}")
-            has_k = a.kappa is not None
-            if has_k and not (isinstance(a.kappa, (int, float)) and a.kappa > 0):
-                raise GraphError(f"{where} has nonpositive prefactor {a.kappa!r}")
-            if prefactor_mode is None:
-                prefactor_mode = has_k
-            elif prefactor_mode != has_k:
-                raise GraphError(
-                    f"{where} mixes prefactor modes: prefactors are all-or-none"
-                )
+        with_prefactors = self.has_prefactors
+        arcs = list(self.arcs)
+        for i, a in enumerate(arcs):
+            t, h, w, k = a.tail, a.head, a.weight, a.kappa
+            state_key(t)
+            state_key(h)
+            if t not in seen or h not in seen:
+                problem = " references an unknown state"
+            elif t == h:
+                problem = " is a self-loop"
+            elif (t, h) in pairs:
+                problem = " appears more than once"
+            elif not isinstance(w, Fraction):
+                problem = f" has non-Fraction weight {w!r}"
+            elif w.numerator <= 0:
+                problem = f" has nonpositive weight {w}"
+            elif (k is not None) != with_prefactors:
+                problem = " mixes prefactor modes: prefactors are all-or-none"
+            elif k is None or (type(k) is float and 0 < k <= _FLOAT_MAX):
+                problem = None
+            elif isinstance(k, bool) or not isinstance(k, (int, float)) or not 0 < k <= _FLOAT_MAX:
+                problem = f": prefactor must be a finite positive number, got {k!r}"
+            else:
+                problem = None
+                arcs[i] = Arc(t, h, w, float(k))
+            if problem:
+                raise GraphError(f"arc {t!r}->{h!r}{problem}")
+            pairs.add((t, h))
+        object.__setattr__(self, "arcs", tuple(arcs))
 
     @property
     def n(self) -> int:
@@ -180,11 +207,13 @@ class ChainGraph:
 
 
 def chain_graph(arcs: Iterable[Sequence], states: Iterable[State] | None = None) -> ChainGraph:
-    """Build a ChainGraph from ``(tail, head, weight[, kappa])`` tuples.
+    """Build a ChainGraph from ``(tail, head, weight[, kappa])`` rows.
 
-    Weights may be ints, Fractions or rational/decimal strings.  When
-    ``states`` is omitted the state set is collected from the arcs and
-    sorted deterministically.
+    This is the one builder every graph reader goes through.  Weights may
+    be ints, Fractions or rational/decimal strings (see ``parse_rational``).
+    A prefactor is taken as given: an int or a float that is finite and
+    positive, never a string or a bool.  When ``states`` is omitted the
+    state set is collected from the arcs and sorted deterministically.
     """
     built: list[Arc] = []
     for item in arcs:
@@ -193,7 +222,6 @@ def chain_graph(arcs: Iterable[Sequence], states: Iterable[State] | None = None)
             kappa = None
         elif len(item) == 4:
             t, h, w, kappa = item
-            kappa = float(kappa)
         else:
             raise GraphError(f"arc tuple {item!r} must have 3 or 4 entries")
         try:
@@ -202,11 +230,7 @@ def chain_graph(arcs: Iterable[Sequence], states: Iterable[State] | None = None)
             raise GraphError(f"arc {t!r}->{h!r}: {exc}") from exc
         built.append(Arc(t, h, w, kappa))
     if states is None:
-        seen: set[State] = set()
-        for a in built:
-            seen.add(a.tail)
-            seen.add(a.head)
-        states = sorted(seen, key=state_key)
+        states = sorted({s for a in built for s in (a.tail, a.head)}, key=state_key)
     return ChainGraph(tuple(states), tuple(built))
 
 
@@ -339,6 +363,15 @@ class ValidationReport:
             "satisfies_a2": self.satisfies_a2,
         }
 
+    def require_one_closed_class(self) -> None:
+        """Refuse a chain without exactly one closed communicating class."""
+        if not self.satisfies_a2:
+            raise ValidationFailure(
+                "expected exactly one closed communicating class, found "
+                f"{len(self.closed_classes)}: "
+                + ", ".join(super_vertex_name(c) for c in self.closed_classes)
+            )
+
 
 def validate(g: ChainGraph) -> ValidationReport:
     """Semantic validation: SCC partition, closed classes, key assumptions.
@@ -375,9 +408,17 @@ class GeneratorMatrix:
         return float(np.max(np.abs(self.matrix)))
 
 
-def check_epsilon(epsilon) -> None:
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0):
-        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
+def check_epsilon(epsilon) -> float:
+    """The one epsilon rule: a real number, not a bool, finite and positive.
+    It is returned as a float, so every caller computes in float64."""
+    if isinstance(epsilon, Real) and not isinstance(epsilon, bool):
+        try:
+            eps = float(epsilon)
+        except OverflowError:
+            eps = math.inf
+        if 0 < eps < math.inf:
+            return eps
+    raise ValueError(f"epsilon must be a finite positive real, got {epsilon!r}")
 
 
 def arc_rate(a: Arc, epsilon: float) -> float:
@@ -393,7 +434,7 @@ def generator_matrix(g: ChainGraph, epsilon: float) -> GeneratorMatrix:
     they default to 1 and the result is flagged ``order_one_only``: its
     entries are correct to exponential order only.
     """
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     idx = {s: i for i, s in enumerate(g.states)}
     n = g.n
     L = np.zeros((n, n), dtype=float)
@@ -403,7 +444,7 @@ def generator_matrix(g: ChainGraph, epsilon: float) -> GeneratorMatrix:
     np.fill_diagonal(L, -L.sum(axis=1))
     return GeneratorMatrix(
         states=g.states,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         matrix=L,
         order_one_only=not g.has_prefactors,
     )

@@ -20,6 +20,7 @@ from .chain import (
     SymmetryError,
     ValidationFailure,
     generator_matrix,
+    parse_state,
     validate,
 )
 from .demos import nested_cycle_chain
@@ -45,13 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _state_token(tok: str):
-    t = tok.strip()
-    if t.lstrip("+-").isdigit():
-        return int(t)
-    return t
-
-
 def _parse_stop(spec: str) -> StopCriterion:
     if spec == "bucket-empty":
         return StopCriterion.bucket_empty()
@@ -66,8 +60,7 @@ def _parse_stop(spec: str) -> StopCriterion:
             raise GraphError(
                 f"covering stop needs two ';'-separated state lists, got {spec!r}"
             )
-        a = [_state_token(s) for s in parts[0].split(",") if s.strip()]
-        b = [_state_token(s) for s in parts[1].split(",") if s.strip()]
+        a, b = ([parse_state(s) for s in part.split(",") if s.strip()] for part in parts)
         if not a or not b:
             raise GraphError(f"covering stop has an empty target list in {spec!r}")
         return StopCriterion.class_covering(a, b)
@@ -155,16 +148,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> int:
-    g = _load(args)
-    report = validate(g)
+    report = validate(_load(args))
     _emit(dump_json(report.to_json_dict()), args.out)
-    if not report.satisfies_a2:
-        print(
-            "validation failed: expected exactly one closed communicating class, "
-            f"found {len(report.closed_classes)}",
-            file=sys.stderr,
-        )
-        return 1
+    report.require_one_closed_class()
     return 0
 
 
@@ -255,7 +241,7 @@ def _cmd_kmc(args) -> int:
         raise GraphError(f"kmc takes one --epsilon, got {len(args.epsilon)}")
     g = _load(args)
     eps = args.epsilon[0]
-    x0 = _state_token(args.x0)
+    x0 = parse_state(args.x0)
     trajs = simulate_ensemble(g, eps, x0, args.horizon, args.n, args.seed)
     if args.window:
         lo_s, hi_s = args.window.split(":", 1)

@@ -21,13 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key
+from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key, super_vertex_name
 
 __all__ = [
     "WorkingGraph",
-    "pair_key",
     "super_vertex_key",
-    "super_vertex_name",
     "updated_prefactor",
     "updated_weight",
     "vertex_key",
@@ -36,29 +34,17 @@ __all__ = [
 Pair = Tuple[State, State]
 
 
-def super_vertex_name(states: Iterable[State]) -> str:
-    return _braced(str(s) for s in sorted(states, key=state_key))
-
-
-def _braced(names: Iterable[str]) -> str:
-    return "{" + ",".join(names) + "}"
-
-
 def super_vertex_key(ordered_names: Iterable[str]) -> tuple:
     """Sort key of the super-vertex whose states, in state order, have
     these names.  A state named like a super-vertex sorts just before it."""
-    return (*state_key(_braced(ordered_names)), 1)
+    return (*state_key("{" + ",".join(ordered_names) + "}"), 1)
 
 
 def vertex_key(v) -> tuple:
     """Sort key of a current vertex: a state, or a super-vertex by its name."""
     if isinstance(v, frozenset):
-        return super_vertex_key(str(s) for s in sorted(v, key=state_key))
+        return (*state_key(super_vertex_name(v)), 1)
     return (*state_key(v), 0)
-
-
-def pair_key(a: Arc) -> tuple:
-    return (state_key(a.tail), state_key(a.head))
 
 
 def updated_weight(u_ij, u_min_i, threshold) -> Fraction:
@@ -79,9 +65,18 @@ class WorkingGraph:
     out[vid]: outgoing arcs not yet transferred, keyed by original pair;
               each Arc carries its in-force (possibly updated) weight.
     u_min[vid]: least weight of vid's arcs, as last read by ``min_arcs``.
+    rank[pair]: an int placing an original arc pair in (tail, head) state
+                order, reversed when ``revlex``; the one order among arcs of
+                equal weight.
     """
 
-    def __init__(self, g: ChainGraph):
+    def __init__(self, g: ChainGraph, revlex: bool = False):
+        n = g.n
+        place = {s: i for i, s in enumerate(sorted(g.states, key=state_key))}
+        sign = -1 if revlex else 1
+        self.rank: Dict[Pair, int] = {
+            (a.tail, a.head): sign * (place[a.tail] * n + place[a.head]) for a in g.arcs
+        }
         self.vertices: set = set(g.states)
         self.vertex_of: Dict = {s: s for s in g.states}
         self.out: Dict = {s: {} for s in g.states}
@@ -93,7 +88,7 @@ class WorkingGraph:
         del self.out[self.vertex_of[arc.tail]][arc.pair()]
 
     def min_arcs(self, vid) -> list:
-        """The least-weight arcs of ``vid`` in (tail, head) order.
+        """The least-weight arcs of ``vid`` in rank order.
 
         Records their weight as ``u_min[vid]``; a vertex without arcs gets
         an empty list and no entry.
@@ -102,7 +97,8 @@ class WorkingGraph:
         if not arcs:
             return []
         w = self.u_min[vid] = min(a.weight for a in arcs)
-        return sorted((a for a in arcs if a.weight == w), key=pair_key)
+        rank = self.rank
+        return sorted((a for a in arcs if a.weight == w), key=lambda a: rank[a.tail, a.head])
 
     def contract(
         self,

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key
+from .chain import Arc, ChainGraph, GraphError, State, chain_graph, parse_rational, parse_state, state_key
 
 __all__ = [
     "parse_rational",
@@ -73,25 +73,18 @@ def graph_from_json_dict(doc: dict) -> ChainGraph:
     for key, value in (("states", states), ("arcs", raw_arcs)):
         if not isinstance(value, list):
             raise GraphError(f"graph {key!r} must be a JSON list, got {value!r}")
-    arcs = []
-    for entry in raw_arcs:
-        if not isinstance(entry, dict):
-            raise GraphError(f"arc entry must be a JSON object, got {entry!r}")
-        try:
-            tail, head, u = entry["from"], entry["to"], entry["U"]
-        except KeyError as exc:
-            raise GraphError(f"arc entry missing key {exc.args[0]!r}: {entry!r}") from exc
-        kappa = entry.get("kappa")
-        if kappa is not None and (isinstance(kappa, bool) or not isinstance(kappa, (int, float))):
-            raise GraphError(f"arc prefactor must be a number, got {kappa!r}: {entry!r}")
-        arc = Arc(
-            tail,
-            head,
-            parse_rational(u),
-            None if kappa is None else float(kappa),
-        )
-        arcs.append(arc)
-    return ChainGraph(tuple(states), tuple(arcs))
+    return chain_graph(map(_json_row, raw_arcs), states)
+
+
+def _json_row(entry) -> tuple:
+    if not isinstance(entry, dict):
+        raise GraphError(f"arc entry must be a JSON object, got {entry!r}")
+    try:
+        row = (entry["from"], entry["to"], entry["U"])
+    except KeyError as exc:
+        raise GraphError(f"arc entry missing key {exc.args[0]!r}: {entry!r}") from exc
+    kappa = entry.get("kappa")
+    return row if kappa is None else (*row, kappa)
 
 
 def dump_json(doc: dict) -> str:
@@ -109,20 +102,15 @@ def graph_to_tsv(g: ChainGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce_state(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
 def graph_from_tsv(text: str) -> ChainGraph:
     """Parse ``tail<TAB>head<TAB>U[<TAB>kappa]`` rows; ``#`` starts a comment.
 
-    State tokens that look like integers become ints, anything else stays a
-    string.  The state set is collected from the arcs.
+    State columns are read by ``parse_state`` (an ASCII ``[+-]?[0-9]+``
+    token is an int, anything else a string), the U column by
+    ``parse_rational`` and the kappa column as a float; ``chain_graph``
+    then checks the rows.  The state set is collected from the arcs.
     """
-    arcs: list[Arc] = []
+    rows: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,24 +118,25 @@ def graph_from_tsv(text: str) -> ChainGraph:
         parts = line.split()
         if len(parts) not in (3, 4):
             raise GraphError(f"line {lineno}: expected 3 or 4 columns, got {len(parts)}")
-        tail, head = _coerce_state(parts[0]), _coerce_state(parts[1])
-        weight = parse_rational(parts[2])
-        kappa = float(parts[3]) if len(parts) == 4 else None
-        arcs.append(Arc(tail, head, weight, kappa))
-    seen = set()
-    states = []
-    for a in arcs:
-        for s in (a.tail, a.head):
-            if s not in seen:
-                seen.add(s)
-                states.append(s)
-    return ChainGraph(tuple(sorted(states, key=state_key)), tuple(arcs))
+        row = (parse_state(parts[0]), parse_state(parts[1]), parts[2])
+        if len(parts) == 4:
+            try:
+                row += (float(parts[3]),)
+            except ValueError:
+                raise GraphError(f"line {lineno}: prefactor must be a number, got {parts[3]!r}") from None
+        rows.append(row)
+    return chain_graph(rows)
+
+
+def _graph_format(path: Path, fmt: str | None) -> str:
+    if fmt is not None:
+        return fmt
+    return "tsv" if path.suffix.lower() in (".tsv", ".txt") else "json"
 
 
 def load_graph(path: Union[str, Path], fmt: str | None = None) -> ChainGraph:
     path = Path(path)
-    if fmt is None:
-        fmt = "tsv" if path.suffix.lower() in (".tsv", ".txt") else "json"
+    fmt = _graph_format(path, fmt)
     text = path.read_text()
     if fmt == "json":
         return graph_from_json_dict(json.loads(text))
@@ -158,8 +147,7 @@ def load_graph(path: Union[str, Path], fmt: str | None = None) -> ChainGraph:
 
 def save_graph(g: ChainGraph, path: Union[str, Path], fmt: str | None = None) -> None:
     path = Path(path)
-    if fmt is None:
-        fmt = "tsv" if path.suffix.lower() in (".tsv", ".txt") else "json"
+    fmt = _graph_format(path, fmt)
     if fmt == "json":
         path.write_text(dump_json(graph_to_json_dict(g)))
     elif fmt == "tsv":

@@ -106,7 +106,7 @@ def _check_start(g: ChainGraph, x0: State, horizon: float) -> None:
 
 def _rate_tables(g: ChainGraph, epsilon: float) -> tuple:
     """Per state: its outgoing arcs, their cumulative rates and the total."""
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     arcs_of: dict = {s: g.out_arcs(s) for s in g.states}
     cum_of: dict = {}
     total_of: dict = {}

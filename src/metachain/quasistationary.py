@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import Arc, GraphError, State, ValidationFailure, state_key
+from .chain import Arc, GraphError, State, ValidationFailure, check_epsilon, state_key
 
 __all__ = [
     "CycleDistribution",
@@ -61,8 +61,7 @@ def quasi_invariant_cycle(cycle_arcs: Sequence[Arc], epsilon: float) -> CycleDis
     where U_i is the weight of i's cycle arc and the peak member attains
     U_max; entry values are also returned normalized to a distribution.
     """
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = check_epsilon(epsilon)
     if len(cycle_arcs) < 2:
         raise GraphError("a cycle needs at least two arcs")
     states = [a.tail for a in cycle_arcs]
@@ -94,7 +93,7 @@ def quasi_invariant_cycle(cycle_arcs: Sequence[Arc], epsilon: float) -> CycleDis
         u_max=u_max,
         u_along=u_along,
         kappa_along=kappa_along,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
     )
 
 
@@ -135,8 +134,7 @@ def quasi_invariant_class(
     minimum.  A null space of dimension above one means the arcs do not
     form a single communicating class and is rejected.
     """
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = check_epsilon(epsilon)
     states = tuple(states)
     if len(states) < 2:
         raise GraphError("a class needs at least two members")
@@ -190,5 +188,5 @@ def quasi_invariant_class(
         probs=tuple(float(p) for p in probs),
         theta=theta,
         u_min=u_min,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
     )

@@ -21,7 +21,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainGraph, GeneratorMatrix, GraphError, SymmetryError, generator_matrix
+from .chain import (
+    ChainGraph,
+    GeneratorMatrix,
+    GraphError,
+    SymmetryError,
+    check_epsilon,
+    generator_matrix,
+)
 from .graphio import format_rational
 from .wgraph import DEFAULT_ENUMERATION_CAP, _iter_assignments
 
@@ -106,8 +113,7 @@ def eigenvalue_estimates(report, epsilon: float) -> SpectralEstimate:
         )
     if any(d is None for d in report.delta):
         raise GraphError("report stopped early; eigenvalue exponents are incomplete")
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = check_epsilon(epsilon)
     delta = report.delta
     alpha = report.alpha
     log_lam = []
@@ -125,7 +131,7 @@ def eigenvalue_estimates(report, epsilon: float) -> SpectralEstimate:
             lam.append(exp(ll))
             underflow.append(False)
     return SpectralEstimate(
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         delta=tuple(delta),
         alpha=alpha,
         log_lam=tuple(log_lam),

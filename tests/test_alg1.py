@@ -8,7 +8,7 @@ import pytest
 import metachain as mc
 from metachain.alg1 import Bucket, cycle_hierarchy
 from metachain.chain import Arc
-from metachain.contraction import updated_prefactor, updated_weight
+from metachain.contraction import WorkingGraph, updated_prefactor, updated_weight
 from metachain.demos import tied_min_arc_chain, two_state_chain
 
 F = Fraction
@@ -36,8 +36,13 @@ def test_updated_prefactor():
     assert updated_prefactor(1.0, 1.0, 1.0) == 1.0
 
 
+def _bucket(arcs, revlex=False):
+    """A bucket ranked like a sweep over the graph of these arcs."""
+    return Bucket(WorkingGraph(mc.chain_graph(arcs), revlex=revlex).rank)
+
+
 def test_bucket_orders_exactly():
-    b = Bucket()
+    b = _bucket([(2, 3, 1), (1, 2, 1), (3, 1, 1)])
     for arc in (Arc(2, 3, F(1, 3)), Arc(1, 2, F(1, 2)), Arc(3, 1, F(2, 6))):
         b.insert(arc)
     assert len(b) == 3
@@ -50,19 +55,19 @@ def test_bucket_orders_exactly():
 
 
 def test_bucket_revlex_takes_largest_pair():
-    b = Bucket()
+    b = _bucket([(1, 2, 1), (2, 1, 1)], revlex=True)
     b.insert(Arc(1, 2, F(1)))
     b.insert(Arc(2, 1, F(1)))
-    arc, tied = b.extract_min(tie_break="revlex")
+    arc, tied = b.extract_min()
     assert arc.pair() == (2, 1)
     assert tied
 
 
 def test_bucket_extract_all_min():
-    b = Bucket()
-    b.insert(Arc(1, 2, F(1)))
-    b.insert(Arc(2, 1, F(1)))
+    b = _bucket([(1, 2, 1), (2, 1, 1), (3, 1, 1)])
     b.insert(Arc(3, 1, F(2)))
+    b.insert(Arc(2, 1, F(1)))
+    b.insert(Arc(1, 2, F(1)))
     w, group = b.extract_all_min()
     assert w == F(1)
     assert [a.pair() for a in group] == [(1, 2), (2, 1)]
@@ -71,7 +76,7 @@ def test_bucket_extract_all_min():
 
 def test_bucket_empty_peek_raises():
     with pytest.raises(IndexError):
-        Bucket().peek_min_weight()
+        _bucket([(1, 2, 1)]).peek_min_weight()
 
 
 def test_walk_closes_cycles_and_finds_sinks():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +14,11 @@ from metachain.chain import (
     ChainGraph,
     closed_communicating_classes,
     generator_matrix,
+    parse_state,
     state_key,
     strongly_connected_components,
 )
+from metachain.quasistationary import quasi_invariant_class, quasi_invariant_cycle
 
 
 def triangle():
@@ -111,6 +114,44 @@ def test_prefactors_are_all_or_none():
 def test_nonpositive_prefactor_rejected():
     with pytest.raises(mc.GraphError):
         mc.chain_graph([(1, 2, 1, 0.0), (2, 1, 2, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "kappa", ["2.5", "abc", True, math.inf, math.nan, -1, 10**400, [1]]
+)
+def test_prefactor_rule_refuses_what_is_not_a_finite_positive_number(kappa):
+    with pytest.raises(mc.GraphError, match="prefactor must be"):
+        mc.chain_graph([(1, 2, 1, kappa), (2, 1, 2, 1.0)])
+
+
+def test_prefactor_rule_holds_for_arcs_built_directly():
+    with pytest.raises(mc.GraphError, match="prefactor must be"):
+        ChainGraph((1, 2), (Arc(1, 2, Fraction(1), True), Arc(2, 1, Fraction(2), True)))
+
+
+def test_prefactors_are_stored_as_floats():
+    g = ChainGraph((1, 2), (Arc(1, 2, Fraction(1), 2), Arc(2, 1, Fraction(2), np.float64(0.5))))
+    assert [type(a.kappa) for a in g.arcs] == [float, float]
+    assert [a.kappa for a in g.arcs] == [2.0, 0.5]
+
+
+@pytest.mark.parametrize(
+    "token, state",
+    [
+        ("7", 7),
+        (" -3 ", -3),
+        ("+4", 4),
+        ("007", 7),
+        ("1_0", "1_0"),
+        ("+-5", "+-5"),
+        ("-", "-"),
+        ("\u0663", "\u0663"),  # a non-ASCII digit
+        (" a b ", "a b"),
+    ],
+)
+def test_parse_state(token, state):
+    got = parse_state(token)
+    assert got == state and type(got) is type(state)
 
 
 def test_scc_singletons_in_reverse_topological_order():
@@ -262,3 +303,34 @@ def test_generator_rejects_bad_epsilon():
         generator_matrix(triangle(), 0.0)
     with pytest.raises(ValueError):
         generator_matrix(triangle(), -1.0)
+
+
+CYCLE = (Arc(1, 2, Fraction(1)), Arc(2, 1, Fraction(2)))
+
+EPSILON_TAKERS = {
+    "generator_matrix": lambda eps: generator_matrix(triangle(), eps),
+    "simulate": lambda eps: mc.simulate(triangle(), eps, 1, 1.0, seed=0),
+    "eigenvalue_estimates": lambda eps: mc.eigenvalue_estimates(
+        mc.run_algorithm1(triangle()), eps
+    ),
+    "quasi_invariant_cycle": lambda eps: quasi_invariant_cycle(CYCLE, eps),
+    "quasi_invariant_class": lambda eps: quasi_invariant_class((1, 2), CYCLE, eps),
+}
+
+
+@pytest.mark.parametrize("epsilon", [True, 0, -0.5, math.nan, math.inf, "0.1", None])
+@pytest.mark.parametrize("taker", sorted(EPSILON_TAKERS))
+def test_every_epsilon_taker_refuses_alike(taker, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be"):
+        EPSILON_TAKERS[taker](epsilon)
+
+
+@pytest.mark.parametrize("taker", sorted(EPSILON_TAKERS))
+def test_every_epsilon_taker_computes_in_float64(taker):
+    eps32 = np.float32(0.1)
+    got = EPSILON_TAKERS[taker](eps32)
+    assert type(got.epsilon) is float and got.epsilon == float(eps32)
+    ref = EPSILON_TAKERS[taker](float(eps32))
+    if taker == "generator_matrix":
+        got, ref = got.matrix.tolist(), ref.matrix.tolist()
+    assert got == ref

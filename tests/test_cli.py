@@ -250,15 +250,58 @@ CYCLE_ARCS = [{"from": 1, "to": 2, "U": "1"}, {"from": 2, "to": 1, "U": "2"}]
         ({"states": [1, 2], "arcs": [dict(a, kappa="1") for a in CYCLE_ARCS]}, "prefactor must be"),
         ({"states": "12", "arcs": CYCLE_ARCS}, "'states' must be a JSON list"),
         ({"states": [1, 2], "arcs": {"1": CYCLE_ARCS}}, "'arcs' must be a JSON list"),
+        ({"states": [1, 2], "arcs": [dict(a, kappa=True) for a in CYCLE_ARCS]}, "prefactor must be"),
+        pytest.param(  # raw text: a JSON number too large for a float reads as inf
+            '{"states": [1, 2], "arcs": [{"from": 1, "to": 2, "U": "1", "kappa": 1e400},'
+            ' {"from": 2, "to": 1, "U": "2", "kappa": 1.0}]}',
+            "prefactor must be",
+            id="kappa-1e400",
+        ),
     ],
 )
 def test_malformed_graph_json_exits_one(tmp_path, capsys, doc, token):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["validate", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and token in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        pytest.param("1\t2\t1\tinf\n2\t1\t2\t1.0\n", "prefactor must be", id="kappa-inf"),
+        pytest.param("1\t2\t1\tnan\n2\t1\t2\t1.0\n", "prefactor must be", id="kappa-nan"),
+        pytest.param(
+            "1\t2\t1\t1.0\n2\t1\t2\tabc\n", "line 2: prefactor must be", id="kappa-abc"
+        ),
+        pytest.param("1\t2\t1\n2\t1\n", "line 2: expected 3 or 4 columns", id="short-row"),
+    ],
+)
+def test_malformed_graph_tsv_exits_one(tmp_path, capsys, text, token):
+    path = tmp_path / "malformed.tsv"
+    path.write_text(text)
+    assert main(["alg1", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and token in captured.err
+
+
+def test_state_tokens_read_alike_in_tsv_and_flags(tmp_path, capsys):
+    path = tmp_path / "tokens.tsv"
+    path.write_text("1_0\t+-5\t1\n+-5\t1_0\t2\n+-5\t7\t3\n7\t+-5\t1\n")
+    assert mc.load_graph(path).states == (7, "+-5", "1_0")
+    code, doc = run_json(
+        capsys,
+        ["kmc", "--input", str(path), "--epsilon", "0.5", "--x0", "1_0",
+         "--horizon", "10", "--n", "2"],
+    )
+    assert code == 0 and doc["kind"] == "transition-census"
+    code, doc = run_json(capsys, ["alg2", "--input", str(path), "--stop", "covering:+-5;7"])
+    assert code == 0
+    assert doc["stop_reason"] == "class-covering"
+    assert set(doc["covering_class"]) == {7, "+-5", "1_0"}
 
 
 def test_unexpected_exception_exits_two(demo_file, capsys, monkeypatch):

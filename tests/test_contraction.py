@@ -8,7 +8,8 @@ import metachain as mc
 from metachain.alg1 import cycle_hierarchy
 from metachain.alg2 import class_hierarchy
 from metachain.cli import main
-from metachain.contraction import WorkingGraph, super_vertex_name, updated_prefactor
+from metachain.chain import super_vertex_name
+from metachain.contraction import WorkingGraph, updated_prefactor
 
 F = Fraction
 

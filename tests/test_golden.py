@@ -3,6 +3,7 @@
 Each file under ``tests/golden`` is the output of one ``metachain``
 invocation on one demo chain (saved next to it as ``<demo>.graph.json``).
 A refactor of the sweeps must leave every byte of these reports unchanged.
+The same chain saved as ``<demo>.graph.tsv`` must give the same bytes.
 
 Regenerate the files (only when a report is meant to change) with
 
@@ -45,6 +46,11 @@ def _cases() -> dict:
 
 
 CASES = _cases()
+TSV_CASES = {
+    f"{demo}.{kind}.json": [kind.split("_")[0], "--input", str(GOLDEN / f"{demo}.graph.tsv")]
+    for demo in DEMOS
+    for kind in ("alg1_lex", "alg2", "compare")
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -54,10 +60,18 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(TSV_CASES))
+def test_tsv_input_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert main(TSV_CASES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for demo, make in DEMOS.items():
         mc.save_graph(make(), GOLDEN / f"{demo}.graph.json")
+        mc.save_graph(make(), GOLDEN / f"{demo}.graph.tsv")
     for name, argv in CASES.items():
         if main(argv + ["--out", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"{name}: {' '.join(argv)} failed")

@@ -9,7 +9,10 @@ enters the bucket.  Arcs keep their original (tail, head) identity
 throughout, so the fully expanded T-graph after k steps is simply the first
 k transferred arcs with their in-force weights.
 
-Exactness matters: weights are Fractions and every comparison is exact.
+Exactness matters: the sweep compares and reprices integers, every
+exponent times the lcm of the chain's denominators, and reports each
+value as a Fraction.  A union-find over the T-arc trees names the sink a
+transfer drains into; only a closing cycle is walked, and then contracted.
 Weight ties mean the symmetry-free assumptions fail; they are detected and
 flagged (never silently broken), and the run continues under a canonical
 deterministic tie-break so cross-algorithm comparisons stay meaningful.
@@ -18,6 +21,7 @@ deterministic tie-break so cross-algorithm comparisons stay meaningful.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +38,7 @@ from .chain import (
     super_vertex_name,
     validate,
 )
-from .contraction import WorkingGraph, super_vertex_key, vertex_key
+from .contraction import WorkingGraph, find, super_vertex_key, vertex_key
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 from .wgraph import ForestExpansion
@@ -275,9 +279,11 @@ def run_algorithm1(
 
     n = g.n
     wg = WorkingGraph(g, revlex=tie_break == "revlex")
+    scale, vertex = wg.scale, wg.vertex
     bucket = Bucket(wg.rank)
-    kappa_min: dict = {}
-    main: dict = {s: s for s in g.states}
+    kappa_min: dict = {}  # current vertex -> prefactor of its chosen min arc
+    main: dict = dict(enumerate(vertex))  # current vertex -> its main state
+    limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
 
     symmetry = {"detected": False, "step": None, "kind": None}
 
@@ -296,7 +302,7 @@ def run_algorithm1(
         bucket.insert(chosen)
         return chosen
 
-    for v in sorted(wg.vertices, key=state_key):
+    for v in range(n):
         select_min_arc(v, step=0)
 
     gamma: list = []
@@ -306,7 +312,11 @@ def run_algorithm1(
     sinks: dict = {}
     cycles: list = []
     cycle_steps: list = []
-    t_arc: dict = {}  # current vertex -> its transferred arc, while uncontracted
+    # Every cycle is contracted as it closes, so the T-arcs of the current
+    # vertices form an in-forest.  ``tree`` is a union-find over its trees;
+    # a tree's root is always a state id, and ``sink[root]`` is its sink.
+    t_head: dict = {}  # current vertex -> the state its T-arc enters
+    tree, sink = list(range(n)), list(range(n))
     terminal_index = None
     k = 0
     r = 0
@@ -316,45 +326,48 @@ def run_algorithm1(
         if stop.kind == "bucket-size-one" and len(bucket) == 1:
             stop_reason = "bucket-size-one"
             break
-        if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= stop.threshold:
+        if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= limit:
             stop_reason = "exponent-threshold"
             break
         arc, tied = bucket.extract_min()
         k += 1
         if tied:
             note_symmetry(k, "bucket-min-multiplicity")
+        threshold = arc.weight
+        tail_v, head_v = wg.vertex_of(arc.tail), wg.vertex_of(arc.head)
+        arc = wg.transfer(arc)
         w = arc.weight
         gamma.append(w)
         transfers.append(arc)
-        tail_vid = wg.vertex_of[arc.tail]
-        wg.remove_arc(arc)
-        # Every cycle is contracted as it closes, so the T-arcs of the current
-        # vertices form an in-forest: the walk from the head either comes
-        # back to the tail (a cycle) or ends at its tree's sink.
-        walked: list = []
-        cur = wg.vertex_of[arc.head]
-        while cur != tail_vid and cur in t_arc:
-            walked.append(cur)
-            if len(walked) > len(t_arc):
-                raise InternalInvariantError("T-arc walk looped without closing a cycle")
-            cur = wg.vertex_of[t_arc[cur].head]
-        if cur != tail_vid:
+        root = find(tree, head_v)
+        z = sink[root]
+        if z != tail_v:
             m = n - k + r
             if not (1 <= m <= n - 1):
                 raise InternalInvariantError(f"sink bookkeeping out of range: m={m}")
             delta[m - 1] = w
             if alpha is not None:
                 alpha[m - 1] = arc.kappa
-            sinks[m] = SinkRecord(m=m, k=k, s_star=main[tail_vid], z_star=main[cur])
-            t_arc[tail_vid] = arc
+            sinks[m] = SinkRecord(m=m, k=k, s_star=main[tail_v], z_star=main[z])
+            t_head[tail_v] = arc.head
+            tree[find(tree, tail_v)] = root
         else:
+            # the arc closes a cycle: walk its T-arcs back to the tail
+            walked: list = []
+            cur = head_v
+            while cur != tail_v:
+                walked.append(cur)
+                if cur not in t_head or len(walked) > len(t_head):
+                    raise InternalInvariantError("T-arc walk looped without closing a cycle")
+                cur = wg.vertex_of(t_head[cur])
             r += 1
             cycle_steps.append(k)
             for v in walked:
-                del t_arc[v]
-            cycle_main = main[tail_vid]
-            sv = wg.contract([tail_vid, *walked], w, kappa_min, arc.kappa)
-            main[sv] = cycle_main
+                del t_head[v]
+            sv = wg.contract([tail_v, *walked], threshold, kappa_min, arc.kappa)
+            main[sv] = main[tail_v]
+            tree.append(root)
+            sink[root] = sv
             chosen = select_min_arc(sv, step=k)
             if chosen is None:
                 if terminal_index is not None:
@@ -362,11 +375,12 @@ def run_algorithm1(
                 terminal_index = r
             cycles.append(
                 CycleRecord(
-                    index=r, step=k, birth=w, member_vids=(tail_vid, *walked),
-                    member_states=sv, closing=arc.pair(), main_state=cycle_main,
+                    index=r, step=k, birth=w,
+                    member_vids=tuple(vertex[v] for v in (tail_v, *walked)),
+                    member_states=vertex[sv], closing=arc.pair(), main_state=main[sv],
                     contracted=chosen is not None,
                     exit_pair=None if chosen is None else chosen.pair(),
-                    exit_weight=None if chosen is None else wg.u_min[sv],
+                    exit_weight=None if chosen is None else Fraction(chosen.weight, scale),
                 )
             )
         if stop.kind == "custom":

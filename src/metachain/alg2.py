@@ -17,6 +17,7 @@ into exit code 2 because it can only mean an implementation bug.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,10 +177,12 @@ def run_algorithm2(
     validate(g).require_one_closed_class()
 
     wg = WorkingGraph(g)
+    scale, vertex = wg.scale, wg.vertex
     bucket = Bucket(wg.rank)
-    for v in sorted(wg.vertices, key=state_key):
+    for v in range(g.n):
         for a in wg.min_arcs(v):
             bucket.insert(a)
+    limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
 
     tracker = _GrowingClosedClasses(g.states)
     theta: list = []
@@ -187,35 +190,41 @@ def run_algorithm2(
     ends: list = [0]
     released_all: list = []
     classes: list = []
-    main: dict = {s: s for s in g.states}  # current vertex -> its least state
+    main: dict = dict(enumerate(vertex))  # current vertex -> its least state
+    n_current = g.n
     covering: Optional[frozenset] = None
     stop_reason = "bucket-empty"
     p = 0
 
     while len(bucket):
-        if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= stop.threshold:
+        if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= limit:
             stop_reason = "exponent-threshold"
             break
-        w, released = bucket.extract_all_min()
+        threshold, released = bucket.extract_all_min()
         p += 1
+        multiplicity.append(len({wg.vertex_of(a.tail) for a in released}))
+        released = [wg.transfer(a) for a in released]
+        w = released[0].weight
         theta.append(w)
         released_all.extend(released)
         ends.append(len(released_all))
-        tails = {wg.vertex_of[a.tail] for a in released}
-        multiplicity.append(len(tails))
-        for a in released:
-            wg.remove_arc(a)
 
         # Every closed class of the last step was contracted to one vertex,
         # so the nontrivial closed classes of the contracted graph are
-        # exactly the classes this step gained.
+        # exactly the classes this step gained.  Each search node the tracker
+        # joined into a class (a state, or a class contracted earlier) lies
+        # in one current vertex.
         gained = tracker.add(released)[1]
-        by_vids = {frozenset(wg.vertex_of[s] for s in cls): cls for cls in gained}
+        by_vids: dict = {}  # class as a set of current vertices -> (states, ids)
+        for cls in gained:
+            states = (next(iter(x)) if isinstance(x, frozenset) else x for x in tracker.nodes[cls])
+            ids = {wg.vertex_of(s) for s in states}
+            by_vids[frozenset(vertex[v] for v in ids)] = cls, ids
         nontrivial = list(by_vids)
         if len(nontrivial) > 1:
             nontrivial.sort(key=lambda c: sorted(map(vertex_key, c)))
         if stop.kind == "class-covering":
-            offered = [by_vids[c] for c in nontrivial]
+            offered = [by_vids[c][0] for c in nontrivial]
             # The absorbing current vertices are offered at step 1 only.  Later
             # on, an absorbing state was absorbing at step 1 too, and an
             # absorbing super-vertex holds the states of a class offered when
@@ -232,7 +241,7 @@ def run_algorithm2(
             if stop.predicate(TGraph(g.states, released_all, len(released_all), w), w):
                 stop_reason = "custom"
                 break
-        if len(nontrivial) == 1 and len(nontrivial[0]) == len(wg.vertices):
+        if len(nontrivial) == 1 and len(nontrivial[0]) == n_current:
             stop_reason = "full-closure"
             break
 
@@ -242,9 +251,12 @@ def run_algorithm2(
             if set(to_contract) != set(by_vids):
                 raise ValueError("_class_order must permute the detected classes")
         for cls in to_contract:
-            sv = wg.contract(cls, w)
-            main[sv] = min((main[v] for v in cls), key=state_key)
-            for a in wg.min_arcs(sv):
+            ids = by_vids[cls][1]
+            sv = wg.contract(ids, threshold)
+            n_current -= len(ids) - 1
+            main[sv] = min((main[v] for v in ids), key=state_key)
+            exits = wg.min_arcs(sv)
+            for a in exits:
                 bucket.insert(a)
             classes.append(
                 ClassRecord(
@@ -252,9 +264,9 @@ def run_algorithm2(
                     step=p,
                     birth=w,
                     member_vids=cls,
-                    member_states=sv,
+                    member_states=vertex[sv],
                     main_state=main[sv],
-                    exit_weight=wg.u_min.get(sv),
+                    exit_weight=Fraction(exits[0].weight, scale) if exits else None,
                 )
             )
 
@@ -308,6 +320,7 @@ class _GrowingClosedClasses:
         self.adj: dict = {v: [] for v in vertices}
         self.class_of: dict = {v: frozenset((v,)) for v in self.adj}
         self.reaches: dict = {}  # vertex -> a vertex it reaches that was in a closed class
+        self.nodes: dict = {}  # class gained by the last add -> its search nodes
 
     def add(self, arcs: Iterable[Arc]) -> tuple:
         """Add arcs; return the sets of closed classes lost and gained."""
@@ -355,11 +368,12 @@ class _GrowingClosedClasses:
                         reaches[x] = w
 
         gained: set = set()
+        nodes = self.nodes = {}
         for comp in strongly_connected_components(succ, list(succ)):
             if comp.isdisjoint(leaky) and all(y in comp for x in comp for y in succ[x]):
-                gained.add(
-                    frozenset().union(*(x if isinstance(x, frozenset) else (x,) for x in comp))
-                )
+                cls = frozenset().union(*(x if isinstance(x, frozenset) else (x,) for x in comp))
+                gained.add(cls)
+                nodes[cls] = comp
         for cls in touched:
             for v in cls:
                 del class_of[v]

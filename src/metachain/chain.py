@@ -189,6 +189,17 @@ class ChainGraph:
         return bool(self.arcs) and self.arcs[0].kappa is not None
 
     @cached_property
+    def integer_weights(self) -> tuple[int, dict[tuple[State, State], int]]:
+        """``(scale, {pair: int})``: every exponent times ``scale``, the lcm
+        of their denominators.  Computed once per graph; the sweeps, the
+        oracle and the in-forest expansion all compare these integers."""
+        scale = math.lcm(*(a.weight.denominator for a in self.arcs))
+        return scale, {
+            (a.tail, a.head): a.weight.numerator * (scale // a.weight.denominator)
+            for a in self.arcs
+        }
+
+    @cached_property
     def arc_map(self) -> dict[tuple[State, State], Arc]:
         return {a.pair(): a for a in self.arcs}
 

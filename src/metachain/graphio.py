@@ -93,6 +93,15 @@ def dump_json(doc: dict) -> str:
 
 
 def graph_to_tsv(g: ChainGraph) -> str:
+    """TSV text that ``graph_from_tsv`` reads back as ``g``.  Refuses a state
+    on no arc (TSV names states only in arcs) and a state whose token is
+    empty, holds whitespace or ``#``, or reads back as another state."""
+    on_arcs = {s for a in g.arcs for s in (a.tail, a.head)}
+    for s in g.states:
+        t = str(s)
+        unreadable = not t or "#" in t or any(c.isspace() for c in t) or parse_state(t) != s
+        if unreadable or s not in on_arcs:
+            raise GraphError(f"state {s!r} cannot be written as TSV; write JSON instead")
     lines = ["# tail\thead\tU" + ("\tkappa" if g.has_prefactors else "")]
     for a in sorted(g.arcs, key=lambda a: (state_key(a.tail), state_key(a.head))):
         row = f"{a.tail}\t{a.head}\t{format_rational(a.weight)}"

@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
@@ -32,6 +31,7 @@ from .chain import (
     SymmetryError,
     state_key,
 )
+from .contraction import find
 from .graphio import format_rational, state_to_json
 
 __all__ = [
@@ -69,12 +69,6 @@ class WGraph:
             "arcs": [[state_to_json(t), state_to_json(h)] for (t, h) in self.arcs],
             "total_weight": format_rational(self.total_weight),
         }
-
-
-def _integer_weights(g: ChainGraph) -> tuple:
-    """The arc weights over their common denominator: (scale, {pair: int})."""
-    scale = lcm(*(a.weight.denominator for a in g.arcs)) if g.arcs else 1
-    return scale, {a.pair(): int(a.weight * scale) for a in g.arcs}
 
 
 def _make_wgraph(g: ChainGraph, vertices: tuple, chosen: Sequence, total: Fraction) -> WGraph:
@@ -154,7 +148,7 @@ def enumerate_wgraphs(g: ChainGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP)
     if not (1 <= m <= g.n):
         raise ValueError(f"sink count must lie in [1, {g.n}], got {m}")
     target_arcs = g.n - m
-    scale, int_weight = _integer_weights(g)
+    scale, int_weight = g.integer_weights
     vertices = tuple(_decision_order(g))
     for chosen, total in _iter_assignments(g, cap, int_weight):
         if len(chosen) == target_arcs:
@@ -186,7 +180,7 @@ def enumerate_all_optimal(
     optimum is found and the result equals that of the full enumeration.
     """
     n = g.n
-    scale, int_weight = _integer_weights(g)
+    scale, int_weight = g.integer_weights
     verts = _decision_order(g)
     least_out = {
         v: min(int_weight[a.pair()] for a in g.out_arcs(v)) for v in verts if g.out_arcs(v)
@@ -258,7 +252,7 @@ class ForestExpansion:
         self.states = tuple(_decision_order(g))
         rank = self.rank = {s: i for i, s in enumerate(self.states)}
         n = len(self.states)
-        self.scale, int_weight = _integer_weights(g)
+        self.scale, int_weight = g.integer_weights
         self.pairs = [a.pair() for a in report.transfers]
         tails = self.tails = [rank[t] for (t, _h) in self.pairs]
         self.weights = [int_weight[p] for p in self.pairs]
@@ -277,9 +271,7 @@ class ForestExpansion:
         closing = {rec.step: rec for rec in cycles}
         up = list(range(n + len(cycles)))  # union-find: the current vertex of each id
         for i, t in enumerate(tails):
-            while up[t] != t:
-                up[t] = up[up[t]]
-                t = up[t]
+            t = find(up, t)
             if out[t] != -1:
                 raise InternalInvariantError(f"vertex {t} sends two T-arcs")
             out[t] = i

@@ -114,12 +114,16 @@ def test_class_update_rule():
         [(1, 2, 2), (1, 3, 2), (2, 1, 2), (3, 1, 2), (2, 4, 3), (4, 1, 1)]
     )
     wg = WorkingGraph(g)
-    for v in (1, 2, 3):
+    vids = {wg.vertex_of(s) for s in (1, 2, 3)}
+    for v in vids:
         wg.min_arcs(v)
-    assert wg.u_min == {1: F(2), 2: F(2), 3: F(2)}
-    sv = wg.contract({1, 2, 3}, F(2))
-    assert set(wg.out[sv]) == {(2, 4)}
-    assert wg.out[sv][(2, 4)].weight == F(3)  # 3 - 2 + 2
+    assert {wg.vertex[v]: F(wg.u_min[v], wg.scale) for v in vids} == {1: F(2), 2: F(2), 3: F(2)}
+    sv = wg.contract(vids, 2 * wg.scale)
+    (exit_arc,) = wg.min_arcs(sv)
+    assert wg.min_arcs(sv) == [exit_arc]  # reading does not take the arc
+    assert exit_arc.pair() == (2, 4)
+    assert wg.transfer(exit_arc).weight == F(3)  # 3 - 2 + 2
+    assert wg.min_arcs(sv) == []
 
 
 def test_order_independence():

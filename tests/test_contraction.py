@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metachain as mc
 from metachain.alg1 import cycle_hierarchy
 from metachain.alg2 import class_hierarchy
 from metachain.cli import main
-from metachain.chain import super_vertex_name
-from metachain.contraction import WorkingGraph, updated_prefactor
+from conftest import chain_graphs
+from metachain.chain import state_key, super_vertex_name
+from metachain.contraction import WorkingGraph, updated_prefactor, updated_weight
 
 F = Fraction
 
@@ -20,12 +23,37 @@ def square():
     )
 
 
-def priced(g, vids=(1, 2)):
-    """A working graph whose ``vids`` have read their min arcs."""
+def priced(g, states=(1, 2)):
+    """A working graph whose ``states`` have read their min arcs."""
     wg = WorkingGraph(g)
-    for v in vids:
-        wg.min_arcs(v)
+    for s in states:
+        wg.min_arcs(wg.vertex_of(s))
     return wg
+
+
+def scaled(wg, q):
+    """A threshold as the int over ``wg.scale`` that ``contract`` takes."""
+    q = F(q) * wg.scale
+    assert q.denominator == 1
+    return q.numerator
+
+
+def merge(wg, states, threshold, **kw):
+    return wg.contract({wg.vertex_of(s) for s in states}, scaled(wg, threshold), **kw)
+
+
+def exits(wg, vid):
+    """Every exit arc of ``vid`` by pair, with its in-force Fraction weight.
+    Reads them one least-weight group at a time, so it empties the vertex."""
+    out = {}
+    while arcs := wg.min_arcs(vid):
+        for a in arcs:
+            out[a.pair()] = wg.transfer(a)
+    return out
+
+
+def current(wg, states):
+    return {wg.vertex[wg.vertex_of(s)] for s in states}
 
 
 def test_super_vertex_name_sorts_members():
@@ -36,90 +64,99 @@ def test_super_vertex_name_sorts_members():
 def test_initial_view_mirrors_graph():
     g = square()
     wg = WorkingGraph(g)
-    assert wg.vertices == {1, 2, 3, 4}
-    assert wg.vertex_of == {s: s for s in (1, 2, 3, 4)}
-    assert set(wg.out[1]) == {(1, 2), (1, 3)}
-    assert wg.u_min == {}
+    assert current(wg, g.states) == {1, 2, 3, 4}
+    assert all(wg.vertex[wg.vertex_of(s)] == s for s in (1, 2, 3, 4))
+    assert wg.u_min == [None] * 4
+    assert set(exits(wg, wg.vertex_of(1))) == {(1, 2), (1, 3)}
 
 
 def test_min_arcs_records_the_least_weight():
     g = mc.chain_graph([(1, 3, 2), (1, 2, 2), (1, 4, 5), (2, 1, 1), (3, 1, 1), (4, 1, 1)])
     wg = WorkingGraph(g)
-    assert [a.pair() for a in wg.min_arcs(1)] == [(1, 2), (1, 3)]
-    assert wg.u_min[1] == F(2)
+    v = wg.vertex_of(1)
+    assert [a.pair() for a in wg.min_arcs(v)] == [(1, 2), (1, 3)]
+    assert F(wg.u_min[v], wg.scale) == F(2)
     lone = WorkingGraph(mc.chain_graph([(1, 2, 1)]))
-    assert lone.min_arcs(2) == [] and 2 not in lone.u_min
+    assert lone.min_arcs(lone.vertex_of(2)) == [] and lone.u_min[lone.vertex_of(2)] is None
 
 
 def test_split_outgoing():
     """A contraction keeps the group's exit arcs and drops its inner ones."""
     wg = priced(square())
-    vid = wg.contract({1, 2}, F(2))
-    assert set(wg.out[vid]) == {(2, 3), (1, 3)}
-    assert all(not {(1, 2), (2, 1)} & set(arcs) for arcs in wg.out.values())
+    vid = merge(wg, {1, 2}, 2)
+    assert set(exits(wg, vid)) == {(2, 3), (1, 3)}
+    for s in (3, 4):
+        assert not {(1, 2), (2, 1)} & set(exits(wg, wg.vertex_of(s)))
 
 
 def test_contract_defaults_to_exit_arcs():
     wg = priced(square())
-    vid = wg.contract({1, 2}, F(2))
-    assert vid == frozenset({1, 2})
-    assert wg.vertices == {vid, 3, 4}
-    assert wg.vertex_of[1] == vid and wg.vertex_of[2] == vid
+    vid = merge(wg, {1, 2}, 2)
+    assert wg.vertex[vid] == frozenset({1, 2})
+    assert current(wg, (1, 2, 3, 4)) == {frozenset({1, 2}), 3, 4}
+    assert wg.vertex_of(1) == vid and wg.vertex_of(2) == vid
     # arcs stay keyed by the original endpoint pair
-    assert set(wg.out[vid]) == {(2, 3), (1, 3)}
-    assert wg.vertex_of[wg.out[vid][(2, 3)].head] == 3
+    out = exits(wg, vid)
+    assert set(out) == {(2, 3), (1, 3)}
+    assert wg.vertex[wg.vertex_of(out[(2, 3)].head)] == 3
 
 
 def test_contract_with_reweighted_exits():
     wg = priced(square())
-    vid = wg.contract({1, 2}, F(2))
+    out = exits(wg, merge(wg, {1, 2}, 2))
     # U_ij - u_min(i) + threshold
-    assert wg.out[vid][(2, 3)].weight == F(3)  # 3 - 2 + 2
-    assert wg.out[vid][(1, 3)].weight == F(6)  # 5 - 1 + 2
-    assert wg.out[vid][(2, 3)].kappa is None
+    assert out[(2, 3)].weight == F(3)  # 3 - 2 + 2
+    assert out[(1, 3)].weight == F(6)  # 5 - 1 + 2
+    assert out[(2, 3)].kappa is None
 
 
 def test_contract_updates_prefactors_after_a_closing_prefactor():
     g = mc.chain_graph([(1, 2, 1, 2.0), (2, 1, 2, 4.0), (2, 3, 3, 1.5), (3, 1, 1, 1.0)])
     wg = priced(g)
-    vid = wg.contract({1, 2}, F(2), kappa_min={1: 2.0, 2: 4.0}, kappa_last=3.0)
-    exit_arc = wg.out[vid][(2, 3)]
+    kappa_min = {wg.vertex_of(1): 2.0, wg.vertex_of(2): 4.0}
+    exit_arc = exits(wg, merge(wg, {1, 2}, 2, kappa_min=kappa_min, kappa_last=3.0))[(2, 3)]
     assert exit_arc.weight == F(3)
     assert exit_arc.kappa == updated_prefactor(1.5, 4.0, 3.0) == 1.125
     # without a closing prefactor (the class sweep) prefactors pass through
     wg = priced(g)
-    assert wg.out[wg.contract({1, 2}, F(2))][(2, 3)].kappa == 1.5
+    assert exits(wg, merge(wg, {1, 2}, 2))[(2, 3)].kappa == 1.5
 
 
 def test_nested_contractions_expand_lifo():
     wg = priced(square())
-    first = wg.contract({1, 2}, F(2))
+    first = merge(wg, {1, 2}, 2)
     wg.min_arcs(first)
-    wg.min_arcs(3)
-    second = wg.contract({first, 3}, F(3))
-    assert second == frozenset({1, 2, 3})
-    assert wg.vertices == {second, 4}
-    assert all(wg.vertex_of[s] == second for s in (1, 2, 3))
+    wg.min_arcs(wg.vertex_of(3))
+    second = merge(wg, {1, 3}, 3)
+    assert wg.vertex[second] == frozenset({1, 2, 3})
+    assert current(wg, (1, 2, 3, 4)) == {frozenset({1, 2, 3}), 4}
+    assert all(wg.vertex_of(s) == second for s in (1, 2, 3))
     # 3 -> 4 (1) priced against u_min(3) = 1; the first group's exits are inside
-    assert set(wg.out[second]) == {(3, 4)}
-    assert wg.out[second][(3, 4)].weight == F(3)
+    out = exits(wg, second)
+    assert set(out) == {(3, 4)}
+    assert out[(3, 4)].weight == F(3)
 
 
 def test_contract_needs_two_existing_vertices():
     wg = WorkingGraph(square())
     with pytest.raises(mc.GraphError):
-        wg.contract({1}, F(1))
+        wg.contract({wg.vertex_of(1)}, 1)
     with pytest.raises(mc.GraphError):
-        wg.contract({1, 9}, F(1))
+        wg.contract({wg.vertex_of(1), 9}, 1)
+    # a vertex already contracted is not a current vertex any more
+    wg = priced(square())
+    merge(wg, {1, 2}, 2)
+    with pytest.raises(mc.GraphError):
+        wg.contract({wg.sid[1], wg.vertex_of(3)}, 1)
 
 
 def test_super_vertex_never_equals_a_state():
     g = mc.chain_graph([(1, 2, 1), (2, 1, 1), ("{1,2}", 1, 2), (2, "{1,2}", 3)])
     wg = priced(g)
-    vid = wg.contract({1, 2}, F(1))
-    assert vid == frozenset({1, 2}) and vid != "{1,2}"
-    assert wg.vertices == {vid, "{1,2}"}
-    assert wg.vertex_of["{1,2}"] == "{1,2}"
+    vid = merge(wg, {1, 2}, 1)
+    assert wg.vertex[vid] == frozenset({1, 2}) and wg.vertex[vid] != "{1,2}"
+    assert current(wg, g.states) == {frozenset({1, 2}), "{1,2}"}
+    assert wg.vertex[wg.vertex_of("{1,2}")] == "{1,2}"
 
 
 def clash_chain():
@@ -156,17 +193,107 @@ def test_state_named_like_a_super_vertex_on_the_command_line(tmp_path, capsys):
 
 def test_remove_arc_tracks_contracted_tail():
     wg = priced(square())
-    vid = wg.contract({1, 2}, F(2))
-    wg.remove_arc(wg.out[vid][(1, 3)])
-    assert set(wg.out[vid]) == {(2, 3)}
+    vid = merge(wg, {1, 2}, 2)
+    (arc,) = [a for a in wg.min_arcs(vid) if a.pair() == (2, 3)]
+    assert wg.transfer(arc).weight == F(3)
+    assert set(exits(wg, vid)) == {(1, 3)}
 
 
 def test_triangle_cycle_contraction_by_hand():
     """Collapsing the 2-cycle of a triangle leaves one exit arc per tail."""
     g = mc.chain_graph([(1, 2, 1), (2, 1, 2), (2, 3, 2), (3, 1, 5)])
     wg = priced(g)
-    vid = wg.contract({1, 2}, F(2))
-    assert set(wg.out[vid]) == {(2, 3)}
-    assert wg.out[vid][(2, 3)].weight == F(2)  # 2 - 2 + 2
-    assert wg.vertices == {vid, 3}
-    assert wg.vertex_of[wg.out[3][(3, 1)].head] == vid
+    vid = merge(wg, {1, 2}, 2)
+    assert current(wg, (1, 2, 3)) == {frozenset({1, 2}), 3}
+    from_3 = exits(wg, wg.vertex_of(3))
+    assert wg.vertex_of(from_3[(3, 1)].head) == vid
+    out = exits(wg, vid)
+    assert set(out) == {(2, 3)}
+    assert out[(2, 3)].weight == F(2)  # 2 - 2 + 2
+
+
+class EagerGraph:
+    """Reference for ``WorkingGraph``: every exit arc repriced at once with
+    the Fraction-level rules ``updated_weight``/``updated_prefactor``."""
+
+    def __init__(self, g):
+        self.members = {s: {s} for s in g.states}  # current vertex -> its states
+        self.out = {s: {a.pair(): (a.weight, a.kappa) for a in g.out_arcs(s)} for s in g.states}
+        self.u_min = {}
+
+    def min_arcs(self, v, order):
+        arcs = self.out[v]
+        if not arcs:
+            return []
+        w = self.u_min[v] = min(w for w, _k in arcs.values())
+        return sorted(((p, w, k) for p, (w2, k) in arcs.items() if w2 == w), key=order)
+
+    def contract(self, vs, threshold, kappa_min=None, kappa_last=None):
+        states = set().union(*(self.members.pop(v) for v in vs))
+        out = {}
+        for v in vs:
+            for (t, h), (w, k) in self.out.pop(v).items():
+                if h in states:
+                    continue
+                if kappa_last is not None:
+                    k = updated_prefactor(k, kappa_min[v], kappa_last)
+                out[t, h] = (updated_weight(w, self.u_min[v], threshold), k)
+        sv = frozenset(states)
+        self.members[sv], self.out[sv] = states, out
+        return sv
+
+
+def bits(kappa):
+    return None if kappa is None else kappa.hex()
+
+
+@given(chain_graphs(min_n=3), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_lazy_repricing_matches_an_eager_reference(g, rnd):
+    """After random reads, transfers and contractions (with and without a
+    closing prefactor), every current vertex's ``min_arcs`` equals the
+    eager reference: pairs, tie order, weights and prefactor bits."""
+    if rnd.random() < 0.5:  # prefactors on a third of the chains or so
+        g = mc.chain_graph([(a.tail, a.head, a.weight, rnd.uniform(0.1, 9)) for a in g.arcs])
+    revlex = rnd.random() < 0.5
+    wg, ref = WorkingGraph(g, revlex=revlex), EagerGraph(g)
+
+    def order(entry):
+        (t, h), _w, _k = entry
+        key = (state_key(t), state_key(h))
+        return tuple(-x[1] for x in key) if revlex else key
+
+    def check(v):
+        got = [(a.pair(), F(a.weight, wg.scale), bits(a.kappa)) for a in wg.min_arcs(v)]
+        want = [(p, w, bits(k)) for p, w, k in ref.min_arcs(wg.vertex[v], order)]
+        assert got == want
+        return wg.min_arcs(v)
+
+    def vids():
+        return sorted({wg.vertex_of(s) for s in g.states})
+
+    for _step in range(rnd.randint(1, 3 * g.n)):
+        live = vids()
+        if len(live) < 2:
+            break
+        if rnd.random() < 0.4:  # take one arc, or a whole least-weight group
+            v = rnd.choice(live)
+            arcs = check(v)
+            for a in arcs if rnd.random() < 0.5 else arcs[:1]:
+                taken = wg.transfer(a)
+                assert ref.out[wg.vertex[v]].pop(a.pair())[0] == taken.weight
+            continue
+        group = rnd.sample(live, rnd.randint(2, min(4, len(live))))
+        for v in group:
+            check(v)
+        threshold = F(rnd.randint(0, 40 * wg.scale), wg.scale)
+        kw = {}
+        if g.has_prefactors and rnd.random() < 0.7:
+            kw = {"kappa_min": {v: rnd.uniform(0.1, 9) for v in group}, "kappa_last": rnd.uniform(0.1, 9)}
+        sv = wg.contract(group, (threshold * wg.scale).numerator, **kw)
+        if kw:
+            kw["kappa_min"] = {wg.vertex[v]: k for v, k in kw["kappa_min"].items()}
+        assert wg.vertex[sv] == ref.contract([wg.vertex[v] for v in group], threshold, **kw)
+    for v in vids():
+        assert ref.members[wg.vertex[v]] == {s for s in g.states if wg.vertex_of(s) == v}
+        check(v)

@@ -142,3 +142,56 @@ def test_load_format_override(tmp_path):
 def test_save_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         mc.save_graph(two_state_chain(), tmp_path / "g.json", fmt="xml")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("7", 7, 1), (7, "7", 2)],  # the string "7" reads back as the int 7
+        [("a b", 1, 1), (1, "a b", 2)],  # a blank splits the column
+        [("x#y", 1, 1), (1, "x#y", 2)],  # '#' starts a comment
+        [("t\tu", 1, 1), (1, "t\tu", 2)],
+        [("n\nm", 1, 1), (1, "n\nm", 2)],
+        [("r\rs", 1, 1), (1, "r\rs", 2)],  # a carriage return ends the line
+        [("nb\u00a0sp", 1, 1), (1, "nb\u00a0sp", 2)],  # a no-break space splits columns
+        [("+5", 1, 1), (1, "+5", 2)],
+        [(" pad", 1, 1), (1, " pad", 2)],
+    ],
+)
+def test_tsv_writer_refuses_states_that_do_not_read_back(rows, tmp_path):
+    g = mc.chain_graph(rows)
+    with pytest.raises(mc.GraphError, match="cannot be written as TSV"):
+        graph_to_tsv(g)
+    with pytest.raises(mc.GraphError):
+        mc.save_graph(g, tmp_path / "x.tsv")
+    assert not (tmp_path / "x.tsv").exists()
+    assert _same_graph(graph_from_json_dict(graph_to_json_dict(g)), g)  # JSON keeps them
+
+
+def test_tsv_writer_refuses_a_state_on_no_arc():
+    with pytest.raises(mc.GraphError, match="cannot be written as TSV"):
+        graph_to_tsv(mc.chain_graph([(1, 2, 1)], states=[1, 2, 3]))
+
+
+_TOKENS = st.one_of(
+    st.integers(-50, 50),
+    st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=4),
+)
+
+
+@given(
+    st.lists(st.tuples(_TOKENS, _TOKENS, st.fractions(1, 50)), max_size=8),
+    st.booleans(),
+)
+def test_every_graph_the_tsv_writer_accepts_reads_back_equal(rows, with_prefactors):
+    rows = list({(t, h): (t, h, w) for t, h, w in rows if t != h}.values())
+    if not rows:
+        return
+    if with_prefactors:
+        rows = [(t, h, w, float(i + 1) / 3) for i, (t, h, w) in enumerate(rows)]
+    g = mc.chain_graph(rows)
+    try:
+        text = graph_to_tsv(g)
+    except mc.GraphError:
+        return
+    assert graph_to_json_dict(graph_from_tsv(text)) == graph_to_json_dict(g)

@@ -26,7 +26,6 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .chain import (
@@ -38,7 +37,7 @@ from .chain import (
     super_vertex_name,
     validate,
 )
-from .contraction import WorkingGraph, find, super_vertex_key, vertex_key
+from .contraction import SuperVertex, WorkingGraph, find, vertex_order
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 from .wgraph import ForestExpansion
@@ -167,20 +166,26 @@ class SinkRecord:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """One closed cycle.  ``member_vids`` lists its vertices from the tail of
-    the closing arc on; a super-vertex among them is its member set.  A
-    cycle without exit arcs is the terminal one: ``contracted`` is False."""
+    """One closed cycle.  ``member_vids`` lists its vertices, states or
+    ``SuperVertex`` handles, from the tail of the closing arc on; ``vertex``
+    is the super-vertex the cycle became.  A cycle without exit arcs is the
+    terminal one: ``contracted`` is False."""
 
     index: int
     step: int
     birth: Fraction
     member_vids: tuple
-    member_states: frozenset
+    vertex: SuperVertex
     closing: tuple
     main_state: State
     contracted: bool
     exit_pair: Optional[tuple]
     exit_weight: Optional[Fraction]
+
+    @property
+    def member_states(self) -> frozenset:
+        """The original states of the cycle, expanded on each access."""
+        return self.vertex.states()
 
     @property
     def super_vid(self) -> Optional[str]:
@@ -377,7 +382,7 @@ def run_algorithm1(
                 CycleRecord(
                     index=r, step=k, birth=w,
                     member_vids=tuple(vertex[v] for v in (tail_v, *walked)),
-                    member_states=vertex[sv], closing=arc.pair(), main_state=main[sv],
+                    vertex=vertex[sv], closing=arc.pair(), main_state=main[sv],
                     contracted=chosen is not None,
                     exit_pair=None if chosen is None else chosen.pair(),
                     exit_weight=None if chosen is None else Fraction(chosen.weight, scale),
@@ -490,34 +495,20 @@ def cycle_hierarchy(report: Alg1Report) -> tuple:
 def _hierarchy(states: Sequence, records: Sequence) -> tuple:
     # Records come in the order they were made, so every super-vertex among
     # a record's members already has its node when the record is reached.
-    # pending: member set -> (its vertex_key, its states in state order as
-    # (state_key, name) pairs, its node), until a later record absorbs it.
-    # A record merges its members' ordered states by comparing those pairs,
-    # so a key calls state_key only for the record's own state members.
-    pending: dict = {}
+    pending: dict = {}  # super-vertex -> its node, until a later record absorbs it
     consumed: set = set()
     for rec in records:
-        consumed.update(rec.member_vids)
-        children: list = []  # (vertex_key, node)
-        ordered: list = []
-        for v in rec.member_vids:
-            if v in pending:
-                key, member_states, node = pending.pop(v)
-                ordered += member_states
+        children: list = []
+        for v in vertex_order(rec.member_vids):
+            if isinstance(v, SuperVertex):
+                children.append(pending.pop(v))
             else:
-                key, node = vertex_key(v), HierarchyNode("state", v, None, ())
-                ordered.append((state_key(v), str(v)))
-            children.append((key, node))
-        children.sort(key=itemgetter(0))
-        ordered.sort()
-        pending[rec.member_states] = (
-            super_vertex_key([name for _k, name in ordered]),
-            ordered,
-            HierarchyNode("cycle", None, rec, tuple(node for _key, node in children)),
-        )
+                consumed.add(v)
+                children.append(HierarchyNode("state", v, None, ()))
+        pending[rec.vertex] = HierarchyNode("cycle", None, rec, tuple(children))
     # what no record absorbed is a root, in record order; an uncontracted
     # terminal cycle is always one
-    roots = [node for _key, _ordered, node in pending.values()]
+    roots = list(pending.values())
     roots.extend(
         HierarchyNode("state", s, None, ())
         for s in sorted(states, key=state_key)

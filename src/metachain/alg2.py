@@ -18,7 +18,6 @@ into exit code 2 because it can only mean an implementation bug.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,7 +43,7 @@ from .chain import (
     super_vertex_name,
     validate,
 )
-from .contraction import WorkingGraph, vertex_key
+from .contraction import SuperVertex, WorkingGraph, vertex_order
 from .graphio import arc_to_json, format_rational, state_to_json
 from .stopping import StopCriterion
 
@@ -61,13 +60,14 @@ __all__ = [
 @dataclass(frozen=True)
 class ClassRecord:
     """One contracted closed class.  ``member_vids`` is the set of current
-    vertices it joined; a super-vertex among them is its member set."""
+    vertices it joined, states or ``SuperVertex`` handles; ``vertex`` is the
+    super-vertex it became."""
 
     index: int
     step: int
     birth: Fraction
     member_vids: frozenset
-    member_states: frozenset
+    vertex: SuperVertex
     main_state: State  # the least member state
     exit_weight: Optional[Fraction]
 
@@ -75,6 +75,11 @@ class ClassRecord:
     @property
     def contracted(self) -> bool:
         return True
+
+    @property
+    def member_states(self) -> frozenset:
+        """The original states of the class, expanded on each access."""
+        return self.vertex.states()
 
     @property
     def super_vid(self) -> str:
@@ -178,6 +183,10 @@ def run_algorithm2(
 
     wg = WorkingGraph(g)
     scale, vertex = wg.scale, wg.vertex
+    if stop.kind == "class-covering":
+        unknown = sorted({s for t in stop.targets for s in t if s not in wg.sid}, key=state_key)
+        if unknown:
+            raise GraphError(f"covering stop names states not in the graph: {unknown!r}")
     bucket = Bucket(wg.rank)
     for v in range(g.n):
         for a in wg.min_arcs(v):
@@ -190,7 +199,6 @@ def run_algorithm2(
     ends: list = [0]
     released_all: list = []
     classes: list = []
-    main: dict = dict(enumerate(vertex))  # current vertex -> its least state
     n_current = g.n
     covering: Optional[frozenset] = None
     stop_reason = "bucket-empty"
@@ -215,23 +223,24 @@ def run_algorithm2(
         # joined into a class (a state, or a class contracted earlier) lies
         # in one current vertex.
         gained = tracker.add(released)[1]
-        by_vids: dict = {}  # class as a set of current vertices -> (states, ids)
+        by_vids: dict = {}  # class as a set of current vertices -> (label, ids)
         for cls in gained:
-            states = (next(iter(x)) if isinstance(x, frozenset) else x for x in tracker.nodes[cls])
-            ids = {wg.vertex_of(s) for s in states}
+            ids = {wg.vertex_of(s) for s in tracker.nodes[cls]}
             by_vids[frozenset(vertex[v] for v in ids)] = cls, ids
         nontrivial = list(by_vids)
         if len(nontrivial) > 1:
-            nontrivial.sort(key=lambda c: sorted(map(vertex_key, c)))
+            # disjoint classes: the first of each in vertex order decides
+            rank = {v: i for i, v in enumerate(vertex_order(v for c in nontrivial for v in c))}
+            nontrivial.sort(key=lambda c: min(rank[v] for v in c))
         if stop.kind == "class-covering":
-            offered = [by_vids[c][0] for c in nontrivial]
+            offered = [frozenset(by_vids[c][0].states) for c in nontrivial]
             # The absorbing current vertices are offered at step 1 only.  Later
             # on, an absorbing state was absorbing at step 1 too, and an
             # absorbing super-vertex holds the states of a class offered when
             # it closed; a set that missed the targets then misses them now.
             if p == 1:
-                absorbing = (c for c in tracker.class_of.values() if len(c) == 1)
-                offered += sorted(absorbing, key=lambda c: state_key(next(iter(c))))
+                absorbing = (s for s, c in tracker.label.items() if len(c.states) == 1)
+                offered += [frozenset((s,)) for s in sorted(absorbing, key=state_key)]
             hit = stop.covering_class(offered)
             if hit is not None:
                 covering = hit
@@ -254,7 +263,6 @@ def run_algorithm2(
             ids = by_vids[cls][1]
             sv = wg.contract(ids, threshold)
             n_current -= len(ids) - 1
-            main[sv] = min((main[v] for v in ids), key=state_key)
             exits = wg.min_arcs(sv)
             for a in exits:
                 bucket.insert(a)
@@ -264,15 +272,15 @@ def run_algorithm2(
                     step=p,
                     birth=w,
                     member_vids=cls,
-                    member_states=vertex[sv],
-                    main_state=main[sv],
+                    vertex=vertex[sv],
+                    main_state=vertex[sv].least,
                     exit_weight=Fraction(exits[0].weight, scale) if exits else None,
                 )
             )
 
     theta = tuple(theta)
     tgraphs = TGraphs(g.states, tuple(released_all), tuple(ends), (Fraction(0),) + theta)
-    final = set(tracker.class_of.values())
+    final = set(tracker.label.values())
     return Alg2Report(
         graph=g,
         theta=theta,
@@ -280,13 +288,16 @@ def run_algorithm2(
         tgraphs=tgraphs,
         classes=tuple(classes),
         final_closed_classes=tuple(
-            sorted((c for c in final if len(c) >= 2), key=lambda c: sorted(map(state_key, c)))
+            sorted(
+                (frozenset(c.states) for c in final if len(c.states) >= 2),
+                key=lambda c: sorted(map(state_key, c)),
+            )
         ),
         final_absorbing=tuple(
-            sorted((next(iter(c)) for c in final if len(c) == 1), key=state_key)
+            sorted((c.states[0] for c in final if len(c.states) == 1), key=state_key)
         ),
         transient_states=tuple(
-            s for s in sorted(g.states, key=state_key) if s not in tracker.class_of
+            s for s in sorted(g.states, key=state_key) if s not in tracker.label
         ),
         covering_class=covering,
         stop_reason=stop_reason,
@@ -301,50 +312,69 @@ def _expanded_adjacency(arcs: Iterable[Arc]) -> dict:
     return adj
 
 
+class _ClassLabel:
+    """The label of one closed class of a ``_GrowingClosedClasses``: the
+    states it holds, in the order they joined."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, states: list):
+        self.states = states
+
+
 class _GrowingClosedClasses:
     """Closed communicating classes of a digraph that only gains arcs.
 
     It drives the tie-tolerant sweep, whose released arcs only grow, and
     follows both sweeps side by side in ``compare_alg1_alg2``.
 
-    Every vertex starts as an absorbing class.  A closed class none of whose
-    vertices gains an arc stays closed, and a new closed class holds the tail
-    of a new arc.  So an update searches only from the new tails, treats each
-    touched class as one node whose only ways out are its new arcs, and stops
-    where the search meets an untouched class.  It also stops at a vertex
-    already seen to reach one: arcs are never removed, so that vertex still
-    reaches it, and cannot lie in a closed class while the class is untouched.
+    Each closed class is a ``_ClassLabel``, and ``label`` maps every state
+    of a closed class to it.  Every vertex starts as an absorbing class.  A
+    closed class none of whose vertices gains an arc stays closed, and a new
+    closed class holds the tail of a new arc.  So an update searches only
+    from the new tails, treats each touched class as one node whose only
+    ways out are its new arcs, and stops where the search meets an untouched
+    class.  It also stops at a vertex already seen to reach one: arcs are
+    never removed, so that vertex still reaches it, and cannot lie in a
+    closed class while the class is untouched.
+
+    A gained class keeps the label of its largest part and takes in the
+    states of the others, smaller into larger (Hopcroft & Ullman 1973), so
+    while a state's class only grows it changes label O(log n) times, and
+    an update costs O(search nodes + relabelled states).  ``moved`` lists
+    the states the last update relabelled, each with its former label (None
+    when it lay in no closed class).
     """
 
     def __init__(self, vertices: Iterable[State]):
         self.adj: dict = {v: [] for v in vertices}
-        self.class_of: dict = {v: frozenset((v,)) for v in self.adj}
+        self.label: dict = {v: _ClassLabel([v]) for v in self.adj}
         self.reaches: dict = {}  # vertex -> a vertex it reaches that was in a closed class
-        self.nodes: dict = {}  # class gained by the last add -> its search nodes
+        self.nodes: dict = {}  # label gained by the last add -> a state of each search node
+        self.moved: list = []  # (state, former label) for each state the last add relabelled
 
     def add(self, arcs: Iterable[Arc]) -> tuple:
-        """Add arcs; return the sets of closed classes lost and gained."""
-        class_of, reaches = self.class_of, self.reaches
+        """Add arcs; return the labels of the closed classes lost and gained.
+
+        A lost label's class is no longer closed as it was: its states are
+        transient now or lie in a larger class.  A gained label names a class
+        that was not closed before.  The label of a gained class's largest
+        part is in both lists.
+        """
+        label, reaches = self.label, self.reaches
         touched: set = set()
         leaving: dict = {}  # touched class -> heads of its new arcs outside it
         starts: set = set()
         for a in arcs:
             self.adj[a.tail].append(a.head)
-            cls = class_of.get(a.tail)
+            cls = label.get(a.tail)
             if cls is None:
                 starts.add(a.tail)
                 continue
             touched.add(cls)
             starts.add(cls)
-            if a.head not in cls:
+            if label.get(a.head) is not cls:
                 leaving.setdefault(cls, []).append(a.head)
-
-        def untouched_reached(v):
-            # v itself or what v is known to reach, if in an untouched class
-            if v not in class_of:
-                v = reaches.get(v)
-            cls = class_of.get(v)
-            return v if cls is not None and cls not in touched else None
 
         # search nodes: touched classes and vertices outside closed classes
         succ: dict = {}
@@ -354,32 +384,126 @@ class _GrowingClosedClasses:
             x = stack.pop()
             if x in succ:
                 continue
-            heads = leaving.get(x, ()) if isinstance(x, frozenset) else self.adj[x]
+            is_class = type(x) is _ClassLabel
             out = succ[x] = []
-            for h in heads:
-                w = untouched_reached(h)
-                if w is None:
-                    y = class_of.get(h, h)
+            for h in leaving.get(x, ()) if is_class else self.adj[x]:
+                # h itself or what h is known to reach, if in an untouched class
+                w = h if h in label else reaches.get(h)
+                cls = label.get(w)
+                if cls is None or cls in touched:
+                    y = label.get(h, h)
                     out.append(y)
                     stack.append(y)
                 else:
                     leaky.add(x)
-                    if not isinstance(x, frozenset):
+                    if not is_class:
                         reaches[x] = w
 
-        gained: set = set()
+        gained: list = []
+        kept: set = set()  # touched classes whose new arcs all stay inside
         nodes = self.nodes = {}
+        moved = self.moved = []
         for comp in strongly_connected_components(succ, list(succ)):
-            if comp.isdisjoint(leaky) and all(y in comp for x in comp for y in succ[x]):
-                cls = frozenset().union(*(x if isinstance(x, frozenset) else (x,) for x in comp))
-                gained.add(cls)
-                nodes[cls] = comp
+            if not comp.isdisjoint(leaky) or any(y not in comp for x in comp for y in succ[x]):
+                continue
+            cls = None  # the largest class in comp keeps its label
+            for x in comp:
+                if type(x) is _ClassLabel and (cls is None or len(x.states) > len(cls.states)):
+                    cls = x
+            if cls is not None and len(comp) == 1:
+                kept.add(cls)
+                continue
+            if cls is None:
+                cls = _ClassLabel([])
+            nodes[cls] = [x.states[0] if type(x) is _ClassLabel else x for x in comp]
+            for x in comp:
+                if x is cls:
+                    continue
+                if type(x) is _ClassLabel:
+                    moved += [(s, x) for s in x.states]
+                    label.update(dict.fromkeys(x.states, cls))
+                    cls.states += x.states
+                else:
+                    moved.append((x, None))
+                    label[x] = cls
+                    cls.states.append(x)
+            gained.append(cls)
+        lost: list = []
         for cls in touched:
-            for v in cls:
-                del class_of[v]
-        for cls in gained:
-            class_of.update(dict.fromkeys(cls, cls))
-        return touched - gained, gained - touched
+            if cls in kept:
+                continue
+            lost.append(cls)
+            if label[cls.states[0]] is cls and cls not in nodes:
+                moved += [(s, cls) for s in cls.states]  # in no gained class: transient now
+                for s in cls.states:
+                    del label[s]
+        return lost, gained
+
+
+class _PairedClosedClasses:
+    """Two closed-class trackers over the same states, and which classes of
+    either side have no class of the same states on the other.
+
+    ``count[c1, c2]`` is the number of states labelled c1 on side 1 and c2
+    on side 2, kept as the trackers relabel states.  A class c with a state
+    labelled d on the other side equals d exactly when ``count[c, d]`` is
+    the size of both.  After each update only the classes it lost or gained,
+    and the former partners of those, are checked again.
+    """
+
+    def __init__(self, states):
+        self.sides = (_GrowingClosedClasses(states), _GrowingClosedClasses(states))
+        # both label dicts list the states in one order
+        first, second = (side.label.values() for side in self.sides)
+        self.count: dict = dict.fromkeys(zip(first, second), 1)
+        self.partner: dict = dict(zip(first, second))  # class -> its equal on the other side
+        self.partner.update(zip(second, first))
+        self.unmatched: set = set()  # classes with no partner
+
+    def add(self, arcs1: Iterable[Arc], arcs2: Iterable[Arc]) -> None:
+        count, partner, unmatched = self.count, self.partner, self.unmatched
+        labels = (self.sides[0].label, self.sides[1].label)
+        check: dict = {}  # class to check again -> its side
+        for side, arcs in ((0, arcs1), (1, arcs2)):
+            tracker, other = self.sides[side], labels[1 - side]
+            lost, gained = tracker.add(arcs)
+            for s, old in tracker.moved:
+                d = other.get(s)
+                if d is None:
+                    continue
+                new = tracker.label.get(s)
+                if old is not None:
+                    count[(old, d) if side == 0 else (d, old)] -= 1
+                if new is not None:
+                    key = (new, d) if side == 0 else (d, new)
+                    count[key] = count.get(key, 0) + 1
+            for c in (*lost, *gained):
+                check[c] = side
+                old = partner.pop(c, None)
+                if old is not None:
+                    del partner[old]
+                    check[old] = 1 - side
+        # a class and its equal see the same counts, so they agree
+        for c, side in check.items():
+            unmatched.discard(c)
+            first = c.states[0]
+            if c in partner or labels[side].get(first) is not c:
+                continue  # matched from the other side, or no longer a class
+            d = labels[1 - side].get(first)
+            size = len(c.states)
+            key = (c, d) if side == 0 else (d, c)
+            if d is not None and len(d.states) == size and count.get(key, 0) == size:
+                partner[c], partner[d] = d, c
+                unmatched.discard(d)
+            else:
+                unmatched.add(c)
+
+    def differ(self) -> tuple:
+        """Whether the nontrivial classes, and the absorbing vertices, differ."""
+        if not self.unmatched:
+            return False, False
+        sizes = [len(c.states) for c in self.unmatched]
+        return any(k >= 2 for k in sizes), any(k == 1 for k in sizes)
 
 
 @dataclass(frozen=True)
@@ -441,23 +565,33 @@ def compare_alg1_alg2(
 
     statements = []
 
-    distinct = r1.distinct_gamma()
-    ok1 = distinct == r2.theta
+    # One merge walk over gamma and theta: k_index[p] counts the gammas up
+    # to theta_p, and ``distinct`` collects the distinct gammas in order.
+    gamma, theta = r1.gamma, r2.theta
+    if any(b < a for a, b in zip(theta, theta[1:])):
+        raise InternalInvariantError("simultaneous sweep thresholds decrease")
+    k_index: list = []
+    distinct: list = []
+    p = 0
+    for i, x in enumerate(gamma):
+        if distinct and not distinct[-1] < x:
+            if x < distinct[-1]:
+                raise InternalInvariantError("single-arc sweep thresholds decrease")
+            continue
+        while p < len(theta) and theta[p] < x:
+            k_index.append(i)
+            p += 1
+        distinct.append(x)
+    k_index += [len(gamma)] * (len(theta) - p)
+    ok1 = tuple(distinct) == theta
     statements.append(
         StatementResult(
             1,
             ok1,
             "distinct exponents "
-            + ("agree" if ok1 else f"differ: {list(map(str, distinct))} vs {list(map(str, r2.theta))}"),
+            + ("agree" if ok1 else f"differ: {list(map(str, distinct))} vs {list(map(str, theta))}"),
         )
     )
-
-    gamma = r1.gamma
-    if any(b < a for a, b in zip(gamma, gamma[1:])):
-        raise InternalInvariantError("single-arc sweep thresholds decrease")
-    k_index = [bisect_right(gamma, th) for th in r2.theta]
-    if any(b < a for a, b in zip(k_index, k_index[1:])):
-        raise InternalInvariantError("simultaneous sweep thresholds decrease")
     windows = list(enumerate(zip(k_index, r2.transfers_by_step), start=1))
 
     # Statement 2: every earlier step lay inside an earlier (smaller) window,
@@ -482,23 +616,20 @@ def compare_alg1_alg2(
         detail2 = f"window index ends at {k_index[-1]} but the sweep took {r1.K} steps"
     statements.append(StatementResult(2, ok2, detail2))
 
-    # Statements 3/4: follow both closed-class families window by window and
-    # keep the classes that only one side holds; the last window where they
-    # differ is then described from scratch.
-    side1, side2 = _GrowingClosedClasses(g.states), _GrowingClosedClasses(g.states)
-    one_sided: set = set()
+    # Statements 3/4: follow both closed-class families window by window,
+    # noting the last window where a class of one side has no equal on the
+    # other; that window is then described from scratch.
+    paired = _PairedClosedClasses(g.states)
     last3 = last4 = None
     prev = 0
     for p, (kp, released) in windows:
-        for lost, gained in (side1.add(r1.transfers[prev:kp]), side2.add(released)):
-            one_sided ^= lost
-            one_sided ^= gained
+        paired.add(r1.transfers[prev:kp], released)
         prev = kp
-        if one_sided:
-            if any(len(c) >= 2 for c in one_sided):
-                last3 = p
-            if any(len(c) == 1 for c in one_sided):
-                last4 = p
+        nontrivial_differ, absorbing_differ = paired.differ()
+        if nontrivial_differ:
+            last3 = p
+        if absorbing_differ:
+            last4 = p
 
     def classes_at(p: int) -> tuple:
         kp = k_index[p - 1]

@@ -236,18 +236,25 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _parse_window(spec: str) -> tuple:
+    """The ``--window`` value ``t_lo:t_hi`` as two floats."""
+    lo, sep, hi = spec.partition(":")
+    try:
+        if sep:
+            return float(lo), float(hi)
+    except ValueError:
+        pass
+    raise GraphError(f"--window must be t_lo:t_hi, two numbers, got {spec!r}")
+
+
 def _cmd_kmc(args) -> int:
     if len(args.epsilon) > 1:
         raise GraphError(f"kmc takes one --epsilon, got {len(args.epsilon)}")
     g = _load(args)
     eps = args.epsilon[0]
     x0 = parse_state(args.x0)
+    window = _parse_window(args.window) if args.window else (0.0, args.horizon)
     trajs = simulate_ensemble(g, eps, x0, args.horizon, args.n, args.seed)
-    if args.window:
-        lo_s, hi_s = args.window.split(":", 1)
-        window = (float(lo_s), float(hi_s))
-    else:
-        window = (0.0, args.horizon)
     if args.tgraph is not None:
         r2 = run_algorithm2(g)
         if not (0 <= args.tgraph < len(r2.tgraphs)):

@@ -15,13 +15,17 @@ Tarjan 1986), so an arc is repriced only when it is read.  Arcs inside a
 contracted group, and arcs the sweeps have taken, are dropped when they
 reach the top of a heap; a contraction is never undone.
 
-A super-vertex is the frozenset of the original states it holds, so it
-can never equal a state (an int or a str).  Its name, the sorted member
-list such as "{1,2,3}", is built only for sort keys and for display.
+A super-vertex is a ``SuperVertex`` handle, the index-th contraction of
+a sweep, so it can never equal a state (an int or a str).  It holds the
+vertices it joined and its least state, not its member set: on nested
+chains those sets add up to O(n^2) states.  ``SuperVertex.states()``
+expands one on demand, and its name, the sorted member list such as
+"{1,2,3}", is built only for display and where ``vertex_order`` needs it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -29,28 +33,77 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key, super_vertex_name
 
 __all__ = [
+    "SuperVertex",
     "WorkingGraph",
     "find",
-    "super_vertex_key",
     "updated_prefactor",
     "updated_weight",
-    "vertex_key",
+    "vertex_order",
 ]
 
 Pair = Tuple[State, State]
 
 
-def super_vertex_key(ordered_names: Iterable[str]) -> tuple:
-    """Sort key of the super-vertex whose states, in state order, have
-    these names.  A state named like a super-vertex sorts just before it."""
-    return (*state_key("{" + ",".join(ordered_names) + "}"), 1)
+@dataclass(frozen=True, eq=False)
+class SuperVertex:
+    """Handle of the ``index``-th contraction of a sweep (1-based).
+
+    A handle equals only itself.  ``parts`` are the vertices it joined
+    (states or earlier handles) and ``least`` is its least state in state
+    order.
+    """
+
+    index: int
+    parts: tuple = field(repr=False)
+    least: State
+
+    def states(self) -> frozenset:
+        """The original states it holds, expanded on each call."""
+        out, stack = [], [self]
+        while stack:
+            for v in stack.pop().parts:
+                (stack if isinstance(v, SuperVertex) else out).append(v)
+        return frozenset(out)
 
 
-def vertex_key(v) -> tuple:
-    """Sort key of a current vertex: a state, or a super-vertex by its name."""
-    if isinstance(v, frozenset):
-        return (*state_key(super_vertex_name(v)), 1)
+def _name_key(v) -> tuple:
+    """Sort key of a vertex by its full name; a state sorts just before a
+    super-vertex of the same name."""
+    if isinstance(v, SuperVertex):
+        return (*state_key(super_vertex_name(v.states())), 1)
     return (*state_key(v), 0)
+
+
+def vertex_order(vertices: Iterable) -> list:
+    """Current vertices sorted by name: a state by ``state_key``, a
+    super-vertex by its name (such as "{1,2,3}"), just after a state so named.
+
+    A super-vertex's name begins with "{", its least state and a comma, and
+    that prefix places it unless another name in the list starts with it;
+    only such runs are sorted again by full names.
+    """
+    def prefix_key(v) -> tuple:
+        if isinstance(v, SuperVertex):
+            return (1, 0, "{" + str(v.least) + ",", 1)
+        return (*state_key(v), 0)
+
+    vertices = list(vertices)
+    keys = sorted((prefix_key(v), i) for i, v in enumerate(vertices))
+    out = [vertices[i] for _k, i in keys]
+    # A name sorts after every name it starts with, so the names starting
+    # with a run's prefix follow it directly, and every other name differs
+    # from that prefix within its length and is placed by it.
+    i = 0
+    while i < len(out):
+        j = i + 1
+        if isinstance(out[i], SuperVertex):
+            prefix = keys[i][0][2]
+            while j < len(out) and keys[j][0][0] == 1 and keys[j][0][2].startswith(prefix):
+                j += 1
+            if j > i + 1:
+                out[i:j] = sorted(out[i:j], key=_name_key)
+        i = j
+    return out
 
 
 def updated_weight(u_ij, u_min_i, threshold) -> Fraction:
@@ -75,7 +128,7 @@ class WorkingGraph:
 
     A current vertex is an int id: the states in state order are 0..n-1,
     and each contraction makes the next id.  ``vertex[vid]`` is the state
-    or super-vertex an id stands for; ``vertex_of(state)`` is a union-find
+    or ``SuperVertex`` an id stands for; ``vertex_of(state)`` is a union-find
     lookup of the current vertex that holds a state.
     rank[pair]: position of an arc pair in (tail, head) state order,
                 reversed when ``revlex``; the one order among equal weights.
@@ -101,6 +154,7 @@ class WorkingGraph:
             heapify(h)
         self._gone = bytearray(len(arcs))  # arcs the sweeps took
         self._up = list(range(n))
+        self._least = list(range(n))  # vid -> its least state's id
         self._offset = [0] * n
         self.u_min: list = [None] * n
 
@@ -188,6 +242,8 @@ class WorkingGraph:
         heaps.append(heap)
         self._offset.append(base)
         self.u_min.append(None)
-        parts = (self.vertex[v] for v in members)
-        self.vertex.append(frozenset().union(*(x if isinstance(x, frozenset) else {x} for x in parts)))
+        least = min(self._least[v] for v in members)
+        self._least.append(least)
+        parts = tuple(self.vertex[v] for v in members)
+        self.vertex.append(SuperVertex(sv - len(self.sid) + 1, parts, self.vertex[least]))
         return sv

@@ -196,6 +196,8 @@ def parse_grid(spec: str) -> list:
     start, stop, step = (parse_rational(p) for p in parts)
     if step <= 0:
         raise GraphError(f"grid step must be positive, got {step}")
+    if start > stop:
+        raise GraphError(f"grid {spec!r} is empty: its start {start} lies above its stop {stop}")
     out = []
     z = start
     while z <= stop:

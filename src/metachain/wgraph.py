@@ -31,7 +31,7 @@ from .chain import (
     SymmetryError,
     state_key,
 )
-from .contraction import find
+from .contraction import SuperVertex, find
 from .graphio import format_rational, state_to_json
 
 __all__ = [
@@ -263,7 +263,7 @@ class ForestExpansion:
         cycles = report.cycles
         self.steps = [rec.step for rec in cycles]
         self.main = [rank[rec.main_state] for rec in cycles]
-        vid = {rec.member_states: n + i for i, rec in enumerate(cycles)}
+        vid = {rec.vertex: n + i for i, rec in enumerate(cycles)}
         parent = self.parent = [-1] * (n + len(cycles))
         out = self.out = [-1] * (n + len(cycles))
         if cycles and cycles[-1].step > len(tails):
@@ -278,8 +278,8 @@ class ForestExpansion:
             rec = closing.get(i + 1)
             if rec is not None:
                 for v in rec.member_vids:
-                    v = vid[v] if isinstance(v, frozenset) else rank[v]
-                    parent[v] = up[v] = vid[rec.member_states]
+                    v = vid[v] if isinstance(v, SuperVertex) else rank[v]
+                    parent[v] = up[v] = vid[rec.vertex]
         self.suffix = [None] * (n + 1)
         self.suffix[n] = total = 0
         for m in range(n - 1, 0, -1):

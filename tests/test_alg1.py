@@ -159,8 +159,9 @@ def test_demo_second_cycle(demo_report):
     assert c.step == 7
     assert c.birth == F(7, 2)
     assert c.member_states == frozenset({1, 2, 3, 4, 5, 6})
-    # the first cycle's super-vertex is its member set
-    assert set(c.member_vids) == {frozenset({1, 2, 3}), 4, 5, 6}
+    # the first cycle's super-vertex is a handle over its states
+    first = demo_report.cycles[0].vertex
+    assert set(c.member_vids) == {first, 4, 5, 6} and first.states() == frozenset({1, 2, 3})
     assert c.super_vid == "{1,2,3,4,5,6}"
     assert c.closing == (1, 6)
     assert c.exit_pair == (6, 7)

@@ -4,14 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs
-from metachain.alg2 import _expanded_adjacency, class_hierarchy
-from metachain.chain import closed_communicating_classes, state_key
-from metachain.contraction import WorkingGraph
+from metachain.alg1 import HierarchyNode, hierarchy_json
+from metachain.alg2 import _expanded_adjacency, _GrowingClosedClasses, class_hierarchy
+from metachain.chain import Arc, closed_communicating_classes, state_key, super_vertex_name
+from metachain.contraction import SuperVertex, WorkingGraph
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 from metachain.graphio import format_rational, state_to_json
 
@@ -393,3 +394,105 @@ def test_schema_3_report_holds_every_class(case):
 def test_schema_3_demo_reports_hold_every_class(make, stop):
     rep = mc.run_algorithm2(make(), stop=stop)
     assert classes_from_tree(_written(rep)) == schema_2_classes(rep)
+
+
+@st.composite
+def arc_batches(draw):
+    """2-12 states, ints and strings, and their arcs in random batches."""
+    states = draw(
+        st.lists(st.one_of(st.integers(0, 30), st.sampled_from(["1", "a", "{1,2}"])),
+                 min_size=2, max_size=12, unique=True)
+    )
+    pairs = [(t, h) for t in states for h in states if t != h]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * len(states)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(arcs), max_size=len(arcs)))
+    batches, i = [], 0
+    for k in sizes:
+        if i >= len(arcs):
+            break
+        batches.append(arcs[i:i + k])
+        i += k
+    return states, batches
+
+
+@settings(max_examples=300)
+@given(arc_batches())
+# {1,2} closes, then leaks into the untouched absorbing 3 and turns transient
+@example(([1, 2, 3], [[(1, 2), (2, 1)], [(2, 3)]]))
+# the search from 3 finds that 1 reaches the absorbing 2; the one from 4
+# then stops at 1
+@example(([1, 2, 3, 4], [[(1, 2)], [(3, 1)], [(4, 1)]]))
+def test_tracker_matches_a_fresh_scc_pass_after_every_add(case):
+    states, batches = case
+    tracker = _GrowingClosedClasses(states)
+    adj = {s: [] for s in states}
+    prev = {frozenset((s,)) for s in states}
+    for batch in batches:
+        before = dict(tracker.label)
+        snapshot = {c: frozenset(c.states) for c in before.values()}
+        lost, gained = tracker.add([Arc(t, h, Fraction(1)) for t, h in batch])
+        for t, h in batch:
+            adj[t].append(h)
+        fresh = closed_communicating_classes(adj, vertices=states)
+        live = set(tracker.label.values())
+        now = {frozenset(c.states) for c in live}
+        assert len(now) == len(live)
+        assert now == set(fresh.nontrivial) | {frozenset((s,)) for s in fresh.absorbing}
+        assert all(tracker.label[s] is c for c in live for s in c.states)
+        assert {snapshot[c] for c in lost} == prev - now
+        assert {frozenset(c.states) for c in gained} == now - prev
+        # every relabelled state is listed once, with its former label
+        changed = {s for s in states if before.get(s) is not tracker.label.get(s)}
+        assert sorted(map(str, (s for s, _old in tracker.moved))) == sorted(map(str, changed))
+        assert all(before.get(s) is old for s, old in tracker.moved)
+        for c in gained:
+            assert set(tracker.nodes[c]) <= set(c.states)
+        prev = now
+
+
+NAMES = [1, "1", "10", "{1", "1,2", "{1,2}", 2, "2", "{1,", "{10", "a", "{1,2", 10]
+
+
+def name_key(v):
+    """Sort key of a vertex by its full name, a state before a super-vertex
+    of the same name."""
+    if isinstance(v, SuperVertex):
+        return (*state_key(super_vertex_name(v.states())), 1)
+    return (*state_key(v), 0)
+
+
+def reference_tree(states, records):
+    """The contraction tree with every sibling list sorted by full names."""
+    pending: dict = {}
+    consumed: set = set()
+    for rec in records:
+        consumed.update(rec.member_vids)
+        children = tuple(
+            pending.pop(v) if isinstance(v, SuperVertex) else HierarchyNode("state", v, None, ())
+            for v in sorted(rec.member_vids, key=name_key)
+        )
+        pending[rec.vertex] = HierarchyNode("cycle", None, rec, children)
+    roots = list(pending.values())
+    roots += [
+        HierarchyNode("state", s, None, ())
+        for s in sorted(states, key=state_key)
+        if s not in consumed
+    ]
+    return hierarchy_json(roots)
+
+
+@settings(max_examples=200)
+@given(chain_graphs(min_n=3), st.permutations(NAMES))
+def test_sibling_order_matches_full_names(g, names):
+    """States named 1 and "1", "10", "{1", "1,2" or "{1,2}" share the
+    prefix "{" + least state + "," of super-vertex names; children and
+    same-step classes must still come in full-name order."""
+    h = mc.chain_graph([(names[a.tail - 1], names[a.head - 1], a.weight) for a in g.arcs])
+    for tie_break in ("lex", "revlex"):
+        r1 = mc.run_algorithm1(h, tie_break=tie_break)
+        assert r1.to_json_dict()["contraction_tree"] == reference_tree(h.states, r1.cycles)
+    r2 = mc.run_algorithm2(h)
+    assert r2.to_json_dict()["contraction_tree"] == reference_tree(h.states, r2.classes)
+    for step in {rec.step for rec in r2.classes}:
+        firsts = [min(map(name_key, rec.member_vids)) for rec in r2.classes if rec.step == step]
+        assert firsts == sorted(firsts)

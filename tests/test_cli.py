@@ -160,6 +160,23 @@ def test_kmc_unknown_start_state(capsys, two_state_file):
     assert "9" in capsys.readouterr().err
 
 
+def test_kmc_window_needs_two_numbers(capsys, two_state_file):
+    code = main(
+        ["kmc", "--input", two_state_file, "--epsilon", "0.5", "--x0", "1",
+         "--horizon", "10", "--n", "2", "--window", "5"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --window must be t_lo:t_hi, two numbers, got '5'\n"
+
+
+def test_alg2_covering_stop_with_an_unknown_state_exits_one(capsys):
+    golden = str(Path(__file__).parent / "golden" / "nested.graph.json")
+    assert main(["alg2", "--input", golden, "--stop", "covering:1;99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: covering stop names states not in the graph: [99]\n"
+
+
 def test_kinesin_sweep_grid(capsys):
     code, doc = run_json(capsys, ["kinesin-sweep", "--grid", "1:3:1", "--no-bisect"])
     assert code == 0
@@ -177,6 +194,13 @@ def test_kinesin_sweep_requires_grid(capsys):
 def test_kinesin_sweep_bad_grid_exits_one(capsys, grid):
     assert main(["kinesin-sweep", "--grid", grid]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_kinesin_sweep_empty_grid_names_start_and_stop(capsys):
+    assert main(["kinesin-sweep", "--grid", "1:0:1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: grid '1:0:1' is empty: its start 1 lies above its stop 0\n"
+    )
 
 
 def test_sweep_script_stops_on_bad_grid(tmp_path):

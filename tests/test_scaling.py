@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs
+from metachain.contraction import SuperVertex
 from metachain.wgraph import enumerate_optimal
 
 F = Fraction
@@ -23,10 +24,18 @@ def scaled(xs, c):
     return tuple(None if x is None else x * c for x in xs)
 
 
+def members(vids):
+    """Record members, a super-vertex among them as its states."""
+    return [v.states() if isinstance(v, SuperVertex) else v for v in vids]
+
+
 def alg1_shape(r):
     return (
         [a.pair() for a in r.transfers], r.sinks, r.cycle_steps, r.stop_reason, r.terminal_cycle_index,
-        [(c.member_vids, c.member_states, c.closing, c.main_state, c.exit_pair) for c in r.cycles],
+        [
+            (members(c.member_vids), c.member_states, c.closing, c.main_state, c.exit_pair)
+            for c in r.cycles
+        ],
         (r.symmetry_detected, r.symmetry_step, r.symmetry_kind), r.tgraphs.ends,
     )
 
@@ -34,7 +43,7 @@ def alg1_shape(r):
 def alg2_shape(r):
     return (
         [a.pair() for a in r.transfers], r.multiplicity, r.tgraphs.ends, r.stop_reason,
-        [(c.member_vids, c.member_states, c.main_state, c.step) for c in r.classes],
+        [(set(members(c.member_vids)), c.member_states, c.main_state, c.step) for c in r.classes],
         r.final_closed_classes, r.final_absorbing, r.transient_states,
     )
 

@@ -149,12 +149,6 @@ class TGraphs(SequenceABC):
             return TGraphs(self.states, self.transfers, self.ends[i], self.thresholds[i])
         return TGraph(self.states, self.transfers, self.ends[i], self.thresholds[i])
 
-    def to_json(self) -> list:
-        return [
-            {"threshold": format_rational(t), "end": e}
-            for t, e in zip(self.thresholds, self.ends)
-        ]
-
 
 @dataclass(frozen=True)
 class SinkRecord:
@@ -231,8 +225,11 @@ class Alg1Report:
         return tuple(sorted(set(self.gamma)))
 
     def to_json_dict(self) -> dict:
+        """Schema 3.  T-graph k is the first k transfers at threshold
+        ``gamma[k-1]`` (the empty one at 0), so neither is written."""
+        transfers = [arc_to_json(a) for a in self.transfers]
         return {
-            "schema": 2,
+            "schema": 3,
             "kind": "alg1-report",
             "n": self.n,
             "tie_break": self.tie_break,
@@ -240,10 +237,9 @@ class Alg1Report:
             "K": self.K,
             "n_cycles": self.n_cycles,
             "order_one_only": self.order_one_only,
-            "gamma": [format_rational(w) for w in self.gamma],
-            "gamma_float": [float(w) for w in self.gamma],
+            # gamma[k] is the in-force exponent of transfer k
+            "gamma": [t["U"] for t in transfers],
             "delta": [None if d is None else format_rational(d) for d in self.delta],
-            "delta_float": [None if d is None else float(d) for d in self.delta],
             "alpha": None if self.alpha is None else list(self.alpha),
             "sinks": {
                 str(m): {"k": rec.k, "s": state_to_json(rec.s_star), "z": state_to_json(rec.z_star)}
@@ -255,8 +251,7 @@ class Alg1Report:
                 "step": self.symmetry_step,
                 "kind": self.symmetry_kind,
             },
-            "transfers": [arc_to_json(a) for a in self.transfers],
-            "tgraphs": self.tgraphs.to_json(),
+            "transfers": transfers,
             "contraction_tree": hierarchy_json(cycle_hierarchy(self)),
         }
 
@@ -297,12 +292,11 @@ def run_algorithm1(
             symmetry.update(detected=True, step=step, kind=kind)
 
     def select_min_arc(vid, step: int) -> Optional[Arc]:
-        attaining = wg.min_arcs(vid)
-        if not attaining:
+        chosen, tied = wg.min_arc(vid)
+        if chosen is None:
             return None
-        if len(attaining) > 1:
+        if tied:
             note_symmetry(step, "min-arc-multiplicity")
-        chosen = attaining[0]
         kappa_min[vid] = chosen.kappa
         bucket.insert(chosen)
         return chosen

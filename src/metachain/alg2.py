@@ -44,7 +44,7 @@ from .chain import (
     validate,
 )
 from .contraction import SuperVertex, WorkingGraph, vertex_order
-from .graphio import arc_to_json, format_rational, state_to_json
+from .graphio import arc_to_json, format_rational, state_set_to_json, state_to_json
 from .stopping import StopCriterion
 
 __all__ = [
@@ -128,27 +128,26 @@ class Alg2Report:
         return tuple(out)
 
     def to_json_dict(self) -> dict:
+        """Schema 4.  The arcs of release step p all carry the in-force
+        exponent ``theta[p-1]`` and theta strictly increases, so T-graph p
+        ends after the p-th run of equal ``U`` in ``transfers``; neither is
+        written."""
         return {
-            "schema": 3,
+            "schema": 4,
             "kind": "alg2-report",
             "n": self.n,
             "stop_reason": self.stop_reason,
             "P": self.P,
             "theta": [format_rational(w) for w in self.theta],
-            "theta_float": [float(w) for w in self.theta],
             "multiplicity": list(self.multiplicity),
             "prefactors_ignored": self.prefactors_ignored,
-            "final_closed_classes": [
-                sorted((state_to_json(s) for s in c), key=str)
-                for c in self.final_closed_classes
-            ],
+            "final_closed_classes": [state_set_to_json(c) for c in self.final_closed_classes],
             "final_absorbing": [state_to_json(s) for s in self.final_absorbing],
             "transient_states": [state_to_json(s) for s in self.transient_states],
             "covering_class": None
             if self.covering_class is None
-            else sorted((state_to_json(s) for s in self.covering_class), key=str),
+            else state_set_to_json(self.covering_class),
             "transfers": [arc_to_json(a) for a in self.transfers],
-            "tgraphs": self.tgraphs.to_json(),
             "contraction_tree": hierarchy_json(class_hierarchy(self)),
         }
 
@@ -194,6 +193,11 @@ def run_algorithm2(
     limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
 
     tracker = _GrowingClosedClasses(g.states)
+    if stop.kind == "class-covering":
+        # per closed-class label, how many of its states lie in each target
+        # set, kept up to date from the states each step relabels
+        targets = stop.targets
+        hits = tuple({tracker.label[s]: 1 for s in t} for t in targets)
     theta: list = []
     multiplicity: list = []
     ends: list = [0]
@@ -233,17 +237,28 @@ def run_algorithm2(
             rank = {v: i for i, v in enumerate(vertex_order(v for c in nontrivial for v in c))}
             nontrivial.sort(key=lambda c: min(rank[v] for v in c))
         if stop.kind == "class-covering":
-            offered = [frozenset(by_vids[c][0].states) for c in nontrivial]
+            for s, old in tracker.moved:
+                new = tracker.label.get(s)
+                for t, count in zip(targets, hits):
+                    if s in t:
+                        if old is not None:
+                            count[old] -= 1
+                        if new is not None:
+                            count[new] = count.get(new, 0) + 1
+            for cls in (by_vids[c][0] for c in nontrivial):
+                if all(count.get(cls) for count in hits):
+                    covering = frozenset(cls.states)
+                    break
             # The absorbing current vertices are offered at step 1 only.  Later
             # on, an absorbing state was absorbing at step 1 too, and an
             # absorbing super-vertex holds the states of a class offered when
             # it closed; a set that missed the targets then misses them now.
-            if p == 1:
-                absorbing = (s for s, c in tracker.label.items() if len(c.states) == 1)
-                offered += [frozenset((s,)) for s in sorted(absorbing, key=state_key)]
-            hit = stop.covering_class(offered)
-            if hit is not None:
-                covering = hit
+            if covering is None and p == 1:
+                label = tracker.label
+                both = [s for s in targets[0] & targets[1] if s in label and len(label[s].states) == 1]
+                if both:
+                    covering = frozenset((min(both, key=state_key),))
+            if covering is not None:
                 stop_reason = "class-covering"
                 break
         if stop.kind == "custom":

@@ -21,6 +21,7 @@ import numpy as np
 State = Union[int, str]
 
 _FLOAT_MAX = sys.float_info.max
+_PLAIN_STATE_TYPES = (int, str)
 
 __all__ = [
     "Arc",
@@ -101,6 +102,19 @@ def parse_rational(value) -> Fraction:
     means exactly 11/10, not the nearest binary float).  Floats and bools
     are rejected: an exponent must be exact, and a float rarely is.
     """
+    if isinstance(value, str):
+        # "digits" and "digits/digits" skip Fraction's regex; any other
+        # string, a zero denominator included, takes the general path
+        num, slash, den = value.partition("/")
+        if value.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GraphError(f"unparseable rational {value!r}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -112,11 +126,6 @@ def parse_rational(value) -> Fraction:
             f"float {value!r} is not an exact rational; pass a Fraction, an int "
             "or a decimal/rational string so exactness is preserved"
         )
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"unparseable rational {value!r}") from exc
     raise GraphError(f"cannot parse rational from {value!r}")
 
 
@@ -154,8 +163,9 @@ class ChainGraph:
         arcs = list(self.arcs)
         for i, a in enumerate(arcs):
             t, h, w, k = a.tail, a.head, a.weight, a.kappa
-            state_key(t)
-            state_key(h)
+            if type(t) not in _PLAIN_STATE_TYPES or type(h) not in _PLAIN_STATE_TYPES:
+                state_key(t)  # a bool or float may equal a state in ``seen``
+                state_key(h)
             if t not in seen or h not in seen:
                 problem = " references an unknown state"
             elif t == h:

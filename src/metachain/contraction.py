@@ -132,7 +132,8 @@ class WorkingGraph:
     lookup of the current vertex that holds a state.
     rank[pair]: position of an arc pair in (tail, head) state order,
                 reversed when ``revlex``; the one order among equal weights.
-    u_min[vid]: least weight of vid's arcs, as last read by ``min_arcs``.
+    u_min[vid]: least weight of vid's arcs, as last read by ``min_arcs``
+                or ``min_arc``.
     Heap entries are ``key * m + rank`` (m arcs); an entry's in-force
     weight is ``key + offset[vid]``.
     """
@@ -187,6 +188,25 @@ class WorkingGraph:
                 todo += (2 * j + 1, 2 * j + 2)
         arcs, kappa = self._arcs, self._kappa
         return [Arc(arcs[p].tail, arcs[p].head, w, kappa[p]) for p in sorted(group)]
+
+    def min_arc(self, vid: int) -> tuple:
+        """``(arc, tied)``: the least-rank arc of ``min_arcs(vid)``, and
+        whether that list holds another; ``(None, False)`` for a vertex
+        without arcs.  Reads two heap entries, not the whole tied group."""
+        heap, m = self._heap[vid], self._m
+        while heap and self._dead(vid, heap[0] % m):
+            heappop(heap)
+        if not heap:
+            return None, False
+        top = heappop(heap)
+        while heap and self._dead(vid, heap[0] % m):
+            heappop(heap)
+        key, p = divmod(top, m)
+        tied = bool(heap) and heap[0] // m == key
+        heappush(heap, top)
+        w = self.u_min[vid] = key + self._offset[vid]
+        a = self._arcs[p]
+        return Arc(a.tail, a.head, w, self._kappa[p]), tied
 
     def transfer(self, arc: Arc) -> Arc:
         """Take an arc ``min_arcs`` gave out of the graph and return it with a

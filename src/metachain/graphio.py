@@ -27,8 +27,8 @@ __all__ = [
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical string form: ``"3"`` for integers, ``"11/10"`` otherwise."""
-    q = Fraction(q)
+    """Canonical string form: ``"3"`` for integers, ``"11/10"`` otherwise.
+    Takes a Fraction or an int as it is."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -37,6 +37,12 @@ def format_rational(q: Fraction) -> str:
 def state_to_json(s: State) -> Union[int, str]:
     """A state id as JSON: ints stay numbers, anything else becomes a string."""
     return s if isinstance(s, int) else str(s)
+
+
+def state_set_to_json(states) -> list:
+    """A set of state ids as a JSON list, by name; the int 1 goes before the
+    string "1", so the order never rests on set iteration."""
+    return [state_to_json(s) for s in sorted(states, key=lambda s: (str(s), state_key(s)))]
 
 
 def arc_to_json(a: Arc) -> dict:
@@ -87,9 +93,55 @@ def _json_row(entry) -> tuple:
     return row if kappa is None else (*row, kappa)
 
 
+def _compact_encoder():
+    """One compact, sorted-keys, ASCII JSON encoder, as a function of a value.
+
+    ``JSONEncoder.encode`` builds CPython's C encoder anew on every call, so
+    the C encoder is built once here from the same settings; without the C
+    accelerator the pure-Python ``encode`` is used.
+    """
+    enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return enc.encode
+    c = make(
+        None, enc.default, json.encoder.encode_basestring_ascii, None,
+        enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
+    )
+    return lambda value: "".join(c(value, 0))
+
+
+_encode = _compact_encoder()
+
+
+def _encode_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"dump_json takes string keys, got {key!r}")
+    return _encode(key)
+
+
 def dump_json(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text of a document with string keys.
+
+    Keys are sorted and each top-level key starts a line.  A non-empty list
+    or object under a top-level key is written one entry per line, each
+    entry in compact JSON; any other value stays on its key's line.  Output
+    is ASCII (other characters are escaped), so no string value can break
+    the layout, and ends with a newline.
+    """
+    lines = []
+    for key in sorted(doc):
+        value = doc[key]
+        head = f"  {_encode_key(key)}: "
+        if isinstance(value, (list, tuple)) and value:
+            body = ",\n    ".join(map(_encode, value))
+            lines.append(f"{head}[\n    {body}\n  ]")
+        elif isinstance(value, dict) and value:
+            body = ",\n    ".join(f"{_encode_key(k)}: {_encode(value[k])}" for k in sorted(value))
+            lines.append(f"{head}{{\n    {body}\n  }}")
+        else:
+            lines.append(head + _encode(value))
+    return "{\n" + ",\n".join(lines) + "\n}\n" if lines else "{}\n"
 
 
 def graph_to_tsv(g: ChainGraph) -> str:

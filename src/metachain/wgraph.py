@@ -32,7 +32,7 @@ from .chain import (
     state_key,
 )
 from .contraction import SuperVertex, find
-from .graphio import format_rational, state_to_json
+from .graphio import format_rational, state_set_to_json, state_to_json
 
 __all__ = [
     "WGraph",
@@ -65,7 +65,7 @@ class WGraph:
 
     def to_json_dict(self) -> dict:
         return {
-            "sinks": sorted((state_to_json(s) for s in self.sinks), key=str),
+            "sinks": state_set_to_json(self.sinks),
             "arcs": [[state_to_json(t), state_to_json(h)] for (t, h) in self.arcs],
             "total_weight": format_rational(self.total_weight),
         }

@@ -46,6 +46,34 @@ def chain_graphs(draw, n=None, min_n=4, max_n=9):
     return mc.chain_graph([(t, h, w) for (t, h), w in zip(arcs, weights)])
 
 
+def derived_report_keys(doc: dict) -> dict:
+    """The keys that alg1 schema 3 and alg2 schema 4 reports leave out,
+    rebuilt from a written report: ``tgraphs`` and the float lists.
+
+    Alg1 T-graph k ends at transfer k at threshold ``gamma[k-1]``.  The arcs
+    of alg2 release step p all carry ``theta[p-1]``, which strictly
+    increases, so T-graph p ends after the p-th run of equal ``U``.
+    """
+
+    def floats(values):
+        return [None if v is None else float(Fraction(v)) for v in values]
+
+    tgraphs = [{"end": 0, "threshold": "0"}]
+    if doc["kind"] == "alg1-report":
+        tgraphs += [{"end": k, "threshold": w} for k, w in enumerate(doc["gamma"], start=1)]
+        return {
+            "tgraphs": tgraphs,
+            "gamma_float": floats(doc["gamma"]),
+            "delta_float": floats(doc["delta"]),
+        }
+    for end, t in enumerate(doc["transfers"], start=1):
+        if len(tgraphs) > 1 and tgraphs[-1]["threshold"] == t["U"]:
+            tgraphs[-1]["end"] = end
+        else:
+            tgraphs.append({"end": end, "threshold": t["U"]})
+    return {"tgraphs": tgraphs, "theta_float": floats(doc["theta"])}
+
+
 def random_strongly_connected(rng: random.Random, n: int, extra: int, pool, replace=False):
     """Hamiltonian cycle through all states plus `extra` random arcs."""
     states = list(range(1, n + 1))

@@ -7,7 +7,10 @@ what the console script runs, including the exit-code contract:
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,3 +399,28 @@ def test_export_dot_demo_cli(capsys):
 def test_export_dot_needs_a_source(capsys):
     assert main(["export-dot"]) == 1
     assert "--input or --demo" in capsys.readouterr().err
+
+
+# 1 and "1" (and 10 and "10") print alike, so a class holding both is
+# ordered by more than its members' names
+HASH_SEED_CHAIN = [("a", 1, 5), (1, 2, 2), (2, "10", 1), ("10", "1", 1), ("1", "a", 4),
+                   (1, "10", 2), ("10", 1, 1), ("1", "10", 2), ("1", 1, 1)]
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "mixed.json"
+    mc.save_graph(mc.chain_graph(HASH_SEED_CHAIN), path)
+    package_root = str(Path(mc.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"alg2-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "metachain.cli", "alg2", "--input", str(path),
+             "--stop", "covering:1;2", "--out", str(out)],
+            env=env, check=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["covering_class"] == [1, "1", "10", 2]

@@ -81,8 +81,10 @@ def test_min_arcs_records_the_least_weight():
     v = wg.vertex_of(1)
     assert [a.pair() for a in wg.min_arcs(v)] == [(1, 2), (1, 3)]
     assert F(wg.u_min[v], wg.scale) == F(2)
+    assert wg.min_arc(v) == (wg.min_arcs(v)[0], True)
     lone = WorkingGraph(mc.chain_graph([(1, 2, 1)]))
     assert lone.min_arcs(lone.vertex_of(2)) == [] and lone.u_min[lone.vertex_of(2)] is None
+    assert lone.min_arc(lone.vertex_of(2)) == (None, False)
 
 
 def test_split_outgoing():
@@ -257,7 +259,8 @@ def bits(kappa):
 def test_lazy_repricing_matches_an_eager_reference(g, rnd):
     """After random reads, transfers and contractions (with and without a
     closing prefactor), every current vertex's ``min_arcs`` equals the
-    eager reference: pairs, tie order, weights and prefactor bits."""
+    eager reference: pairs, tie order, weights and prefactor bits.
+    ``min_arc`` gives its first arc and whether it holds another."""
     if rnd.random() < 0.5:  # prefactors on a third of the chains or so
         g = mc.chain_graph([(a.tail, a.head, a.weight, rnd.uniform(0.1, 9)) for a in g.arcs])
     revlex = rnd.random() < 0.5
@@ -272,7 +275,9 @@ def test_lazy_repricing_matches_an_eager_reference(g, rnd):
         got = [(a.pair(), F(a.weight, wg.scale), bits(a.kappa)) for a in wg.min_arcs(v)]
         want = [(p, w, bits(k)) for p, w, k in ref.min_arcs(members(wg.vertex[v]), order)]
         assert got == want
-        return wg.min_arcs(v)
+        arcs = wg.min_arcs(v)
+        assert wg.min_arc(v) == ((arcs[0], len(arcs) > 1) if arcs else (None, False))
+        return arcs
 
     def vids():
         return sorted({wg.vertex_of(s) for s in g.states})

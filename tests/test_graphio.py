@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import metachain as mc
@@ -49,6 +49,35 @@ def test_format_rational():
     assert format_rational(Fraction(11, 10)) == "11/10"
 
 
+def _general_path(token: str):
+    """What parse_rational gave every string before its ASCII fast path."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return mc.GraphError
+
+
+TOKENS = ["0", "00", "3/00", "3/0", "3/", "/3", "+3", "-3/4", " 3", "3 ", "1.5", "1_0",
+          "1/2/3", "0/7", "007/014", "\u0663", "\u0661/\u0662", "3/\u0664", "", "/"]
+
+
+@given(
+    st.one_of(
+        st.sampled_from(TOKENS),
+        st.from_regex(r"[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+        st.text(alphabet="0123456789/+-._ e\u0660\u0663\u00b2", max_size=8),
+    )
+)
+def test_parse_rational_fast_path_matches_general_path(token):
+    expected = _general_path(token)
+    if expected is mc.GraphError:
+        with pytest.raises(mc.GraphError, match="unparseable rational"):
+            mc.parse_rational(token)
+    else:
+        got = mc.parse_rational(token)
+        assert type(got) is Fraction and got == expected
+
+
 @given(st.fractions(min_value=-100, max_value=100))
 def test_format_parse_round_trip(q):
     assert mc.parse_rational(format_rational(q)) == q
@@ -87,6 +116,57 @@ def test_json_dict_survives_serialization():
 def test_json_missing_key_rejected():
     with pytest.raises(mc.GraphError):
         graph_from_json_dict({"schema": 1, "kind": "chain-graph"})
+
+
+DOCS = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=6,
+)
+
+
+@given(DOCS)
+@example({"k: v": 1, "s": ["a,b", "x\ny", 'q"uote', "\u00e9\u4e2d", "\\", "},{"], "t": {"k,\n\"": "v\u00e9"}})
+def test_dump_json_writes_one_entry_per_line(doc):
+    text = mc.dump_json(doc)
+    assert text.endswith("\n") and text.isascii()
+    assert json.loads(text) == doc == json.loads(json.dumps(doc, sort_keys=True))
+    lines = text.splitlines()
+    if not doc:
+        assert lines == ["{}"]
+        return
+    assert (lines[0], lines[-1]) == ("{", "}")
+    # one line per top-level key, and one more per entry of a non-empty
+    # list or object plus its closing bracket
+    starts = [i for i, line in enumerate(lines) if line.startswith('  "')]
+    assert len(starts) == len(doc)
+    for i, key in zip(starts, sorted(doc)):
+        got, end = json.JSONDecoder().raw_decode(lines[i], 2)
+        assert got == key and lines[i][end:end + 2] == ": "
+        value = doc[key]
+        if isinstance(value, (list, dict)) and value:
+            entries = lines[i + 1:i + 1 + len(value)]
+            assert all(e.startswith("    ") for e in entries)
+            assert lines[i + 1 + len(value)] in ("  ]", "  ],", "  }", "  },")
+            if isinstance(value, list):
+                assert [json.loads(e.strip().rstrip(",")) for e in entries] == value
+            else:
+                assert json.loads("{" + ",".join(e.strip().rstrip(",") for e in entries) + "}") == value
+        else:
+            assert json.loads(lines[i][end + 2:].rstrip(",")) == value
+    assert len(lines) == 2 + len(doc) + sum(
+        len(v) + 1 for v in doc.values() if isinstance(v, (list, dict)) and v
+    )
+
+
+def test_dump_json_refuses_keys_it_cannot_lay_out():
+    for doc in ({1: "a"}, {"a": {None: 1}}):
+        with pytest.raises(TypeError, match="string keys"):
+            mc.dump_json(doc)
 
 
 def test_dump_json_is_deterministic():

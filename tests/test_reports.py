@@ -1,18 +1,18 @@
-"""Report storage and JSON schemas (2 for alg1, 3 for alg2): shared transfer
-prefixes, flat contraction trees, deep chains, and the linear-time sweep
-cross-check."""
+"""Report storage and JSON schemas (3 for alg1, 4 for alg2): shared transfer
+prefixes, flat contraction trees, keys derived instead of written, deep
+chains, and the linear-time sweep cross-check."""
 
 import json
 import random
 import sys
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from conftest import chain_graphs
-from metachain.alg1 import cycle_hierarchy
+from conftest import chain_graphs, derived_report_keys
+from metachain.alg1 import Alg1Report, cycle_hierarchy
 from metachain.alg2 import _expanded_adjacency, class_hierarchy
 from metachain.chain import closed_communicating_classes
 from metachain.cli import main
@@ -77,21 +77,22 @@ def test_deep_chain_reports_need_no_recursion(tmp_path):
     assert codes == [0, 0]
     # the simultaneous sweep stops at full closure, one contraction short
     assert [len(roots1), len(roots2)] == [1, 2]
-    for text, name, depth, schema in ((text1, "alg1", n - 1, 2), (text2, "alg2", n - 2, 3)):
+    for text, name, depth, schema in ((text1, "alg1", n - 1, 3), (text2, "alg2", n - 2, 4)):
         doc = json.loads(text)
         assert doc["schema"] == schema
         assert tree_depth(doc["contraction_tree"]) == depth
         assert (tmp_path / f"{name}.json").read_text() == text
 
 
-def test_alg1_json_schema_2():
+def test_alg1_json_schema_3():
     rep = mc.run_algorithm1(mc.nested_cycle_chain())
     doc = rep.to_json_dict()
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
+    assert not {"tgraphs", "gamma_float", "delta_float"} & set(doc)
     assert [(t["from"], t["to"], t["U"]) for t in doc["transfers"]] == [
         (a.tail, a.head, format_rational(a.weight)) for a in rep.transfers
     ]
-    assert doc["tgraphs"] == [
+    assert derived_report_keys(doc)["tgraphs"] == [
         {"threshold": format_rational(t.threshold), "end": k}
         for k, t in enumerate(rep.tgraphs)
     ]
@@ -106,13 +107,15 @@ def test_alg1_json_schema_2():
     assert tree_depth(flat) == 3
 
 
-def test_alg2_json_schema_3():
+def test_alg2_json_schema_4():
     rep = mc.run_algorithm2(mc.nested_cycle_chain_integer())
     doc = rep.to_json_dict()
-    assert doc["schema"] == 3 and "classes" not in doc
+    assert doc["schema"] == 4
+    assert not {"classes", "tgraphs", "theta_float"} & set(doc)
     assert len(doc["transfers"]) == len(rep.transfers) == 12
-    assert [t["end"] for t in doc["tgraphs"]] == [0, 2, 8, 12]
-    assert [t["threshold"] for t in doc["tgraphs"]] == ["0", "1", "3", "4"]
+    tgraphs = derived_report_keys(doc)["tgraphs"]
+    assert [t["end"] for t in tgraphs] == [0, 2, 8, 12]
+    assert [t["threshold"] for t in tgraphs] == ["0", "1", "3", "4"]
     flat = doc["contraction_tree"]
     assert [node["kind"] for node in flat] == ["state"] * 3 + ["cycle"] + ["state"] * 4
     assert flat[3]["children"] == [0, 1, 2]
@@ -210,3 +213,38 @@ def test_comparison_matches_reference(data):
     r1, r2 = mc.run_algorithm1(g), mc.run_algorithm2(h)
     got = mc.compare_alg1_alg2(g, r1=r1, r2=r2)
     assert [(s.ok, s.detail) for s in got.statements] == reference_comparison(g, r1, r2)
+
+
+@st.composite
+def swept_reports(draw):
+    """A report of alg1 (lex or revlex) or alg2 on a 3-9-state chain, run
+    to the end or to a stop the sweep takes."""
+    g = draw(chain_graphs(min_n=3))
+    sweep = draw(st.sampled_from(["lex", "revlex", "alg2"]))
+    weights = sorted({a.weight for a in g.arcs})
+    stops = [None, mc.StopCriterion.exponent_threshold(draw(st.sampled_from(weights)))]
+    if sweep == "alg2":
+        a, b = (draw(st.sets(st.sampled_from(g.states), min_size=1)) for _ in range(2))
+        stops.append(mc.StopCriterion.class_covering(a, b))
+        return mc.run_algorithm2(g, stop=draw(st.sampled_from(stops)))
+    stops.append(mc.StopCriterion.bucket_size_one())
+    return mc.run_algorithm1(g, stop=draw(st.sampled_from(stops)), tie_break=sweep)
+
+
+@settings(max_examples=300)
+@given(swept_reports())
+def test_dropped_keys_derive_from_the_written_report(rep):
+    doc = json.loads(mc.dump_json(rep.to_json_dict()))
+    derived = derived_report_keys(doc)
+    assert not set(derived) & set(doc)
+    tg = rep.tgraphs
+    assert derived["tgraphs"] == [
+        {"end": e, "threshold": format_rational(t)} for e, t in zip(tg.ends, tg.thresholds)
+    ]
+    assert [t.threshold for t in tg] == [Fraction(t["threshold"]) for t in derived["tgraphs"]]
+    assert [len(t.arcs) for t in tg] == [t["end"] for t in derived["tgraphs"]]
+    if isinstance(rep, Alg1Report):
+        assert derived["gamma_float"] == [float(w) for w in rep.gamma]
+        assert derived["delta_float"] == [None if d is None else float(d) for d in rep.delta]
+    else:
+        assert derived["theta_float"] == [float(w) for w in rep.theta]

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the motor model's switch exponent and save the behavior atlas.
 
-Runs the two-ring model over a rational grid of switch exponents, groups
-grid points by contraction behavior, refines the boundaries by exact
-bisection and writes the full result (intervals, fitted slowest exponents,
-critical values) as JSON.
+Walks the two-ring model's switch exponent over the span of a rational
+grid one exact regime at a time (one sweep per regime), groups the grid
+points by contraction behavior, and writes the full result (intervals,
+fitted slowest exponents, the exact zeta of every behavior change) as JSON.
 
 Example:
     python scripts/run_kinesin_sweep.py --grid 1/4:41/4:1/2 --out sweep.json
@@ -22,7 +22,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", default="1/4:41/4:1/2", help="start:stop:step, rationals")
     ap.add_argument("--psi", default="2", help="chemical tilt (rational)")
-    ap.add_argument("--no-bisect", action="store_true", help="skip boundary refinement")
+    ap.add_argument(
+        "--no-bisect",
+        action="store_true",
+        help="report each behavior change as its bracketing grid points, not its exact zeta",
+    )
     ap.add_argument("--out", default="kinesin_sweep.json")
     args = ap.parse_args(argv)
 

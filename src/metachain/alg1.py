@@ -38,7 +38,7 @@ from .chain import (
     validate,
 )
 from .contraction import SuperVertex, WorkingGraph, find, vertex_order
-from .graphio import arc_to_json, format_rational, state_to_json
+from .graphio import arc_to_json, format_rational, gc_paused, state_to_json
 from .stopping import StopCriterion
 from .wgraph import ForestExpansion
 
@@ -224,6 +224,7 @@ class Alg1Report:
     def distinct_gamma(self) -> tuple:
         return tuple(sorted(set(self.gamma)))
 
+    @gc_paused
     def to_json_dict(self) -> dict:
         """Schema 3.  T-graph k is the first k transfers at threshold
         ``gamma[k-1]`` (the empty one at 0), so neither is written."""

@@ -44,7 +44,7 @@ from .chain import (
     validate,
 )
 from .contraction import SuperVertex, WorkingGraph, vertex_order
-from .graphio import arc_to_json, format_rational, state_set_to_json, state_to_json
+from .graphio import arc_to_json, format_rational, gc_paused, state_set_to_json, state_to_json
 from .stopping import StopCriterion
 
 __all__ = [
@@ -127,6 +127,7 @@ class Alg2Report:
             out.extend([w] * mult)
         return tuple(out)
 
+    @gc_paused
     def to_json_dict(self) -> dict:
         """Schema 4.  The arcs of release step p all carry the in-force
         exponent ``theta[p-1]`` and theta strictly increases, so T-graph p

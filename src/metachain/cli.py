@@ -136,7 +136,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kinesin-sweep", help="switch-exponent sweep of the motor model")
     p.add_argument("--grid", help="start:stop:step, inclusive rational grid")
     p.add_argument("--zeta", action="append", help="explicit grid value (repeatable)")
-    p.add_argument("--bisect", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument(
+        "--bisect",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="report every zeta in the grid span where the behavior changes, exactly "
+        "(default); --no-bisect gives one bracket of grid points per change instead",
+    )
     p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("export-dot", help="Graphviz DOT text")

@@ -6,6 +6,8 @@ as ``"p/q"`` strings (or plain integers) and re-parsed with Fraction.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +26,25 @@ __all__ = [
     "graph_to_tsv",
     "graph_from_tsv",
 ]
+
+
+def gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused, then put it back
+    as it was, also when ``fn`` raises.  A report allocates a few small
+    objects per step while the sweep's own objects stay live, so collections
+    would walk those again and again without freeing any."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def format_rational(q: Fraction) -> str:

@@ -7,17 +7,24 @@ chemical bonds (2-3 and 4-1): positive tilt on the plus ring, negative on
 the minus ring.  Corresponding states of the two rings are linked by
 switch arcs whose exponent is the sweep parameter ``zeta``.
 
-The sweep runs the tie-tolerant contraction on a grid of zeta values with
-a two-target stop (a class containing one of {1+,1-} and one of {3+,3-}),
-groups grid points by the final transition graph together with the order
-in which its arcs entered (the per-release-step labeled arc sets), and
-locates the boundaries between groups.  The release order matters: two
-zeta ranges can end with the same arc set yet build it through different
-contraction hierarchies, and those count as different behaviors.  Classes
-are piecewise constant in zeta with rational breakpoints, so bisection on
-exact rationals pins boundaries exactly; at a breakpoint two release steps
-merge into one, so the midpoint's class differs from both bracket ends and
-identifies the breakpoint in finitely many steps.
+The sweep runs the tie-tolerant contraction with a two-target stop (a
+class containing one of {1+,1-} and one of {3+,3-}) and describes a run by
+its signature: the labeled arc set of each release step, in order.  The
+release order matters: two zeta ranges can end with the same arc set yet
+build it through different contraction hierarchies, and those count as
+different behaviors.
+
+Every exponent is a constant or zeta, so every weight the contraction
+compares is affine in zeta.  After one run at zeta0, a replay of its steps
+with (value, slope) weights turns each comparison the run made into a
+condition on zeta, and their intersection is the exact regime of that
+run: an open interval around zeta0 on which every comparison, so the
+signature and the slope of every threshold, stays the same, or zeta0
+alone where weights of different slopes tie there (Gusfield 1980,
+*Sensitivity analysis for combinatorial optimization*).  Open regimes and
+single points alternate along the axis, so the sweep walks the grid span
+one regime at a time, with one run per regime, and reports a boundary
+exactly where the signature changes.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .alg2 import run_algorithm2
-from .chain import Arc, ChainGraph, GraphError, parse_rational
+from .chain import Arc, ChainGraph, GraphError, InternalInvariantError, parse_rational
 from .graphio import format_rational
 from .stopping import StopCriterion
 
@@ -41,10 +48,7 @@ __all__ = [
     "SweepResult",
     "kinesin_sweep",
     "parse_grid",
-    "simplest_rational_between",
 ]
-
-MAX_BISECTION_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -206,33 +210,153 @@ def parse_grid(spec: str) -> list:
     return out
 
 
-def _signature_at(zeta: Fraction, params: KinesinParams) -> tuple:
+@dataclass(frozen=True)
+class _Regime:
+    """The zeta range on which the run at ``zeta`` compares every pair of
+    weights the same way: the open interval (``lo``, ``hi``), None for an
+    unbounded end, or ``zeta`` alone, ``lo == hi == zeta``.  ``theta`` is
+    the final threshold as (value at ``zeta``, slope in zeta)."""
+
+    lo: Optional[Fraction]
+    hi: Optional[Fraction]
+    zeta: Fraction
+    signature: tuple
+    theta: tuple
+
+    @property
+    def is_point(self) -> bool:
+        return self.lo == self.zeta
+
+    def holds(self, z: Fraction) -> bool:
+        if self.is_point:
+            return z == self.zeta
+        return (self.lo is None or self.lo < z) and (self.hi is None or z < self.hi)
+
+    def theta_at(self, z: Fraction) -> Fraction:
+        value, slope = self.theta
+        return value + slope * (z - self.zeta)
+
+
+def _regime(zeta: Fraction, params: KinesinParams) -> _Regime:
+    """Run the sweep at ``zeta`` and replay it with affine weights.
+
+    A weight is (value at zeta, integer slope): slope 1 on switch arcs, 0
+    on ring arcs, and contraction's ``U - u_min + threshold`` subtracts
+    and adds slopes as it does values.  The replay makes the run's
+    comparisons again: each vertex's least arcs against its others when it
+    enters the bucket, and at each step the released vertices against the
+    rest of the bucket.  A strict one, d + s (z - zeta) > 0, bounds the
+    regime at zeta - d / s; a tie between different slopes holds at zeta
+    alone.  Values are the run's integers, exponents times ``scale``.
+    """
     report = run_algorithm2(build_kinesin(params.with_zeta(zeta)), stop=kinesin_stop())
-    # labeled arc sets, one per release step; equal tuples mean the same
-    # arcs entered in the same groups (theta values themselves may move with
-    # zeta inside an interval, so they are not part of the key)
-    steps = tuple(frozenset(a.pair() for a in step) for step in report.transfers_by_step)
-    theta_final = report.theta[-1] if report.theta else None
-    return steps, theta_final
+    g = report.graph
+    scale, values = g.integer_weights
+    # switch arcs are exactly the arcs between the rings
+    weight = {q: (w, int(q[0][-1] != q[1][-1])) for q, w in values.items()}
+    vertex = {s: s for s in g.states}  # state -> current vertex holding it
+    out = {s: [a.pair() for a in g.out_arcs(s)] for s in g.states}  # vertex -> arcs leaving it
+    taken: set = set()
+    bucket: dict = {}  # vertex not yet released -> (least value, its slope, its arcs)
+    u_min: dict = {}
+    below = above = None  # (d, |s|) of the nearest bound on each side: at distance d / (|s| scale)
+    point = False
+
+    def same_order(d: int, slope: int) -> None:
+        """Keep a weight d >= 0 above another at zeta, by slope faster."""
+        nonlocal below, above, point
+        if d == 0:
+            point = point or slope != 0
+        elif slope > 0:
+            if below is None or d * below[1] < below[0] * slope:
+                below = d, slope
+        elif slope < 0:
+            if above is None or d * above[1] < above[0] * -slope:
+                above = d, -slope
+
+    def insert(v) -> None:
+        live = out[v] = [q for q in out[v] if vertex[q[1]] != v and q not in taken]
+        if not live:
+            return
+        least, slope = min(weight[q] for q in live)
+        for q in live:
+            w, s = weight[q]
+            same_order(w - least, s - slope)
+        u_min[v] = least, slope
+        bucket[v] = least, slope, [q for q in live if weight[q][0] == least]
+
+    for s in g.states:
+        insert(s)
+    classes: dict = {}
+    for c in report.classes:
+        classes.setdefault(c.step, []).append(c)
+    for p, released in enumerate(report.transfers_by_step, start=1):
+        theta = min(b[:2] for b in bucket.values())
+        for b in bucket.values():
+            same_order(b[0] - theta[0], b[1] - theta[1])
+        going = [v for v, b in bucket.items() if b[0] == theta[0]]
+        pairs = {q for v in going for q in bucket.pop(v)[2]}
+        if pairs != {a.pair() for a in released}:
+            raise InternalInvariantError(f"replay of the sweep at zeta = {zeta} left it at step {p}")
+        taken |= pairs
+        for c in classes.get(p, ()):
+            states = c.vertex.states()
+            parts = {vertex[s] for s in states}
+            exits = []
+            for u in parts:
+                for q in out.pop(u):
+                    if vertex[q[1]] not in parts and q not in taken:
+                        (w, s), (m, m_slope) = weight[q], u_min[u]
+                        weight[q] = w - m + theta[0], s - m_slope + theta[1]
+                        exits.append(q)
+            vertex.update(dict.fromkeys(states, c.vertex))
+            out[c.vertex] = exits
+            insert(c.vertex)
+    if Fraction(theta[0], scale) != report.theta[-1]:
+        raise InternalInvariantError(f"replay of the sweep at zeta = {zeta} ended at another threshold")
+    if point:
+        lo = hi = zeta
+    else:
+        lo = None if below is None else zeta - Fraction(below[0], below[1] * scale)
+        hi = None if above is None else zeta + Fraction(above[0], above[1] * scale)
+    signature = tuple(frozenset(a.pair() for a in step) for step in report.transfers_by_step)
+    return _Regime(lo, hi, zeta, signature, (report.theta[-1], theta[1]))
 
 
-def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational strictly inside the open interval."""
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-    if lo < 0:
-        if hi > 0:
-            return Fraction(0)
-        return -simplest_rational_between(-hi, -lo)
-    fl = lo.numerator // lo.denominator
-    if Fraction(fl + 1) < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        # (integer, hi): smallest q with fl + 1/q inside
-        q = ((hi - fl) ** -1).__floor__() + 1
-        return fl + Fraction(1, q)
-    inner = simplest_rational_between((hi - fl) ** -1, (lo - fl) ** -1)
-    return fl + inner**-1
+def _regimes(grid: list, params: KinesinParams) -> list:
+    """The regimes covering [grid[0], grid[-1]], in order, one run each.
+
+    The end of an open regime is a point where two weights of different
+    slopes tie, so a point regime, and right of a point x lies an open
+    regime (x, b).  The walk finds that one by running at the next grid
+    point and, while the regime found there starts beyond x, again halfway
+    between x and its start.
+    """
+    found: list = []
+
+    def at(z: Fraction) -> _Regime:
+        r = next((r for r in found if r.holds(z)), None)
+        if r is None:
+            r = _regime(z, params)
+            found.append(r)
+        return r
+
+    last = grid[-1]
+    out = [at(grid[0])]
+    while True:
+        r = out[-1]
+        if not r.is_point:
+            if r.hi is None or r.hi > last:
+                return out
+            out.append(at(r.hi))
+            continue
+        x = r.zeta
+        if x >= last:
+            return out
+        nxt = at(next(z for z in grid if z > x))
+        while nxt.lo != x:
+            nxt = at((x + nxt.lo) / 2)
+        out.append(nxt)
 
 
 def _affine_fit(points: Sequence[tuple]) -> Optional[tuple]:
@@ -253,12 +377,17 @@ def kinesin_sweep(
     params: Optional[KinesinParams] = None,
     bisect: bool = True,
 ) -> SweepResult:
-    """Sweep the switch exponent and partition the grid range by behavior.
+    """Sweep the switch exponent and partition the grid span by behavior.
 
-    Consecutive grid points whose runs release the same labeled arc sets
-    in the same order join one interval; each boundary between distinct
-    intervals is reported as the bracketing grid pair, refined by
-    exact-rational bisection when ``bisect`` is set.
+    The span is walked one exact regime at a time; a grid point takes its
+    signature and final theta from the regime holding it.  Regimes of one
+    signature in a row form a segment, and the grid points of a segment
+    form an interval whose ``lo``/``hi`` are the segment's ends, clipped to
+    the span.  With ``bisect`` set, every point of the span where the
+    signature changes is one exact boundary, bracketed by the grid points
+    around it (a grid point that is itself such a point is reported as
+    it).  Otherwise each pair of adjacent intervals gives one unrefined
+    bracket of grid points.
     """
     grid = [parse_rational(z) for z in zeta_grid]
     if not grid:
@@ -269,72 +398,55 @@ def kinesin_sweep(
         raise GraphError("sweep grid must be strictly increasing")
     if params is None:
         params = KinesinParams(zeta=grid[0])
+    first, last = grid[0], grid[-1]
 
-    sig_cache: dict = {}
+    segments: list = []  # [lo, hi, signature], unclipped
+    seg_of: list = []  # regime index -> segment index
+    regimes = _regimes(grid, params)
+    for r in regimes:
+        if not segments or segments[-1][2] != r.signature:
+            segments.append([r.lo, r.hi, r.signature])
+        segments[-1][1] = r.hi
+        seg_of.append(len(segments) - 1)
 
-    def signature(z: Fraction) -> tuple:
-        if z not in sig_cache:
-            sig_cache[z] = _signature_at(z, params)
-        return sig_cache[z]
-
-    groups: list[list] = []
+    groups: list = []  # (segment index, [(zeta, theta)])
+    i = 0
     for z in grid:
-        sig, _theta = signature(z)
-        if groups and signature(groups[-1][-1])[0] == sig:
-            groups[-1].append(z)
-        else:
-            groups.append([z])
+        while not regimes[i].holds(z):
+            i += 1
+        if not groups or groups[-1][0] != seg_of[i]:
+            groups.append((seg_of[i], []))
+        groups[-1][1].append((z, regimes[i].theta_at(z)))
 
-    boundaries: list[SweepBoundary] = []
-    for left, right in zip(groups, groups[1:]):
-        lo, hi = left[-1], right[0]
-        refined = None
-        exact = False
-        if bisect:
-            refined, exact = _bisect_boundary(lo, hi, signature)
-        boundaries.append(SweepBoundary(lo=lo, hi=hi, refined=refined, exact=exact))
-
-    intervals: list[SweepInterval] = []
-    for i, zs in enumerate(groups):
-        lo = grid[0] if i == 0 else _boundary_value(boundaries[i - 1])
-        hi = grid[-1] if i == len(groups) - 1 else _boundary_value(boundaries[i])
-        sig = signature(zs[0])[0]
-        theta_by = tuple((z, signature(z)[1]) for z in zs)
+    intervals = []
+    for k, theta_by in groups:
+        lo, hi, signature = segments[k]
         intervals.append(
             SweepInterval(
-                lo=lo,
-                hi=hi,
-                zetas=tuple(zs),
-                signature=sig,
-                theta_by_zeta=theta_by,
+                lo=first if lo is None or lo < first else lo,
+                hi=last if hi is None or hi > last else hi,
+                zetas=tuple(z for z, _t in theta_by),
+                signature=signature,
+                theta_by_zeta=tuple(theta_by),
                 exponent_fit=_affine_fit(theta_by),
             )
         )
+
+    if bisect:
+        # a point whose signature differs from both sides ends two segments
+        changes = dict.fromkeys(seg[1] for seg in segments[:-1])
+        boundaries = [
+            SweepBoundary(
+                lo=max((z for z in grid if z < x), default=x),
+                hi=min((z for z in grid if z > x), default=x),
+                refined=x,
+                exact=True,
+            )
+            for x in changes
+        ]
+    else:
+        boundaries = [
+            SweepBoundary(lo=a.zetas[-1], hi=b.zetas[0], refined=None, exact=False)
+            for a, b in zip(intervals, intervals[1:])
+        ]
     return SweepResult(grid=tuple(grid), intervals=tuple(intervals), boundaries=tuple(boundaries))
-
-
-def _boundary_value(b: SweepBoundary) -> Fraction:
-    return b.refined if b.refined is not None else (b.lo + b.hi) / 2
-
-
-def _bisect_boundary(lo: Fraction, hi: Fraction, signature) -> tuple:
-    """Pin the class breakpoint in (lo, hi); returns (value, exact_flag).
-
-    A midpoint whose class matches neither bracket end must itself be the
-    breakpoint (classes are piecewise constant with a degenerate class at
-    the break), so it is returned exactly.  Otherwise the bracket shrinks;
-    after the step budget the simplest rational inside is returned, which
-    recovers breakpoints of small denominator from any tight bracket.
-    """
-    sig_lo = signature(lo)[0]
-    sig_hi = signature(hi)[0]
-    for _ in range(MAX_BISECTION_STEPS):
-        mid = (lo + hi) / 2
-        sig_mid = signature(mid)[0]
-        if sig_mid == sig_lo:
-            lo = mid
-        elif sig_mid == sig_hi:
-            hi = mid
-        else:
-            return mid, True
-    return simplest_rational_between(lo, hi), False

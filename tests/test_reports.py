@@ -2,11 +2,13 @@
 prefixes, flat contraction trees, keys derived instead of written, deep
 chains, and the linear-time sweep cross-check."""
 
+import gc
 import json
 import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,3 +250,25 @@ def test_dropped_keys_derive_from_the_written_report(rep):
         assert derived["delta_float"] == [None if d is None else float(d) for d in rep.delta]
     else:
         assert derived["theta_float"] == [float(w) for w in rep.theta]
+
+
+@pytest.mark.parametrize("module, builder, run", [
+    ("metachain.alg1", "cycle_hierarchy", mc.run_algorithm1),
+    ("metachain.alg2", "class_hierarchy", mc.run_algorithm2),
+])
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_report_building_restores_the_collector(monkeypatch, module, builder, run, was_enabled):
+    rep = run(mc.nested_cycle_chain())
+
+    def boom(_report):
+        assert not gc.isenabled()  # paused while the report is built
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(f"{module}.{builder}", boom)
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="boom"):
+            rep.to_json_dict()
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable()

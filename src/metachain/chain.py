@@ -81,6 +81,17 @@ def state_key(s: State):
     raise GraphError(f"invalid state id {s!r}: state ids are ints or strings")
 
 
+def state_to_json(s: State) -> int | str:
+    """A state id as JSON: ints stay numbers, anything else becomes a string."""
+    return s if isinstance(s, int) else str(s)
+
+
+def state_set_to_json(states) -> list:
+    """A set of state ids as a JSON list, by name; the int 1 goes before the
+    string "1", so the order never rests on set iteration."""
+    return [state_to_json(s) for s in sorted(states, key=lambda s: (str(s), state_key(s)))]
+
+
 def parse_state(token: str) -> State:
     """Read a state id from text: an ASCII ``[+-]?[0-9]+`` token is an int,
     anything else is the stripped token as a string."""
@@ -375,11 +386,11 @@ class ValidationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "validation-report",
             "n": self.n,
-            "scc_partition": [sorted(map(str, c)) for c in self.scc_partition],
-            "closed_classes": [sorted(map(str, c)) for c in self.closed_classes],
+            "scc_partition": [state_set_to_json(c) for c in self.scc_partition],
+            "closed_classes": [state_set_to_json(c) for c in self.closed_classes],
             "is_irreducible": self.is_irreducible,
             "satisfies_a2": self.satisfies_a2,
         }

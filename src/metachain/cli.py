@@ -136,13 +136,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kinesin-sweep", help="switch-exponent sweep of the motor model")
     p.add_argument("--grid", help="start:stop:step, inclusive rational grid")
     p.add_argument("--zeta", action="append", help="explicit grid value (repeatable)")
-    p.add_argument(
-        "--bisect",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="report every zeta in the grid span where the behavior changes, exactly "
-        "(default); --no-bisect gives one bracket of grid points per change instead",
-    )
     p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("export-dot", help="Graphviz DOT text")
@@ -290,7 +283,7 @@ def _cmd_kinesin_sweep(args) -> int:
     if not grid:
         raise GraphError("kinesin-sweep needs --grid or at least one --zeta")
     grid = sorted(set(grid))
-    result = kinesin_sweep(grid, bisect=args.bisect)
+    result = kinesin_sweep(grid)
     _emit(dump_json(result.to_json_dict()), args.out)
     return 0
 
@@ -305,13 +298,7 @@ def _cmd_export_dot(args) -> int:
     report = validate(g)
     nontrivial = [c for c in report.closed_classes if len(c) >= 2]
     absorbing = [next(iter(c)) for c in report.closed_classes if len(c) == 1]
-    text = export_dot(
-        g,
-        clusters=nontrivial,
-        closed_classes=nontrivial,
-        absorbing=absorbing,
-    )
-    _emit(text, args.out)
+    _emit(export_dot(g, closed_classes=nontrivial, absorbing=absorbing), args.out)
     return 0
 
 

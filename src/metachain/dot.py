@@ -1,16 +1,15 @@
 """Graphviz DOT text export for chain graphs and transition graphs.
 
 Arc labels carry the exact rational weight string so an export can be
-re-parsed without loss.  Styling hooks: vertex groups render as clusters,
-closed classes and absorbing states get distinct fills, a highlighted arc
-set (e.g. the latest transferred arcs) is drawn bold.
+re-parsed without loss.  Closed classes render as clusters with a fill of
+their own, and absorbing states get another.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .chain import Arc, ChainGraph, State, state_key
+from .chain import ChainGraph, State, state_key
 from .graphio import format_rational
 
 __all__ = ["export_dot"]
@@ -26,13 +25,8 @@ def _quote(text: str) -> str:
 def export_dot(
     graph,
     *,
-    name: str = "chain",
-    clusters: Optional[Sequence[Iterable[State]]] = None,
     closed_classes: Optional[Sequence[Iterable[State]]] = None,
     absorbing: Optional[Iterable[State]] = None,
-    highlight: Optional[Iterable[tuple]] = None,
-    dashed: Optional[Iterable[tuple]] = None,
-    rankdir: str = "LR",
 ) -> str:
     """Render a ChainGraph or TGraph (anything with .arcs) to DOT text."""
     if isinstance(graph, ChainGraph):
@@ -43,52 +37,33 @@ def export_dot(
         arcs = tuple(graph.arcs)
     states = tuple(sorted(states, key=state_key))
     node_id = {s: f"n{i}" for i, s in enumerate(states)}
-
-    closed_of: dict = {}
-    for group in closed_classes or ():
-        for s in group:
-            closed_of[s] = True
     absorbing_set = set(absorbing or ())
-    highlight_set = {tuple(p) for p in (highlight or ())}
-    dashed_set = {tuple(p) for p in (dashed or ())}
 
-    lines = [f"digraph {_quote(name)} {{"]
-    lines.append(f"  rankdir={rankdir};")
-    lines.append("  node [shape=circle];")
+    def node(s: State, fill: Optional[str]) -> str:
+        attrs = [f"label={_quote(s)}"]
+        if s in absorbing_set:
+            fill = ABSORBING_FILL
+        if fill:
+            attrs += ["style=filled", f"fillcolor={fill}"]
+        return f"{node_id[s]} [{', '.join(attrs)}];"
 
+    lines = ['digraph "chain" {', "  rankdir=LR;", "  node [shape=circle];"]
     clustered: set = set()
-    for i, group in enumerate(clusters or ()):
-        members = sorted(group, key=state_key)
+    for i, group in enumerate(closed_classes or ()):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append("    style=rounded;")
-        for s in members:
-            lines.append(f"    {node_id[s]} {_node_attrs(s, closed_of, absorbing_set)};")
+        for s in sorted(group, key=state_key):
+            lines.append(f"    {node(s, CLOSED_FILL)}")
             clustered.add(s)
         lines.append("  }")
     for s in states:
         if s not in clustered:
-            lines.append(f"  {node_id[s]} {_node_attrs(s, closed_of, absorbing_set)};")
+            lines.append(f"  {node(s, None)}")
 
     for a in sorted(arcs, key=lambda a: (state_key(a.tail), state_key(a.head))):
         attrs = [f"label={_quote(format_rational(a.weight))}"]
         if a.kappa is not None:
             attrs.append(f"taillabel={_quote(repr(a.kappa))}")
-        if a.pair() in highlight_set:
-            attrs.append("penwidth=2.5")
-            attrs.append("color=red")
-        elif a.pair() in dashed_set:
-            attrs.append("style=dashed")
         lines.append(f"  {node_id[a.tail]} -> {node_id[a.head]} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _node_attrs(s: State, closed_of: Mapping, absorbing_set: set) -> str:
-    attrs = [f"label={_quote(s)}"]
-    if s in absorbing_set:
-        attrs.append("style=filled")
-        attrs.append(f"fillcolor={ABSORBING_FILL}")
-    elif closed_of.get(s):
-        attrs.append("style=filled")
-        attrs.append(f"fillcolor={CLOSED_FILL}")
-    return "[" + ", ".join(attrs) + "]"

@@ -13,7 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .chain import Arc, ChainGraph, GraphError, State, chain_graph, parse_rational, parse_state, state_key
+from .chain import Arc, ChainGraph, GraphError, chain_graph, parse_rational, parse_state, state_key
+from .chain import state_set_to_json, state_to_json
 
 __all__ = [
     "parse_rational",
@@ -53,17 +54,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def state_to_json(s: State) -> Union[int, str]:
-    """A state id as JSON: ints stay numbers, anything else becomes a string."""
-    return s if isinstance(s, int) else str(s)
-
-
-def state_set_to_json(states) -> list:
-    """A set of state ids as a JSON list, by name; the int 1 goes before the
-    string "1", so the order never rests on set iteration."""
-    return [state_to_json(s) for s in sorted(states, key=lambda s: (str(s), state_key(s)))]
 
 
 def arc_to_json(a: Arc) -> dict:

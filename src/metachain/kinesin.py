@@ -99,12 +99,12 @@ def _ring_exponents(p: KinesinParams, psi: Fraction) -> dict:
     }
 
 
-def build_kinesin(p: KinesinParams) -> ChainGraph:
-    """Eight-state chain graph of the two-ring model, no prefactors."""
-    if p.zeta <= 0:
-        raise GraphError(f"switch exponent must be positive, got {p.zeta}")
-    states = [f"{i}{sign}" for sign in ("+", "-") for i in (1, 2, 3, 4)]
-    arcs: list[Arc] = []
+_STATES = tuple(f"{i}{sign}" for sign in ("+", "-") for i in (1, 2, 3, 4))
+
+
+def _ring_arcs(p: KinesinParams) -> tuple:
+    """The arcs inside both rings; they do not depend on zeta."""
+    arcs = []
     for sign, psi in (("+", p.psi), ("-", -p.psi)):
         for (i, j), u in _ring_exponents(p, psi).items():
             if u <= 0:
@@ -113,10 +113,21 @@ def build_kinesin(p: KinesinParams) -> ChainGraph:
                     "must exceed adjacent well depths after the tilt"
                 )
             arcs.append(Arc(f"{i}{sign}", f"{j}{sign}", u))
-    for i in (1, 2, 3, 4):
-        arcs.append(Arc(f"{i}+", f"{i}-", p.zeta))
-        arcs.append(Arc(f"{i}-", f"{i}+", p.zeta))
-    return ChainGraph(tuple(states), tuple(arcs))
+    return tuple(arcs)
+
+
+def _switch_arcs(zeta: Fraction) -> tuple:
+    """The arcs between corresponding states of the two rings."""
+    if zeta <= 0:
+        raise GraphError(f"switch exponent must be positive, got {zeta}")
+    return tuple(
+        Arc(f"{i}{a}", f"{i}{b}", zeta) for i in (1, 2, 3, 4) for a, b in (("+", "-"), ("-", "+"))
+    )
+
+
+def build_kinesin(p: KinesinParams) -> ChainGraph:
+    """Eight-state chain graph of the two-ring model, no prefactors."""
+    return ChainGraph(_STATES, _ring_arcs(p) + _switch_arcs(p.zeta))
 
 
 def kinesin_stop() -> StopCriterion:
@@ -158,15 +169,18 @@ class SweepInterval:
 
 @dataclass(frozen=True)
 class SweepBoundary:
+    """The exact zeta ``refined`` where the signature changes, between the
+    grid points ``lo`` and ``hi`` around it (equal to it where it is one)."""
+
     lo: Fraction
     hi: Fraction
-    refined: Optional[Fraction]
-    exact: bool
+    refined: Fraction
+    exact = True
 
     def to_json_dict(self) -> dict:
         return {
             "bracket": [format_rational(self.lo), format_rational(self.hi)],
-            "refined": None if self.refined is None else format_rational(self.refined),
+            "refined": format_rational(self.refined),
             "exact": self.exact,
         }
 
@@ -179,7 +193,7 @@ class SweepResult:
 
     @property
     def critical_values(self) -> tuple:
-        return tuple(b.refined for b in self.boundaries if b.refined is not None)
+        return tuple(b.refined for b in self.boundaries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,8 +251,9 @@ class _Regime:
         return value + slope * (z - self.zeta)
 
 
-def _regime(zeta: Fraction, params: KinesinParams) -> _Regime:
-    """Run the sweep at ``zeta`` and replay it with affine weights.
+def _regime(zeta: Fraction, rings: tuple) -> _Regime:
+    """Run the sweep at ``zeta`` on the ring arcs ``rings`` and replay it
+    with affine weights.
 
     A weight is (value at zeta, integer slope): slope 1 on switch arcs, 0
     on ring arcs, and contraction's ``U - u_min + threshold`` subtracts
@@ -249,7 +264,7 @@ def _regime(zeta: Fraction, params: KinesinParams) -> _Regime:
     regime at zeta - d / s; a tie between different slopes holds at zeta
     alone.  Values are the run's integers, exponents times ``scale``.
     """
-    report = run_algorithm2(build_kinesin(params.with_zeta(zeta)), stop=kinesin_stop())
+    report = run_algorithm2(ChainGraph(_STATES, rings + _switch_arcs(zeta)), stop=kinesin_stop())
     g = report.graph
     scale, values = g.integer_weights
     # switch arcs are exactly the arcs between the rings
@@ -323,7 +338,7 @@ def _regime(zeta: Fraction, params: KinesinParams) -> _Regime:
     return _Regime(lo, hi, zeta, signature, (report.theta[-1], theta[1]))
 
 
-def _regimes(grid: list, params: KinesinParams) -> list:
+def _regimes(grid: list, rings: tuple) -> list:
     """The regimes covering [grid[0], grid[-1]], in order, one run each.
 
     The end of an open regime is a point where two weights of different
@@ -337,7 +352,7 @@ def _regimes(grid: list, params: KinesinParams) -> list:
     def at(z: Fraction) -> _Regime:
         r = next((r for r in found if r.holds(z)), None)
         if r is None:
-            r = _regime(z, params)
+            r = _regime(z, rings)
             found.append(r)
         return r
 
@@ -383,12 +398,16 @@ def kinesin_sweep(
     signature and final theta from the regime holding it.  Regimes of one
     signature in a row form a segment, and the grid points of a segment
     form an interval whose ``lo``/``hi`` are the segment's ends, clipped to
-    the span.  With ``bisect`` set, every point of the span where the
-    signature changes is one exact boundary, bracketed by the grid points
-    around it (a grid point that is itself such a point is reported as
-    it).  Otherwise each pair of adjacent intervals gives one unrefined
-    bracket of grid points.
+    the span.  Every point of the span where the signature changes is one
+    exact boundary, bracketed by the grid points around it (a grid point
+    that is itself such a point is reported as it).  ``bisect`` must be
+    True: the mode that gave only brackets of grid points was removed.
     """
+    if bisect is not True:
+        raise ValueError(
+            "kinesin_sweep(bisect=False) was removed: every boundary is now exact, "
+            "and its bracket of grid points is in the boundary's lo/hi"
+        )
     grid = [parse_rational(z) for z in zeta_grid]
     if not grid:
         raise GraphError("sweep needs a nonempty grid")
@@ -398,11 +417,12 @@ def kinesin_sweep(
         raise GraphError("sweep grid must be strictly increasing")
     if params is None:
         params = KinesinParams(zeta=grid[0])
+    rings = _ring_arcs(params)
     first, last = grid[0], grid[-1]
 
     segments: list = []  # [lo, hi, signature], unclipped
     seg_of: list = []  # regime index -> segment index
-    regimes = _regimes(grid, params)
+    regimes = _regimes(grid, rings)
     for r in regimes:
         if not segments or segments[-1][2] != r.signature:
             segments.append([r.lo, r.hi, r.signature])
@@ -432,21 +452,14 @@ def kinesin_sweep(
             )
         )
 
-    if bisect:
-        # a point whose signature differs from both sides ends two segments
-        changes = dict.fromkeys(seg[1] for seg in segments[:-1])
-        boundaries = [
-            SweepBoundary(
-                lo=max((z for z in grid if z < x), default=x),
-                hi=min((z for z in grid if z > x), default=x),
-                refined=x,
-                exact=True,
-            )
-            for x in changes
-        ]
-    else:
-        boundaries = [
-            SweepBoundary(lo=a.zetas[-1], hi=b.zetas[0], refined=None, exact=False)
-            for a, b in zip(intervals, intervals[1:])
-        ]
+    # a point whose signature differs from both sides ends two segments
+    changes = dict.fromkeys(seg[1] for seg in segments[:-1])
+    boundaries = [
+        SweepBoundary(
+            lo=max((z for z in grid if z < x), default=x),
+            hi=min((z for z in grid if z > x), default=x),
+            refined=x,
+        )
+        for x in changes
+    ]
     return SweepResult(grid=tuple(grid), intervals=tuple(intervals), boundaries=tuple(boundaries))

@@ -16,13 +16,15 @@ every census records the seeds and the generator name.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain import Arc, ChainGraph, GraphError, State, arc_rate, check_epsilon
-from .graphio import state_to_json
+from .chain import Arc, ChainGraph, GraphError, State, arc_rate, check_epsilon, state_key, state_to_json
 
 __all__ = [
     "GENERATOR_NAME",
@@ -210,18 +212,21 @@ class TransitionCensus:
         return sum(self.counts.values())
 
     def to_csv(self) -> str:
+        """One row per arc; a state is named by its JSON token, so the
+        string ``"1"`` and the int ``1`` differ."""
         lo, hi = self.window
-        lines = ["arc,window,count,frequency"]
         total = self.total_jumps
-        for pair in sorted(self.counts, key=lambda p: (str(p[0]), str(p[1]))):
-            c = self.counts[pair]
+        out = io.StringIO()
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["arc", "window", "count", "frequency"])
+        for t, h, c in _arc_counts_to_json(self.counts):
             freq = c / total if total else 0.0
-            lines.append(f"{state_to_json(pair[0])}->{state_to_json(pair[1])},({lo};{hi}],{c},{freq:.6g}")
-        return "\n".join(lines) + "\n"
+            rows.writerow([f"{json.dumps(t)}->{json.dumps(h)}", f"({lo};{hi}]", c, f"{freq:.6g}"])
+        return out.getvalue()
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "transition-census",
             "epsilon": self.epsilon,
             "window": list(self.window),
@@ -229,13 +234,16 @@ class TransitionCensus:
             "total_jumps": self.total_jumps,
             "generator": self.generator_name,
             "seeds": [int(s) for s in self.seeds],
-            "counts": {
-                f"{state_to_json(t)}->{state_to_json(h)}": c
-                for (t, h), c in sorted(
-                    self.counts.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-                )
-            },
+            "counts": _arc_counts_to_json(self.counts),
         }
+
+
+def _arc_counts_to_json(counts: dict) -> list:
+    """Per-arc counts as ``[from, to, count]`` entries in state order."""
+    return [
+        [state_to_json(t), state_to_json(h), c]
+        for (t, h), c in sorted(counts.items(), key=lambda kv: (state_key(kv[0][0]), state_key(kv[0][1])))
+    ]
 
 
 def census(trajectories: Sequence[Trajectory], window: tuple) -> TransitionCensus:
@@ -279,18 +287,13 @@ class CoverageReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "coverage-report",
             "coverage": self.coverage,
             "stderr": self.stderr,
             "on_count": self.on_count,
             "off_count": self.off_count,
-            "off_arcs": {
-                f"{state_to_json(t)}->{state_to_json(h)}": c
-                for (t, h), c in sorted(
-                    self.off_arcs.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-                )
-            },
+            "off_arcs": _arc_counts_to_json(self.off_arcs),
             "census": self.census.to_json_dict(),
         }
 

@@ -267,6 +267,15 @@ def test_validate_two_sinks_fails_a2():
     assert sorted(v for c in rep.scc_partition for v in c) == [1, 2, 3]
 
 
+def test_validation_report_json_keeps_state_types():
+    # the int 1 and the string "1" share a closed class; "a" is absorbing
+    g = mc.chain_graph([(1, "1", 1), ("1", 1, 1), (2, 1, 1), (2, "a", 1)])
+    doc = mc.validate(g).to_json_dict()
+    assert doc["schema"] == 2
+    assert doc["closed_classes"] == [[1, "1"], ["a"]]
+    assert {tuple(c) for c in doc["scc_partition"]} == {(1, "1"), (2,), ("a",)}
+
+
 def test_generator_rows_sum_to_zero():
     g = mc.nested_cycle_chain()
     L = generator_matrix(g, 0.25)

@@ -5,7 +5,6 @@ what the console script runs, including the exit-code contract:
 0 success, 1 user error, 2 internal invariant violation.
 """
 
-import importlib.util
 import json
 import os
 import re
@@ -181,11 +180,18 @@ def test_alg2_covering_stop_with_an_unknown_state_exits_one(capsys):
 
 
 def test_kinesin_sweep_grid(capsys):
-    code, doc = run_json(capsys, ["kinesin-sweep", "--grid", "1:3:1", "--no-bisect"])
+    code, doc = run_json(capsys, ["kinesin-sweep", "--grid", "1:3:1"])
     assert code == 0
     assert doc["kind"] == "kinesin-sweep"
     assert len(doc["intervals"]) == 1
     assert doc["intervals"][0]["exponent_fit"] == {"intercept": "21/2", "slope": "-1"}
+
+
+def test_kinesin_sweep_no_bisect_is_gone(capsys):
+    assert main(["kinesin-sweep", "--grid", "1:3:1", "--no-bisect"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --no-bisect" in captured.err
 
 
 def test_kinesin_sweep_requires_grid(capsys):
@@ -204,17 +210,6 @@ def test_kinesin_sweep_empty_grid_names_start_and_stop(capsys):
     assert capsys.readouterr().err == (
         "error: grid '1:0:1' is empty: its start 1 lies above its stop 0\n"
     )
-
-
-def test_sweep_script_stops_on_bad_grid(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "run_kinesin_sweep", Path(__file__).parent.parent / "scripts" / "run_kinesin_sweep.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with pytest.raises(SystemExit, match="bad grid '1:3:0'"):
-        script.main(["--grid", "1:3:0", "--out", str(tmp_path / "sweep.json")])
-    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_float_exponent_in_json_exits_one(tmp_path, capsys):
@@ -367,24 +362,15 @@ def test_export_dot_round_trips_weights():
 
 def test_export_dot_styles():
     g = mc.nested_cycle_chain_integer()
-    text = export_dot(
-        g,
-        clusters=[{1, 2, 3}],
-        closed_classes=[{1, 2, 3}],
-        absorbing=[7],
-        highlight=[(1, 2)],
-        dashed=[(3, 4)],
-    )
+    text = export_dot(g, closed_classes=[{1, 2, 3}], absorbing=[7])
     _check_dot_shape(text)
     assert "subgraph cluster_0" in text
-    assert "penwidth=2.5" in text
-    assert "style=dashed" in text
     assert "lightskyblue" in text and "lightsalmon" in text
 
 
 def test_export_dot_renders_tgraphs():
     report = mc.run_algorithm2(mc.nested_cycle_chain_integer())
-    text = export_dot(report.tgraphs[2], name="window2")
+    text = export_dot(report.tgraphs[2])
     edges = _check_dot_shape(text)
     assert len(edges) == 8
 

@@ -1,7 +1,8 @@
 """Byte-exact command-line reports for the built-in example chains.
 
 Each file under ``tests/golden`` is the output of one ``metachain``
-invocation on one demo chain (saved next to it as ``<demo>.graph.json``).
+invocation on one demo chain (saved next to it as ``<demo>.graph.json``),
+on the motor model or on the built-in example (``demo.dot``).
 A refactor of the sweeps must leave every byte of these reports unchanged.
 The same chain saved as ``<demo>.graph.tsv`` must give the same bytes.
 
@@ -42,6 +43,7 @@ def _cases() -> dict:
         if demo in TIE_FREE:
             cases[f"{demo}.wgraphs.json"] = ["wgraphs", "--input", graph]
     cases["kinesin_sweep.json"] = ["kinesin-sweep", "--grid", "1/4:41/4:1"]
+    cases["demo.dot"] = ["export-dot", "--demo"]
     return cases
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from metachain.kinesin import _regime, kinesin_stop, parse_grid
+from metachain.kinesin import _regime, _ring_arcs, kinesin_stop, parse_grid
 
 F = Fraction
 
@@ -125,13 +125,9 @@ def test_forward_ring_inside_the_working_window(sweep):
             assert projected_forward_ring(iv.final_arcs), (iv.lo, iv.hi)
 
 
-def test_sweep_without_bisection():
-    res = mc.kinesin_sweep(default_grid(), bisect=False)
-    assert res.critical_values == ()
-    assert all(b.refined is None and not b.exact for b in res.boundaries)
-    assert len(res.boundaries) == 7
-    # brackets still come from neighboring grid points
-    assert (res.boundaries[0].lo, res.boundaries[0].hi) == (F(1, 4), F(3, 4))
+def test_bracket_only_mode_is_refused():
+    with pytest.raises(ValueError, match="was removed"):
+        mc.kinesin_sweep(default_grid(), None, False)
 
 
 def test_sweep_grid_validation():
@@ -250,7 +246,7 @@ def test_tie_that_keeps_the_signature_is_no_boundary():
         zeta=1, psi=1, f1=0, f2=1, f3=10, f4=5, f12=6, f21=5,
         f34=15, f43=13, f23=15, f32=15, f41=11, f14=11,
     )
-    assert _regime(F(12), p).is_point
+    assert _regime(F(12), _ring_arcs(p)).is_point
     grid = [F(23, 2), F(12), F(25, 2)]
     res = mc.kinesin_sweep(grid, p)
     assert res.boundaries == ()

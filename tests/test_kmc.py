@@ -1,5 +1,7 @@
 """Trajectory sampling, transition censuses and distributional checks."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -86,7 +88,27 @@ def test_census_counts_and_serialization():
     doc = cen.to_json_dict()
     assert doc["kind"] == "transition-census"
     assert doc["generator"] == "numpy-PCG64"
-    assert sum(doc["counts"].values()) == cen.total_jumps
+    assert sum(c for _t, _h, c in doc["counts"]) == cen.total_jumps
+
+
+# the int 1 and the string "1" print alike but are different states
+MIXED = mc.chain_graph([(1, "1", 1), ("1", 1, 1), (1, 2, 3), (2, 1, 1), ("1", 2, 3), (2, "1", 1)])
+
+
+def test_census_keeps_states_that_print_alike_apart():
+    trajs = mc.simulate_ensemble(MIXED, 1.0, 1, 50.0, 20, 0)
+    cov = mc.census_vs_tgraph(trajs, mc.run_algorithm2(MIXED).tgraphs[1], (0.0, 50.0))
+    cen = cov.census
+    assert len(cen.counts) == 6
+    doc = cov.to_json_dict()
+    entries = doc["census"]["counts"]
+    assert [(t, h) for t, h, _c in entries] == [(1, 2), (1, "1"), (2, 1), (2, "1"), ("1", 1), ("1", 2)]
+    assert sum(c for _t, _h, c in entries) == cen.total_jumps == doc["census"]["total_jumps"]
+    assert {(t, h): c for t, h, c in doc["off_arcs"]} == cov.off_arcs
+    assert sum(c for _t, _h, c in doc["off_arcs"]) == cov.off_count
+    rows = list(csv.reader(io.StringIO(cen.to_csv())))[1:]
+    assert [r[0] for r in rows] == ['1->2', '1->"1"', '2->1', '2->"1"', '"1"->1', '"1"->2']
+    assert sum(int(r[2]) for r in rows) == cen.total_jumps
 
 
 def test_census_window_validation():

@@ -6,9 +6,9 @@ contracts every nontrivial closed communicating class of the current
 transition graph simultaneously.  It therefore needs no tie-breaking and is
 the reference behaviour for graphs with weight symmetries.  Prefactors, if
 present, are carried through unmodified and flagged as ignored: the class
-update rule only preserves exponents.  The closed classes are followed as
-arcs are released, by the same growing-graph tracker the comparison uses,
-never recomputed from scratch.
+update rule only preserves exponents.  The new closed classes of a step are
+found on the contracted graph, from the vertices that step released, never
+recomputed from scratch.
 
 ``compare_alg1_alg2`` checks the four consistency statements tying the two
 sweeps together; the command-line ``compare`` subcommand turns a violation
@@ -165,6 +165,15 @@ def run_algorithm2(
 ) -> Alg2Report:
     """Run the simultaneous-release sweep to the chosen stop criterion.
 
+    Each current vertex releases its whole min-arc set once; until then it
+    is a sink of the graph of released arcs.  Every closed class of a step
+    is contracted at once into a new sink, so a class closing at step p
+    holds a vertex released at step p, and the sweep finds the new classes
+    with one Tarjan pass over released arcs from those vertices (see
+    ``_new_closed_classes``), never on the expanded states.  At the end the
+    closed classes are the sinks and the classes of the last step left
+    uncontracted by a stop; every other state is transient.
+
     A class-covering stop looks at the closed classes of the current graph
     after each release, before contraction: first the nontrivial ones, in
     the order of their sorted current vertices, then the absorbing current
@@ -187,18 +196,18 @@ def run_algorithm2(
         unknown = sorted({s for t in stop.targets for s in t if s not in wg.sid}, key=state_key)
         if unknown:
             raise GraphError(f"covering stop names states not in the graph: {unknown!r}")
+        # per vertex id, whether it holds a state of each target set
+        targets = stop.targets
+        hits = tuple([s in t for s in vertex] for t in targets)
     bucket = Bucket(wg.rank)
     for v in range(g.n):
         for a in wg.min_arcs(v):
             bucket.insert(a)
     limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
 
-    tracker = _GrowingClosedClasses(g.states)
-    if stop.kind == "class-covering":
-        # per closed-class label, how many of its states lie in each target
-        # set, kept up to date from the states each step relabels
-        targets = stop.targets
-        hits = tuple({tracker.label[s]: 1 for s in t} for t in targets)
+    heads: dict = {}  # released current vertex -> head states of its released arcs
+    sinks = set(range(g.n))  # current vertices not yet released
+    reach: dict = {}  # released vertex -> a vertex it reached that was a sink then
     theta: list = []
     multiplicity: list = []
     ends: list = [0]
@@ -215,48 +224,39 @@ def run_algorithm2(
             break
         threshold, released = bucket.extract_all_min()
         p += 1
-        multiplicity.append(len({wg.vertex_of(a.tail) for a in released}))
+        step: dict = {}
+        for a in released:
+            step.setdefault(wg.vertex_of(a.tail), []).append(a.head)
+        multiplicity.append(len(step))
         released = [wg.transfer(a) for a in released]
         w = released[0].weight
         theta.append(w)
         released_all.extend(released)
         ends.append(len(released_all))
+        heads.update(step)
+        sinks.difference_update(step)
 
-        # Every closed class of the last step was contracted to one vertex,
-        # so the nontrivial closed classes of the contracted graph are
-        # exactly the classes this step gained.  Each search node the tracker
-        # joined into a class (a state, or a class contracted earlier) lies
-        # in one current vertex.
-        gained = tracker.add(released)[1]
-        by_vids: dict = {}  # class as a set of current vertices -> (label, ids)
-        for cls in gained:
-            ids = {wg.vertex_of(s) for s in tracker.nodes[cls]}
-            by_vids[frozenset(vertex[v] for v in ids)] = cls, ids
+        by_vids = {
+            frozenset(vertex[v] for v in ids): ids
+            for ids in _new_closed_classes(wg, step, heads, sinks, reach)
+        }
         nontrivial = list(by_vids)
         if len(nontrivial) > 1:
             # disjoint classes: the first of each in vertex order decides
             rank = {v: i for i, v in enumerate(vertex_order(v for c in nontrivial for v in c))}
             nontrivial.sort(key=lambda c: min(rank[v] for v in c))
         if stop.kind == "class-covering":
-            for s, old in tracker.moved:
-                new = tracker.label.get(s)
-                for t, count in zip(targets, hits):
-                    if s in t:
-                        if old is not None:
-                            count[old] -= 1
-                        if new is not None:
-                            count[new] = count.get(new, 0) + 1
-            for cls in (by_vids[c][0] for c in nontrivial):
-                if all(count.get(cls) for count in hits):
-                    covering = frozenset(cls.states)
+            for cls in nontrivial:
+                ids = by_vids[cls]
+                if all(any(h[v] for v in ids) for h in hits):
+                    covering = frozenset().union(*map(_held_states, cls))
                     break
             # The absorbing current vertices are offered at step 1 only.  Later
             # on, an absorbing state was absorbing at step 1 too, and an
             # absorbing super-vertex holds the states of a class offered when
             # it closed; a set that missed the targets then misses them now.
             if covering is None and p == 1:
-                label = tracker.label
-                both = [s for s in targets[0] & targets[1] if s in label and len(label[s].states) == 1]
+                both = [s for s in targets[0] & targets[1] if wg.sid[s] in sinks]
                 if both:
                     covering = frozenset((min(both, key=state_key),))
             if covering is not None:
@@ -276,9 +276,16 @@ def run_algorithm2(
             if set(to_contract) != set(by_vids):
                 raise ValueError("_class_order must permute the detected classes")
         for cls in to_contract:
-            ids = by_vids[cls][1]
+            ids = by_vids[cls]
             sv = wg.contract(ids, threshold)
             n_current -= len(ids) - 1
+            for v in ids:
+                del heads[v]
+                reach.pop(v, None)
+            sinks.add(sv)
+            if stop.kind == "class-covering":
+                for h in hits:
+                    h.append(any(h[v] for v in ids))
             exits = wg.min_arcs(sv)
             for a in exits:
                 bucket.insert(a)
@@ -296,7 +303,11 @@ def run_algorithm2(
 
     theta = tuple(theta)
     tgraphs = TGraphs(g.states, tuple(released_all), tuple(ends), (Fraction(0),) + theta)
-    final = set(tracker.label.values())
+    final = [_held_states(vertex[v]) for v in sinks]
+    if stop_reason in ("class-covering", "custom", "full-closure"):
+        # the classes the last step found and left uncontracted
+        final += [frozenset().union(*map(_held_states, c)) for c in nontrivial]
+    closed = frozenset().union(*final)
     return Alg2Report(
         graph=g,
         theta=theta,
@@ -304,21 +315,97 @@ def run_algorithm2(
         tgraphs=tgraphs,
         classes=tuple(classes),
         final_closed_classes=tuple(
-            sorted(
-                (frozenset(c.states) for c in final if len(c.states) >= 2),
-                key=lambda c: sorted(map(state_key, c)),
-            )
+            sorted((c for c in final if len(c) >= 2), key=lambda c: sorted(map(state_key, c)))
         ),
         final_absorbing=tuple(
-            sorted((c.states[0] for c in final if len(c.states) == 1), key=state_key)
+            sorted((s for c in final if len(c) == 1 for s in c), key=state_key)
         ),
-        transient_states=tuple(
-            s for s in sorted(g.states, key=state_key) if s not in tracker.label
-        ),
+        transient_states=tuple(s for s in vertex[: g.n] if s not in closed),
         covering_class=covering,
         stop_reason=stop_reason,
         prefactors_ignored=g.has_prefactors,
     )
+
+
+def _held_states(v) -> frozenset:
+    """The original states a current vertex (a state or a handle) holds."""
+    return v.states() if isinstance(v, SuperVertex) else frozenset((v,))
+
+
+def _new_closed_classes(wg: WorkingGraph, starts, heads: dict, sinks: set, reach: dict) -> list:
+    """The nontrivial closed classes reachable from ``starts``, each as a
+    list of current vertices, found by one iterative Tarjan pass.
+
+    The pass follows each released vertex's arcs, ``heads[v]`` resolved to
+    current vertices.  It stops at a sink, and at a vertex whose memo in
+    ``reach`` names a vertex that is still a sink: released arcs are never
+    taken back and a contraction keeps every path, so that vertex still
+    reaches the sink and lies in no closed class.  A vertex seen to reach
+    outside its component reads no more of its arcs: its component is not
+    closed, and a new class further on holds a released vertex of its own.
+    A finished component that reaches nothing outside is a closed class;
+    the vertices of any other get a memo naming what they reach, either a
+    sink or a member of a class this step contracts into a new sink.
+    """
+    vertex_of, current = wg.vertex_of, wg.current
+    index: dict = {}  # vertex the pass entered -> its preorder number
+    low: dict = {}
+    done: dict = {}  # vertex whose component is finished -> what it reaches
+    out: dict = {}  # vertex on the stack -> what its component is seen to reach, or None
+    path: list = []  # Tarjan's stack of unfinished vertices
+    found: list = []
+    for s in starts:
+        if s in index:
+            continue
+        index[s] = low[s] = len(index)
+        out[s] = None
+        path.append(s)
+        frames = [(s, iter(heads[s]))]
+        while frames:
+            v, it = frames[-1]
+            if out[v] is None:
+                for h in it:
+                    x = vertex_of(h)
+                    if x not in index and x not in done:
+                        if x in sinks:
+                            done[x] = x
+                        else:
+                            m = reach.get(x)
+                            if m is not None and current(m) in sinks:
+                                done[x] = m
+                            else:
+                                index[x] = low[x] = len(index)
+                                out[x] = None
+                                path.append(x)
+                                frames.append((x, iter(heads[x])))
+                                break
+                    if x in done:
+                        out[v] = done[x]
+                        break
+                    if index[x] < low[v]:
+                        low[v] = index[x]
+                if frames[-1][0] != v:
+                    continue
+            frames.pop()
+            if low[v] == index[v]:
+                i = len(path) - 1
+                while path[i] != v:
+                    i -= 1
+                comp = path[i:]
+                del path[i:]
+                if out[v] is None:
+                    found.append(comp)
+                    done.update(zip(comp, comp))
+                else:
+                    done.update(dict.fromkeys(comp, out[v]))
+                    reach.update(dict.fromkeys(comp, out[v]))
+            if frames:
+                u = frames[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if out[u] is None:
+                    out[u] = done.get(v, out[v])
+    return found
 
 
 def _expanded_adjacency(arcs: Iterable[Arc]) -> dict:
@@ -341,8 +428,9 @@ class _ClassLabel:
 class _GrowingClosedClasses:
     """Closed communicating classes of a digraph that only gains arcs.
 
-    It drives the tie-tolerant sweep, whose released arcs only grow, and
-    follows both sweeps side by side in ``compare_alg1_alg2``.
+    ``compare_alg1_alg2`` follows the expanded arc sets of both sweeps with
+    one each, so its check of the tie-tolerant sweep does not reuse the
+    sweep's own class detection.
 
     Each closed class is a ``_ClassLabel``, and ``label`` maps every state
     of a closed class to it.  Every vertex starts as an absorbing class.  A
@@ -366,7 +454,6 @@ class _GrowingClosedClasses:
         self.adj: dict = {v: [] for v in vertices}
         self.label: dict = {v: _ClassLabel([v]) for v in self.adj}
         self.reaches: dict = {}  # vertex -> a vertex it reaches that was in a closed class
-        self.nodes: dict = {}  # label gained by the last add -> a state of each search node
         self.moved: list = []  # (state, former label) for each state the last add relabelled
 
     def add(self, arcs: Iterable[Arc]) -> tuple:
@@ -417,7 +504,7 @@ class _GrowingClosedClasses:
 
         gained: list = []
         kept: set = set()  # touched classes whose new arcs all stay inside
-        nodes = self.nodes = {}
+        keepers: set = set()  # the labels in ``gained``, for lookups
         moved = self.moved = []
         for comp in strongly_connected_components(succ, list(succ)):
             if not comp.isdisjoint(leaky) or any(y not in comp for x in comp for y in succ[x]):
@@ -431,7 +518,7 @@ class _GrowingClosedClasses:
                 continue
             if cls is None:
                 cls = _ClassLabel([])
-            nodes[cls] = [x.states[0] if type(x) is _ClassLabel else x for x in comp]
+            keepers.add(cls)
             for x in comp:
                 if x is cls:
                     continue
@@ -449,7 +536,7 @@ class _GrowingClosedClasses:
             if cls in kept:
                 continue
             lost.append(cls)
-            if label[cls.states[0]] is cls and cls not in nodes:
+            if label[cls.states[0]] is cls and cls not in keepers:
                 moved += [(s, cls) for s in cls.states]  # in no gained class: transient now
                 for s in cls.states:
                     del label[s]

@@ -128,8 +128,9 @@ class WorkingGraph:
 
     A current vertex is an int id: the states in state order are 0..n-1,
     and each contraction makes the next id.  ``vertex[vid]`` is the state
-    or ``SuperVertex`` an id stands for; ``vertex_of(state)`` is a union-find
-    lookup of the current vertex that holds a state.
+    or ``SuperVertex`` an id stands for; ``vertex_of(state)`` and
+    ``current(vid)`` are union-find lookups of the current vertex that holds
+    a state or an earlier vertex.
     rank[pair]: position of an arc pair in (tail, head) state order,
                 reversed when ``revlex``; the one order among equal weights.
     u_min[vid]: least weight of vid's arcs, as last read by ``min_arcs``
@@ -161,6 +162,10 @@ class WorkingGraph:
 
     def vertex_of(self, state: State) -> int:
         return find(self._up, self.sid[state])
+
+    def current(self, vid: int) -> int:
+        """The current vertex that holds the vertex ``vid``."""
+        return find(self._up, vid)
 
     def _dead(self, vid: int, p: int) -> bool:
         return self._gone[p] or find(self._up, self._head[p]) == vid

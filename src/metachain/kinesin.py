@@ -23,8 +23,10 @@ signature and the slope of every threshold, stays the same, or zeta0
 alone where weights of different slopes tie there (Gusfield 1980,
 *Sensitivity analysis for combinatorial optimization*).  Open regimes and
 single points alternate along the axis, so the sweep walks the grid span
-one regime at a time, with one run per regime, and reports a boundary
-exactly where the signature changes.
+one regime at a time and reports a boundary exactly where the signature
+changes.  It runs once per open regime, and at a single point only where
+that point is a grid value or the open regimes on its two sides share a
+signature: elsewhere the point is a boundary whatever its own signature.
 """
 
 from __future__ import annotations
@@ -339,13 +341,16 @@ def _regime(zeta: Fraction, rings: tuple) -> _Regime:
 
 
 def _regimes(grid: list, rings: tuple) -> list:
-    """The regimes covering [grid[0], grid[-1]], in order, one run each.
+    """The regimes covering [grid[0], grid[-1]], in order, one run each,
+    less the point regimes that cannot change the sweep.
 
-    The end of an open regime is a point where two weights of different
-    slopes tie, so a point regime, and right of a point x lies an open
-    regime (x, b).  The walk finds that one by running at the next grid
-    point and, while the regime found there starts beyond x, again halfway
-    between x and its start.
+    The end x of an open regime is a point where two weights of different
+    slopes tie, so a point regime, and right of a point lies an open
+    regime.  When x is not a grid point and the open regimes on its two
+    sides differ in signature, the signature changes at x whatever it is
+    at x itself, and no grid point takes its theta, so the walk finds the
+    right-hand regime first and runs at x only if x is on the grid or the
+    two sides' signatures are equal.
     """
     found: list = []
 
@@ -356,21 +361,38 @@ def _regimes(grid: list, rings: tuple) -> list:
             found.append(r)
         return r
 
+    def right_of(x: Fraction) -> _Regime:
+        """The open regime (x, b): the one at the next grid point or, while
+        the regime found there starts beyond x, halfway between x and its
+        start."""
+        r = at(next(z for z in grid if z > x))
+        while r.lo != x:
+            if r.lo is None or r.lo < x:
+                raise InternalInvariantError(
+                    f"the regime found right of zeta = {x} starts at {r.lo}, not at it"
+                )
+            r = at((x + r.lo) / 2)
+        return r
+
     last = grid[-1]
+    on_grid = set(grid)
     out = [at(grid[0])]
     while True:
         r = out[-1]
-        if not r.is_point:
-            if r.hi is None or r.hi > last:
+        if r.is_point:
+            if r.zeta >= last:
                 return out
-            out.append(at(r.hi))
+            out.append(right_of(r.zeta))
             continue
-        x = r.zeta
-        if x >= last:
+        x = r.hi
+        if x is None or x > last:
             return out
-        nxt = at(next(z for z in grid if z > x))
-        while nxt.lo != x:
-            nxt = at((x + nxt.lo) / 2)
+        if x in on_grid:
+            out.append(at(x))
+            continue
+        nxt = right_of(x)
+        if nxt.signature == r.signature:
+            out.append(at(x))
         out.append(nxt)
 
 

@@ -2,13 +2,16 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from metachain.kinesin import _regime, _ring_arcs, kinesin_stop, parse_grid
+from metachain import kinesin
+from metachain.chain import InternalInvariantError
+from metachain.kinesin import _regime, _Regime, _ring_arcs, kinesin_stop, parse_grid
 
 F = Fraction
 
@@ -239,13 +242,16 @@ def test_grid_starting_on_a_breakpoint():
     ]
 
 
+# at zeta = 12 two weights of different slopes tie, yet the run releases the
+# same arcs in the same order as on either side of it
+TIE_PARAMS = mc.KinesinParams(
+    zeta=1, psi=1, f1=0, f2=1, f3=10, f4=5, f12=6, f21=5,
+    f34=15, f43=13, f23=15, f32=15, f41=11, f14=11,
+)
+
+
 def test_tie_that_keeps_the_signature_is_no_boundary():
-    # at zeta = 12 two weights of different slopes tie, yet the run releases
-    # the same arcs in the same order as on either side of it
-    p = mc.KinesinParams(
-        zeta=1, psi=1, f1=0, f2=1, f3=10, f4=5, f12=6, f21=5,
-        f34=15, f43=13, f23=15, f32=15, f41=11, f14=11,
-    )
+    p = TIE_PARAMS
     assert _regime(F(12), _ring_arcs(p)).is_point
     grid = [F(23, 2), F(12), F(25, 2)]
     res = mc.kinesin_sweep(grid, p)
@@ -254,3 +260,122 @@ def test_tie_that_keeps_the_signature_is_no_boundary():
     assert iv.zetas == tuple(grid)
     for z, theta in iv.theta_by_zeta:
         assert (iv.signature, theta) == direct(z, p)
+
+
+def every_end_regimes(grid, rings):
+    """The regime walk that runs at every end of an open regime, whether or
+    not the point regime there can change the sweep."""
+    found = []
+
+    def at(z):
+        r = next((r for r in found if r.holds(z)), None)
+        if r is None:
+            r = kinesin._regime(z, rings)
+            found.append(r)
+        return r
+
+    out = [at(grid[0])]
+    while True:
+        r = out[-1]
+        if not r.is_point:
+            if r.hi is None or r.hi > grid[-1]:
+                return out
+            out.append(at(r.hi))
+            continue
+        x = r.zeta
+        if x >= grid[-1]:
+            return out
+        nxt = at(next(z for z in grid if z > x))
+        while nxt.lo != x:
+            nxt = at((x + nxt.lo) / 2)
+        out.append(nxt)
+
+
+@settings(max_examples=40)
+@given(
+    k=st.integers(0, len(PARAMS) - 1),
+    start=st.integers(1, 44).map(lambda i: F(i, 4)),
+    step=st.sampled_from(STEPS),
+    points=st.integers(1, 12),
+)
+@example(k=0, start=F(4), step=F(1, 2), points=5)  # every grid point a breakpoint
+@example(k=0, start=F(17, 4), step=F(1), points=2)  # two breakpoints in one gap
+def test_walk_matches_one_that_runs_every_regime_end(k, start, step, points):
+    grid = [start + i * step for i in range(points)]
+    res = mc.kinesin_sweep(grid, PARAMS[k])
+    with patch.object(kinesin, "_regimes", every_end_regimes):
+        ref = mc.kinesin_sweep(grid, PARAMS[k])
+    assert res.to_json_dict() == ref.to_json_dict()
+
+
+def test_ci_grid_skips_the_point_runs_that_cannot_matter():
+    runs = []
+
+    def counted(z, rings):
+        runs.append(z)
+        return _regime(z, rings)
+
+    with patch.object(kinesin, "_regime", counted):
+        res = mc.kinesin_sweep(parse_grid("1/4:41/4:1"))
+        assert len(runs) == 8  # one per open regime: no breakpoint is on this grid
+        runs.clear()
+        with patch.object(kinesin, "_regimes", every_end_regimes):
+            assert mc.kinesin_sweep(parse_grid("1/4:41/4:1")) == res
+    assert len(runs) == 15  # also one at each of the 7 breakpoints
+
+
+@pytest.mark.parametrize(
+    "first, x",
+    [
+        (_Regime(None, F(3, 2), F(1), (), (F(1), 0)), F(3, 2)),  # open, ends off the grid
+        (_Regime(F(1), F(1), F(1), (), (F(1), 0)), F(1)),  # a point
+    ],
+)
+@pytest.mark.parametrize("lo", [None, F(1, 2)])
+def test_regime_walk_refuses_a_right_neighbour_that_starts_elsewhere(first, x, lo):
+    # the run at 2 claims a regime unbounded below or starting left of x: the
+    # walk must stop with an invariant error, not a TypeError or an endless loop
+    regimes = {F(1): first, F(2): _Regime(lo, None, F(2), ((),), (F(1), 0))}
+    with patch.object(kinesin, "_regime", lambda z, _rings: regimes[z]):
+        with pytest.raises(InternalInvariantError, match=f"right of zeta = {x} starts at {lo},"):
+            mc.kinesin_sweep([F(1), F(2)])
+
+
+def counting_runs(runs):
+    def run(z, rings):
+        runs.append(z)
+        return _regime(z, rings)
+
+    return run
+
+
+def test_walk_runs_at_a_point_between_equal_signatures():
+    runs = []
+    with patch.object(kinesin, "_regime", counting_runs(runs)):
+        res = mc.kinesin_sweep([F(23, 2), F(25, 2)], TIE_PARAMS)
+    assert F(12) in runs and res.boundaries == ()
+
+
+def stub_regimes(point_signature):
+    """Open regimes (0, 3/2) and (3/2, 3) of signature ("a",) around the
+    point 3/2, whose signature is given; a run anywhere else is an error."""
+    regimes = {
+        F(1): _Regime(F(0), F(3, 2), F(1), ("a",), (F(1), 0)),
+        F(2): _Regime(F(3, 2), F(3), F(2), ("a",), (F(1), 0)),
+        F(3, 2): _Regime(F(3, 2), F(3, 2), F(3, 2), point_signature, (F(1), 0)),
+    }
+    return lambda z, _rings: regimes[z]
+
+
+@pytest.mark.parametrize(
+    "point, changes, spans",
+    [
+        (("a",), (), [(F(1), F(2))]),
+        (("b",), (F(3, 2),), [(F(1), F(3, 2)), (F(3, 2), F(2))]),
+    ],
+)
+def test_point_between_equal_signatures_decides_the_boundary(point, changes, spans):
+    with patch.object(kinesin, "_regime", stub_regimes(point)):
+        res = mc.kinesin_sweep([F(1), F(2)])
+    assert res.critical_values == changes
+    assert [(iv.lo, iv.hi) for iv in res.intervals] == spans

@@ -12,7 +12,9 @@ recomputed from scratch.
 
 ``compare_alg1_alg2`` checks the four consistency statements tying the two
 sweeps together; the command-line ``compare`` subcommand turns a violation
-into exit code 2 because it can only mean an implementation bug.
+into exit code 2 because it can only mean an implementation bug.  It
+follows the closed classes of both expanded arc sets with the same walk
+the sweep uses, on the states rather than the sweep's working graph.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .chain import (
     State,
     closed_communicating_classes,
     state_key,
-    strongly_connected_components,
     super_vertex_name,
     validate,
 )
-from .contraction import SuperVertex, WorkingGraph, vertex_order
+from .contraction import SuperVertex, WorkingGraph, find, vertex_order
 from .graphio import arc_to_json, format_rational, gc_paused, state_set_to_json, state_to_json
 from .stopping import StopCriterion
 
@@ -191,9 +192,9 @@ def run_algorithm2(
     validate(g).require_one_closed_class()
 
     wg = WorkingGraph(g)
-    scale, vertex = wg.scale, wg.vertex
+    scale, vertex, sid = wg.scale, wg.vertex, wg.sid
     if stop.kind == "class-covering":
-        unknown = sorted({s for t in stop.targets for s in t if s not in wg.sid}, key=state_key)
+        unknown = sorted({s for t in stop.targets for s in t if s not in sid}, key=state_key)
         if unknown:
             raise GraphError(f"covering stop names states not in the graph: {unknown!r}")
         # per vertex id, whether it holds a state of each target set
@@ -205,7 +206,7 @@ def run_algorithm2(
             bucket.insert(a)
     limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
 
-    heads: dict = {}  # released current vertex -> head states of its released arcs
+    heads: dict = {}  # released current vertex -> head state ids of its released arcs
     sinks = set(range(g.n))  # current vertices not yet released
     reach: dict = {}  # released vertex -> a vertex it reached that was a sink then
     theta: list = []
@@ -226,7 +227,7 @@ def run_algorithm2(
         p += 1
         step: dict = {}
         for a in released:
-            step.setdefault(wg.vertex_of(a.tail), []).append(a.head)
+            step.setdefault(wg.vertex_of(a.tail), []).append(sid[a.head])
         multiplicity.append(len(step))
         released = [wg.transfer(a) for a in released]
         w = released[0].weight
@@ -238,7 +239,7 @@ def run_algorithm2(
 
         by_vids = {
             frozenset(vertex[v] for v in ids): ids
-            for ids in _new_closed_classes(wg, step, heads, sinks, reach)
+            for ids in _new_closed_classes(wg.current, step, heads, sinks, reach)
         }
         nontrivial = list(by_vids)
         if len(nontrivial) > 1:
@@ -256,7 +257,7 @@ def run_algorithm2(
             # absorbing super-vertex holds the states of a class offered when
             # it closed; a set that missed the targets then misses them now.
             if covering is None and p == 1:
-                both = [s for s in targets[0] & targets[1] if wg.sid[s] in sinks]
+                both = [s for s in targets[0] & targets[1] if sid[s] in sinks]
                 if both:
                     covering = frozenset((min(both, key=state_key),))
             if covering is not None:
@@ -332,22 +333,23 @@ def _held_states(v) -> frozenset:
     return v.states() if isinstance(v, SuperVertex) else frozenset((v,))
 
 
-def _new_closed_classes(wg: WorkingGraph, starts, heads: dict, sinks: set, reach: dict) -> list:
+def _new_closed_classes(current, starts, heads: dict, sinks: set, reach: dict) -> list:
     """The nontrivial closed classes reachable from ``starts``, each as a
     list of current vertices, found by one iterative Tarjan pass.
 
-    The pass follows each released vertex's arcs, ``heads[v]`` resolved to
-    current vertices.  It stops at a sink, and at a vertex whose memo in
-    ``reach`` names a vertex that is still a sink: released arcs are never
-    taken back and a contraction keeps every path, so that vertex still
-    reaches the sink and lies in no closed class.  A vertex seen to reach
-    outside its component reads no more of its arcs: its component is not
-    closed, and a new class further on holds a released vertex of its own.
-    A finished component that reaches nothing outside is a closed class;
-    the vertices of any other get a memo naming what they reach, either a
-    sink or a member of a class this step contracts into a new sink.
+    Vertices are ints, and ``current(x)`` is the current vertex holding x.
+    Every current vertex not in ``sinks`` must have ``heads``: the heads of
+    its arcs as ids, ``current`` resolving each.  The pass follows those
+    arcs.  It stops at a sink, and at a vertex whose memo in ``reach`` names
+    a vertex that is still a sink: arcs are never taken back and a
+    contraction keeps every path, so that vertex still reaches the sink and
+    lies in no closed class.  A vertex seen to reach outside its component
+    reads no more of its arcs: its component is not closed, and a new class
+    further on holds a start of its own.  A finished component that reaches
+    nothing outside is a closed class; the vertices of any other get a memo
+    naming what they reach, either a sink or a member of a class the caller
+    contracts into a new sink.
     """
-    vertex_of, current = wg.vertex_of, wg.current
     index: dict = {}  # vertex the pass entered -> its preorder number
     low: dict = {}
     done: dict = {}  # vertex whose component is finished -> what it reaches
@@ -365,7 +367,7 @@ def _new_closed_classes(wg: WorkingGraph, starts, heads: dict, sinks: set, reach
             v, it = frames[-1]
             if out[v] is None:
                 for h in it:
-                    x = vertex_of(h)
+                    x = current(h)
                     if x not in index and x not in done:
                         if x in sinks:
                             done[x] = x
@@ -415,131 +417,77 @@ def _expanded_adjacency(arcs: Iterable[Arc]) -> dict:
     return adj
 
 
-class _ClassLabel:
-    """The label of one closed class of a ``_GrowingClosedClasses``: the
-    states it holds, in the order they joined."""
-
-    __slots__ = ("states",)
-
-    def __init__(self, states: list):
-        self.states = states
-
-
 class _GrowingClosedClasses:
-    """Closed communicating classes of a digraph that only gains arcs.
+    """Closed communicating classes of a digraph on the ids 0..n-1 that only
+    gains arcs, found by the sweep's walk, ``_new_closed_classes``.
 
-    ``compare_alg1_alg2`` follows the expanded arc sets of both sweeps with
-    one each, so its check of the tie-tolerant sweep does not reuse the
-    sweep's own class detection.
+    As in the sweep, each closed class found becomes one vertex of a
+    union-find, here the vertex of its largest part, so a state changes
+    vertex O(log n) times while its class only grows (Hopcroft & Ullman
+    1973).  The ``sinks``, vertices no arc leaves, are the closed classes.
+    An arc inside its tail's vertex changes nothing; any other makes that
+    vertex a start of the next walk, and a lost class if it was a sink.  A
+    found class has no arc leaving it, so the heads of its parts are dropped.
 
-    Each closed class is a ``_ClassLabel``, and ``label`` maps every state
-    of a closed class to it.  Every vertex starts as an absorbing class.  A
-    closed class none of whose vertices gains an arc stays closed, and a new
-    closed class holds the tail of a new arc.  So an update searches only
-    from the new tails, treats each touched class as one node whose only
-    ways out are its new arcs, and stops where the search meets an untouched
-    class.  It also stops at a vertex already seen to reach one: arcs are
-    never removed, so that vertex still reaches it, and cannot lie in a
-    closed class while the class is untouched.
-
-    A gained class keeps the label of its largest part and takes in the
-    states of the others, smaller into larger (Hopcroft & Ullman 1973), so
-    while a state's class only grows it changes label O(log n) times, and
-    an update costs O(search nodes + relabelled states).  ``moved`` lists
-    the states the last update relabelled, each with its former label (None
-    when it lay in no closed class).
+    ``label(s)`` is the vertex of state s if that is a sink, else None;
+    ``moved`` lists the states the last ``add`` relabelled, each with its
+    former label.
     """
 
-    def __init__(self, vertices: Iterable[State]):
-        self.adj: dict = {v: [] for v in vertices}
-        self.label: dict = {v: _ClassLabel([v]) for v in self.adj}
-        self.reaches: dict = {}  # vertex -> a vertex it reaches that was in a closed class
+    def __init__(self, n: int):
+        self.up = list(range(n))
+        self.states: list = [[v] for v in range(n)]  # vertex -> the states it holds
+        self.heads: dict = {}  # vertex with arcs leaving it -> their heads
+        self.sinks = set(range(n))
+        self.reach: dict = {}  # vertex -> a vertex it reached that was a sink then
         self.moved: list = []  # (state, former label) for each state the last add relabelled
 
-    def add(self, arcs: Iterable[Arc]) -> tuple:
-        """Add arcs; return the labels of the closed classes lost and gained.
+    def label(self, s: int) -> Optional[int]:
+        v = find(self.up, s)
+        return v if v in self.sinks else None
+
+    def add(self, arcs: Iterable[tuple]) -> tuple:
+        """Add (tail, head) arcs; return the labels of the closed classes lost
+        and gained.
 
         A lost label's class is no longer closed as it was: its states are
         transient now or lie in a larger class.  A gained label names a class
         that was not closed before.  The label of a gained class's largest
-        part is in both lists.
+        part is in both lists when that part was a closed class.
         """
-        label, reaches = self.label, self.reaches
-        touched: set = set()
-        leaving: dict = {}  # touched class -> heads of its new arcs outside it
-        starts: set = set()
-        for a in arcs:
-            self.adj[a.tail].append(a.head)
-            cls = label.get(a.tail)
-            if cls is None:
-                starts.add(a.tail)
-                continue
-            touched.add(cls)
-            starts.add(cls)
-            if label.get(a.head) is not cls:
-                leaving.setdefault(cls, []).append(a.head)
-
-        # search nodes: touched classes and vertices outside closed classes
-        succ: dict = {}
-        leaky: set = set()  # nodes that reach an untouched class
-        stack = list(starts)
-        while stack:
-            x = stack.pop()
-            if x in succ:
-                continue
-            is_class = type(x) is _ClassLabel
-            out = succ[x] = []
-            for h in leaving.get(x, ()) if is_class else self.adj[x]:
-                # h itself or what h is known to reach, if in an untouched class
-                w = h if h in label else reaches.get(h)
-                cls = label.get(w)
-                if cls is None or cls in touched:
-                    y = label.get(h, h)
-                    out.append(y)
-                    stack.append(y)
-                else:
-                    leaky.add(x)
-                    if not is_class:
-                        reaches[x] = w
-
-        gained: list = []
-        kept: set = set()  # touched classes whose new arcs all stay inside
-        keepers: set = set()  # the labels in ``gained``, for lookups
-        moved = self.moved = []
-        for comp in strongly_connected_components(succ, list(succ)):
-            if not comp.isdisjoint(leaky) or any(y not in comp for x in comp for y in succ[x]):
-                continue
-            cls = None  # the largest class in comp keeps its label
-            for x in comp:
-                if type(x) is _ClassLabel and (cls is None or len(x.states) > len(cls.states)):
-                    cls = x
-            if cls is not None and len(comp) == 1:
-                kept.add(cls)
-                continue
-            if cls is None:
-                cls = _ClassLabel([])
-            keepers.add(cls)
-            for x in comp:
-                if x is cls:
-                    continue
-                if type(x) is _ClassLabel:
-                    moved += [(s, x) for s in x.states]
-                    label.update(dict.fromkeys(x.states, cls))
-                    cls.states += x.states
-                else:
-                    moved.append((x, None))
-                    label[x] = cls
-                    cls.states.append(x)
-            gained.append(cls)
+        up, states, heads, sinks, reach = self.up, self.states, self.heads, self.sinks, self.reach
         lost: list = []
-        for cls in touched:
-            if cls in kept:
+        starts: dict = {}
+        for t, h in arcs:
+            v = find(up, t)
+            if v == find(up, h):
                 continue
-            lost.append(cls)
-            if label[cls.states[0]] is cls and cls not in keepers:
-                moved += [(s, cls) for s in cls.states]  # in no gained class: transient now
-                for s in cls.states:
-                    del label[s]
+            heads.setdefault(v, []).append(h)
+            starts[v] = None
+            if v in sinks:
+                sinks.remove(v)
+                lost.append(v)
+        found = _new_closed_classes(lambda x: find(up, x), starts, heads, sinks, reach)
+        was_sink = set(lost)
+        moved = self.moved = []
+        gained: list = []
+        for comp in found:
+            r = max(comp, key=lambda x: len(states[x]))
+            if r not in was_sink:
+                moved += [(s, None) for s in states[r]]
+            for x in comp:
+                del heads[x]
+                reach.pop(x, None)
+                if x != r:
+                    moved += [(s, x if x in was_sink else None) for s in states[x]]
+                    up[x] = r
+                    states[r] += states[x]
+                    states[x] = None
+            sinks.add(r)
+            gained.append(r)
+        for x in lost:
+            if up[x] == x and x not in sinks:  # in no gained class: transient now
+                moved += [(s, x) for s in states[x]]
         return lost, gained
 
 
@@ -547,66 +495,62 @@ class _PairedClosedClasses:
     """Two closed-class trackers over the same states, and which classes of
     either side have no class of the same states on the other.
 
-    ``count[c1, c2]`` is the number of states labelled c1 on side 1 and c2
-    on side 2, kept as the trackers relabel states.  A class c with a state
-    labelled d on the other side equals d exactly when ``count[c, d]`` is
-    the size of both.  After each update only the classes it lost or gained,
-    and the former partners of those, are checked again.
+    A class is keyed (side, label).  ``count[c0, c1]`` is the number of
+    states labelled c0 on side 0 and c1 on side 1, kept as the trackers
+    relabel states.  A class c with a state labelled d on the other side
+    equals d exactly when that count is the size of both.  After each update
+    only the classes it lost or gained, and the former partners of those,
+    are checked again.
     """
 
     def __init__(self, states):
-        self.sides = (_GrowingClosedClasses(states), _GrowingClosedClasses(states))
-        # both label dicts list the states in one order
-        first, second = (side.label.values() for side in self.sides)
-        self.count: dict = dict.fromkeys(zip(first, second), 1)
-        self.partner: dict = dict(zip(first, second))  # class -> its equal on the other side
-        self.partner.update(zip(second, first))
+        self.sid = {s: i for i, s in enumerate(states)}
+        n = len(self.sid)
+        self.sides = (_GrowingClosedClasses(n), _GrowingClosedClasses(n))
+        self.count: dict = {(v, v): 1 for v in range(n)}
+        # class -> its equal on the other side
+        self.partner: dict = {(side, v): (1 - side, v) for side in (0, 1) for v in range(n)}
         self.unmatched: set = set()  # classes with no partner
 
-    def add(self, arcs1: Iterable[Arc], arcs2: Iterable[Arc]) -> None:
+    def add(self, arcs0: Iterable[Arc], arcs1: Iterable[Arc]) -> None:
+        sid, sides = self.sid, self.sides
         count, partner, unmatched = self.count, self.partner, self.unmatched
-        labels = (self.sides[0].label, self.sides[1].label)
-        check: dict = {}  # class to check again -> its side
-        for side, arcs in ((0, arcs1), (1, arcs2)):
-            tracker, other = self.sides[side], labels[1 - side]
-            lost, gained = tracker.add(arcs)
+        check: set = set()  # classes to check again
+        for side, arcs in ((0, arcs0), (1, arcs1)):
+            tracker, other = sides[side], sides[1 - side]
+            lost, gained = tracker.add([(sid[a.tail], sid[a.head]) for a in arcs])
             for s, old in tracker.moved:
-                d = other.get(s)
-                if d is None:
-                    continue
-                new = tracker.label.get(s)
-                if old is not None:
-                    count[(old, d) if side == 0 else (d, old)] -= 1
-                if new is not None:
-                    key = (new, d) if side == 0 else (d, new)
-                    count[key] = count.get(key, 0) + 1
-            for c in (*lost, *gained):
-                check[c] = side
-                old = partner.pop(c, None)
+                d = other.label(s)
+                if d is not None:
+                    for c, step in ((old, -1), (tracker.label(s), 1)):
+                        if c is not None:
+                            key = (c, d) if side == 0 else (d, c)
+                            count[key] = count.get(key, 0) + step
+            for v in (*lost, *gained):
+                check.add((side, v))
+                old = partner.pop((side, v), None)
                 if old is not None:
                     del partner[old]
-                    check[old] = 1 - side
+                    check.add(old)
         # a class and its equal see the same counts, so they agree
-        for c, side in check.items():
+        for c in check:
             unmatched.discard(c)
-            first = c.states[0]
-            if c in partner or labels[side].get(first) is not c:
+            side, v = c
+            if c in partner or sides[side].label(v) != v:
                 continue  # matched from the other side, or no longer a class
-            d = labels[1 - side].get(first)
-            size = len(c.states)
-            key = (c, d) if side == 0 else (d, c)
-            if d is not None and len(d.states) == size and count.get(key, 0) == size:
-                partner[c], partner[d] = d, c
-                unmatched.discard(d)
+            d = sides[1 - side].label(v)
+            size = len(sides[side].states[v])
+            key = (v, d) if side == 0 else (d, v)
+            if d is not None and len(sides[1 - side].states[d]) == size == count.get(key, 0):
+                partner[c], partner[1 - side, d] = (1 - side, d), c
+                unmatched.discard((1 - side, d))
             else:
                 unmatched.add(c)
 
     def differ(self) -> tuple:
         """Whether the nontrivial classes, and the absorbing vertices, differ."""
-        if not self.unmatched:
-            return False, False
-        sizes = [len(c.states) for c in self.unmatched]
-        return any(k >= 2 for k in sizes), any(k == 1 for k in sizes)
+        sizes = {len(self.sides[side].states[v]) for side, v in self.unmatched}
+        return max(sizes, default=0) >= 2, 1 in sizes
 
 
 @dataclass(frozen=True)
@@ -736,11 +680,9 @@ def compare_alg1_alg2(
 
     def classes_at(p: int) -> tuple:
         kp = k_index[p - 1]
-        cc1 = closed_communicating_classes(
-            _expanded_adjacency(r1.tgraphs[kp].arcs), vertices=g.states
-        )
-        cc2 = closed_communicating_classes(
-            _expanded_adjacency(r2.tgraphs[p].arcs), vertices=g.states
+        cc1, cc2 = (
+            closed_communicating_classes(_expanded_adjacency(t.arcs), vertices=g.states)
+            for t in (r1.tgraphs[kp], r2.tgraphs[p])
         )
         return f"at window {p} (step {kp}): ", cc1, cc2
 

@@ -31,6 +31,8 @@ signature: elsewhere the point is a boundary whatever its own signature.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -352,20 +354,24 @@ def _regimes(grid: list, rings: tuple) -> list:
     right-hand regime first and runs at x only if x is on the grid or the
     two sides' signatures are equal.
     """
+    # the regimes found so far, disjoint, sorted by where they end: an open
+    # regime r = (lo, hi) as (hi, 0, r), ending just before hi (math.inf if
+    # unbounded), and the point regime r at x as (x, 1, r)
     found: list = []
 
     def at(z: Fraction) -> _Regime:
-        r = next((r for r in found if r.holds(z)), None)
-        if r is None:
-            r = _regime(z, rings)
-            found.append(r)
+        i = bisect_left(found, (z, 1))  # the first regime ending at or after z
+        if i < len(found) and found[i][2].holds(z):
+            return found[i][2]
+        r = _regime(z, rings)
+        insort(found, (r.zeta, 1, r) if r.is_point else (math.inf if r.hi is None else r.hi, 0, r))
         return r
 
     def right_of(x: Fraction) -> _Regime:
         """The open regime (x, b): the one at the next grid point or, while
         the regime found there starts beyond x, halfway between x and its
         start."""
-        r = at(next(z for z in grid if z > x))
+        r = at(grid[bisect_right(grid, x)])
         while r.lo != x:
             if r.lo is None or r.lo < x:
                 raise InternalInvariantError(
@@ -476,10 +482,11 @@ def kinesin_sweep(
 
     # a point whose signature differs from both sides ends two segments
     changes = dict.fromkeys(seg[1] for seg in segments[:-1])
+    padded = [None, *grid, None]  # with no grid point on a side, x is its own bracket end
     boundaries = [
         SweepBoundary(
-            lo=max((z for z in grid if z < x), default=x),
-            hi=min((z for z in grid if z > x), default=x),
+            lo=padded[bisect_left(grid, x)] or x,
+            hi=padded[bisect_right(grid, x) + 1] or x,
             refined=x,
         )
         for x in changes

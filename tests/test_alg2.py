@@ -11,7 +11,7 @@ import metachain as mc
 from conftest import chain_graphs, derived_report_keys
 from metachain.alg1 import HierarchyNode, hierarchy_json
 from metachain.alg2 import _expanded_adjacency, _GrowingClosedClasses, class_hierarchy
-from metachain.chain import Arc, closed_communicating_classes, state_key, super_vertex_name
+from metachain.chain import closed_communicating_classes, state_key, super_vertex_name
 from metachain.contraction import SuperVertex, WorkingGraph
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 from metachain.graphio import format_rational, state_to_json
@@ -469,29 +469,38 @@ def arc_batches(draw):
 # the search from 3 finds that 1 reaches the absorbing 2; the one from 4
 # then stops at 1
 @example(([1, 2, 3, 4], [[(1, 2)], [(3, 1)], [(4, 1)]]))
+# 1, which already has an arc leaving it, gains another in the batch in
+# which the absorbing 2 and 3 gain theirs
+@example(([1, 2, 3], [[(1, 2)], [(1, 3), (2, 1), (3, 1)]]))
 def test_tracker_matches_a_fresh_scc_pass_after_every_add(case):
     states, batches = case
-    tracker = _GrowingClosedClasses(states)
+    sid = {s: i for i, s in enumerate(states)}
+    tracker = _GrowingClosedClasses(len(states))
+    ids = range(len(states))
+
+    def held(c):
+        return frozenset(states[i] for i in tracker.states[c])
+
     adj = {s: [] for s in states}
     prev = {frozenset((s,)) for s in states}
     for batch in batches:
-        before = dict(tracker.label)
-        snapshot = {c: frozenset(c.states) for c in before.values()}
-        lost, gained = tracker.add([Arc(t, h, Fraction(1)) for t, h in batch])
+        before = {i: tracker.label(i) for i in ids}
+        snapshot = {c: held(c) for c in before.values() if c is not None}
+        lost, gained = tracker.add([(sid[t], sid[h]) for t, h in batch])
         for t, h in batch:
             adj[t].append(h)
         fresh = closed_communicating_classes(adj, vertices=states)
-        live = set(tracker.label.values())
-        now = {frozenset(c.states) for c in live}
+        live = {tracker.label(i) for i in ids} - {None}
+        now = {held(c) for c in live}
         assert len(now) == len(live)
         assert now == set(fresh.nontrivial) | {frozenset((s,)) for s in fresh.absorbing}
-        assert all(tracker.label[s] is c for c in live for s in c.states)
+        assert all(tracker.label(i) == c for c in live for i in tracker.states[c])
         assert {snapshot[c] for c in lost} == prev - now
-        assert {frozenset(c.states) for c in gained} == now - prev
+        assert {held(c) for c in gained} == now - prev
         # every relabelled state is listed once, with its former label
-        changed = {s for s in states if before.get(s) is not tracker.label.get(s)}
-        assert sorted(map(str, (s for s, _old in tracker.moved))) == sorted(map(str, changed))
-        assert all(before.get(s) is old for s, old in tracker.moved)
+        changed = {i for i in ids if before[i] != tracker.label(i)}
+        assert sorted(i for i, _old in tracker.moved) == sorted(changed)
+        assert all(before[i] == old for i, old in tracker.moved)
         prev = now
 
 

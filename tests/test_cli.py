@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import metachain as mc
-from metachain import cli
+from metachain import alg2, cli
 from metachain.cli import main
 from metachain.demos import tied_min_arc_chain, two_state_chain
 from metachain.dot import export_dot
@@ -122,6 +122,20 @@ def test_compare_ok(capsys, demo_file):
     code, doc = run_json(capsys, ["compare", "--input", demo_file])
     assert code == 0
     assert doc["ok"] is True
+
+
+def test_compare_violation_writes_the_report_and_exits_two(tmp_path, capsys, demo_file, monkeypatch):
+    # the simultaneous sweep runs on another chain over the same states,
+    # with every exponent 1, so it releases every arc at once
+    other = mc.chain_graph([(a.tail, a.head, 1) for a in mc.nested_cycle_chain().arcs])
+    sweep = alg2.run_algorithm2
+    monkeypatch.setattr(alg2, "run_algorithm2", lambda g, stop=None: sweep(other, stop))
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--input", demo_file, "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False
+    assert doc["theta"] == ["1"]
+    assert "statements violated" in capsys.readouterr().err
 
 
 def test_kmc_census_and_csv(tmp_path, capsys, two_state_file):

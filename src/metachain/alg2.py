@@ -587,6 +587,7 @@ class ComparisonReport:
         }
 
 
+@gc_paused
 def compare_alg1_alg2(
     g: ChainGraph,
     tie_break: str = "lex",

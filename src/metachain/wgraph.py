@@ -11,17 +11,19 @@ states unless the caller raises the cap.  The other route reads the
 optimum off a completed symmetry-free sweep report by Edmonds' expansion:
 the first k(m) transfers form the contracted in-forest the sweep held
 with m sinks, and expanding its cycles drops one T-arc per cycle.  The
-report is replayed once into O(n + K) integers, after which each sink
-count costs O(n + K).
+report is replayed once into O(n + K) integers.  Each sink count then
+takes one interpreted step per cycle closed by step k(m), and C-level bulk
+operations over the first k(m) transfers and the n - m kept arcs.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import accumulate, compress
+from typing import Callable, Mapping, Optional, Sequence
 
 from .chain import (
     ChainGraph,
@@ -235,16 +237,21 @@ class ForestExpansion:
     * ``out[v]``: the transfer index of v's own T-arc, the one it sent
       while it was a current vertex, or -1 if it sent none;
     * ``main[i]``: the rank of cycle i's main state;
-    * per transfer its pair, tail rank and original weight as an integer
-      over ``scale``, prefix sums of those weights, and the transfer order
-      by (tail, head) that the extracted arcs are listed in;
+    * per transfer its tail rank and original weight as an integer over
+      ``scale``;
+    * ``arcs``: the transfers' pairs in (tail, head) order, the order the
+      extracted arcs are listed in, and ``position[i]``: transfer i's place
+      there;
+    * ``sinks``: the recorded sink sequence z*(1), s*(1), s*(2), ... as far
+      as the sink counts 1, 2, ... are recorded without a gap, so the sinks
+      of the m-sink forest are ``sinks[:m]``, and ``sink_ranks`` their ranks;
     * ``suffix[m]``: delta_m + ... + delta_(n-1) as an integer over
       ``scale``, for every m whose exponents the run has fixed.
     """
 
     __slots__ = (
-        "states", "rank", "scale", "pairs", "tails", "weights", "prefix",
-        "by_tail", "steps", "parent", "out", "main", "suffix",
+        "states", "rank", "scale", "tails", "weights", "arcs", "position",
+        "steps", "parent", "out", "main", "sinks", "sink_ranks", "suffix",
     )
 
     def __init__(self, report):
@@ -253,13 +260,12 @@ class ForestExpansion:
         rank = self.rank = {s: i for i, s in enumerate(self.states)}
         n = len(self.states)
         self.scale, int_weight = g.integer_weights
-        self.pairs = [a.pair() for a in report.transfers]
-        tails = self.tails = [rank[t] for (t, _h) in self.pairs]
-        self.weights = [int_weight[p] for p in self.pairs]
-        self.prefix = list(accumulate(self.weights, initial=0))
-        self.by_tail = sorted(
-            range(len(self.pairs)), key=lambda i: (tails[i], rank[self.pairs[i][1]])
-        )
+        pairs = [a.pair() for a in report.transfers]
+        tails = self.tails = [rank[t] for (t, _h) in pairs]
+        self.weights = [int_weight[p] for p in pairs]
+        by_tail = sorted(range(len(pairs)), key=lambda i: (tails[i], rank[pairs[i][1]]))
+        self.arcs = [pairs[i] for i in by_tail]
+        self.position = sorted(range(len(pairs)), key=by_tail.__getitem__)
         cycles = report.cycles
         self.steps = [rec.step for rec in cycles]
         self.main = [rank[rec.main_state] for rec in cycles]
@@ -280,6 +286,12 @@ class ForestExpansion:
                 for v in rec.member_vids:
                     v = vid[v] if isinstance(v, SuperVertex) else rank[v]
                     parent[v] = up[v] = vid[rec.vertex]
+        recorded = report.sinks
+        run = 0
+        while run + 1 in recorded:
+            run += 1
+        self.sinks = [recorded[j].s_star if j else recorded[1].z_star for j in range(run)]
+        self.sink_ranks = [rank[s] for s in self.sinks]
         self.suffix = [None] * (n + 1)
         self.suffix[n] = total = 0
         for m in range(n - 1, 0, -1):
@@ -291,9 +303,9 @@ class ForestExpansion:
                 raise InternalInvariantError(f"delta_{m} is off the weights' grid 1/{self.scale}")
             self.suffix[m] = total = total + d.numerator
 
-    def forest(self, m: int, k: int, sinks: Iterable) -> tuple:
-        """(arcs, integer total) of the optimal in-forest with these m sinks,
-        the roots of the contracted forest after step k = k(m)."""
+    def forest(self, m: int, k: int) -> tuple:
+        """(arcs, integer total) of the optimal in-forest whose m sinks are
+        ``sinks[:m]``, the roots of the contracted forest after step k = k(m)."""
         n = len(self.states)
         r = bisect_right(self.steps, k)  # cycles closed by step k
         if n - k + r != m:
@@ -304,34 +316,38 @@ class ForestExpansion:
         # none by step k) and the T-arcs of every vertex between that point
         # and the cycle are dropped; those vertices hold their parents'
         # root points, so they are resolved too.
-        dropped: set = set()
-        resolved: set = set()
+        keep = bytearray(b"\x01") * k  # keep[i]: transfer i stays in the forest
+        resolved = bytearray(len(parent))
         for c in range(n + r - 1, n - 1, -1):
-            if c in resolved:
+            if resolved[c]:
                 continue
             o = out[c]
             x = tails[o] if 0 <= o < k else main[c - n]
             while x != c:
-                if x < 0:
-                    raise InternalInvariantError(f"root point of cycle {c - n + 1} lies outside it")
-                resolved.add(x)
-                dropped.add(out[x])
+                o = out[x]
+                if x < 0 or not 0 <= o < k:
+                    raise InternalInvariantError(
+                        f"root point of cycle {c - n + 1} lies outside it or sends no T-arc by step {k}"
+                    )
+                resolved[x] = 1
+                keep[o] = 0
                 x = parent[x]
-        kept = [i for i in self.by_tail if i < k and i not in dropped]
-        covered = {tails[i] for i in kept}
-        covered.update(self.rank[s] for s in sinks)
+        kept = list(compress(range(k), keep))
+        covered = set(map(tails.__getitem__, kept))
+        covered.update(self.sink_ranks[:m])
         if len(kept) != n - m or len(covered) != n:
             raise InternalInvariantError(
                 f"expansion after step {k} gives {len(kept)} arcs, not {n - m}, or its "
                 f"tails and the {m} sinks cover {len(covered)} of the {n} states"
             )
-        total = self.prefix[k] - sum(self.weights[i] for i in dropped)
+        total = sum(map(self.weights.__getitem__, kept))
         if total != self.suffix[m]:
             raise InternalInvariantError(
                 f"the {m}-sink forest weighs {Fraction(total, self.scale)}, "
                 f"not delta_{m} + ... + delta_{n - 1}"
             )
-        return tuple(self.pairs[i] for i in kept), total
+        order = sorted(map(self.position.__getitem__, kept))
+        return tuple(map(self.arcs.__getitem__, order)), total
 
 
 def extract_wgraph(report, m: int) -> WGraph:
@@ -347,10 +363,14 @@ def extract_wgraph(report, m: int) -> WGraph:
     T-arc when that arc is kept; a cycle that holds its outer cycle's root
     point loses its own T-arc and takes that point; a cycle that sent no
     T-arc by step k(m) takes its main state, a sink.  The report is
-    replayed once (``ForestExpansion``, kept on the report) and each m
-    costs O(n + K).  Weights come from the original graph, summed as
-    integers.  Refuses reports with detected symmetry (optima need not be
-    unique) and reports stopped before step k(m).
+    replayed once (``ForestExpansion``, kept on the report).  Each m then
+    walks the r cycles closed by step k(m) in Python, and masks the first
+    k(m) transfers, checks coverage with one set and sorts the n - m kept
+    arcs in C: O(r) interpreted steps and O(k(m) + n log n) native ones.
+    Weights come from the original graph, summed as integers.  m is an int
+    or anything ``operator.index`` takes, but not a bool.  Refuses reports
+    with detected symmetry (optima need not be unique) and reports stopped
+    before step k(m).
     """
     if report.symmetry_detected:
         raise SymmetryError(
@@ -359,18 +379,22 @@ def extract_wgraph(report, m: int) -> WGraph:
             "extraction is only valid without ties"
         )
     n = report.graph.n
-    if not (1 <= m <= n - 1):
+    try:
+        count = 0 if isinstance(m, bool) else operator.index(m)
+    except TypeError:
+        count = 0
+    if not (1 <= count <= n - 1):
         raise ValueError(f"sink count must lie in [1, {n - 1}], got {m}")
-    missing = [j for j in range(1, m + 1) if j not in report.sinks]
-    if missing or report.sinks[m].k > report.K:
+    m = count
+    expansion = report.forest_expansion
+    if m > len(expansion.sinks) or report.sinks[m].k > report.K:
         raise GraphError(
             f"report stopped too early to extract the {m}-sink optimum"
         )
-    sinks = frozenset([report.sinks[1].z_star] + [report.sinks[j].s_star for j in range(1, m)])
+    sinks = frozenset(expansion.sinks[:m])
     if len(sinks) != m:
         raise InternalInvariantError("recorded sinks are not pairwise distinct")
-    expansion = report.forest_expansion
-    arcs, total = expansion.forest(m, report.sinks[m].k, sinks)
+    arcs, total = expansion.forest(m, report.sinks[m].k)
     return WGraph(
         vertices=expansion.states,
         sinks=sinks,

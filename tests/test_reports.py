@@ -2,6 +2,7 @@
 prefixes, flat contraction trees, keys derived instead of written, deep
 chains, and the linear-time sweep cross-check."""
 
+import functools
 import gc
 import json
 import random
@@ -255,20 +256,25 @@ def test_dropped_keys_derive_from_the_written_report(rep):
 @pytest.mark.parametrize("module, builder, run", [
     ("metachain.alg1", "cycle_hierarchy", mc.run_algorithm1),
     ("metachain.alg2", "class_hierarchy", mc.run_algorithm2),
+    ("metachain.alg2", "_PairedClosedClasses", mc.compare_alg1_alg2),
 ])
 @pytest.mark.parametrize("was_enabled", [True, False])
 def test_report_building_restores_the_collector(monkeypatch, module, builder, run, was_enabled):
-    rep = run(mc.nested_cycle_chain())
+    g = mc.nested_cycle_chain()
+    if run is mc.compare_alg1_alg2:  # the comparison as a whole is paused
+        paused = functools.partial(run, g, "lex", mc.run_algorithm1(g), mc.run_algorithm2(g))
+    else:  # a sweep is paused only while its report is written
+        paused = run(g).to_json_dict
 
-    def boom(_report):
-        assert not gc.isenabled()  # paused while the report is built
+    def boom(*_args):
+        assert not gc.isenabled()
         raise RuntimeError("boom")
 
     monkeypatch.setattr(f"{module}.{builder}", boom)
     (gc.enable if was_enabled else gc.disable)()
     try:
         with pytest.raises(RuntimeError, match="boom"):
-            rep.to_json_dict()
+            paused()
         assert gc.isenabled() is was_enabled
     finally:
         gc.enable()

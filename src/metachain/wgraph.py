@@ -298,10 +298,9 @@ class ForestExpansion:
             d = report.delta[m - 1]
             if d is None:
                 break
-            d *= self.scale
-            if d.denominator != 1:
+            if self.scale % d.denominator:
                 raise InternalInvariantError(f"delta_{m} is off the weights' grid 1/{self.scale}")
-            self.suffix[m] = total = total + d.numerator
+            self.suffix[m] = total = total + d.numerator * (self.scale // d.denominator)
 
     def forest(self, m: int, k: int) -> tuple:
         """(arcs, integer total) of the optimal in-forest whose m sinks are

@@ -176,6 +176,14 @@ def test_kmc_unknown_start_state(capsys, two_state_file):
     assert "9" in capsys.readouterr().err
 
 
+def test_kmc_at_an_epsilon_where_every_rate_underflows_exits_one(capsys, two_state_file):
+    code = main(
+        ["kmc", "--input", two_state_file, "--epsilon", "0.001", "--x0", "1", "--horizon", "10"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: state 1 has total exit rate 0.0 at epsilon=0.001")
+
+
 def test_kmc_window_needs_two_numbers(capsys, two_state_file):
     code = main(
         ["kmc", "--input", two_state_file, "--epsilon", "0.5", "--x0", "1",

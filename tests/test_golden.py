@@ -3,7 +3,8 @@
 Each file under ``tests/golden`` is the output of one ``metachain``
 invocation on one demo chain (saved next to it as ``<demo>.graph.json``),
 on the motor model or on the built-in example (``demo.dot``).
-A refactor of the sweeps must leave every byte of these reports unchanged.
+A refactor of the sweeps or the sampler must leave every byte of these
+reports unchanged.
 The same chain saved as ``<demo>.graph.tsv`` must give the same bytes.
 
 Regenerate the files (only when a report is meant to change) with
@@ -43,6 +44,11 @@ def _cases() -> dict:
         if demo in TIE_FREE:
             cases[f"{demo}.wgraphs.json"] = ["wgraphs", "--input", graph]
     cases["kinesin_sweep.json"] = ["kinesin-sweep", "--grid", "1/4:41/4:1"]
+    # a seed's trajectories, and so this census, must not change
+    cases["nested_integer.kmc.json"] = [
+        "kmc", "--input", str(GOLDEN / "nested_integer.graph.json"), "--epsilon", "0.3", "--x0", "1",
+        "--horizon", "22000", "--n", "200", "--seed", "7", "--tgraph", "2",
+    ]
     cases["demo.dot"] = ["export-dot", "--demo"]
     return cases
 

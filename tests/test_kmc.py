@@ -2,12 +2,19 @@
 
 import csv
 import io
+import itertools
 import math
+import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metachain as mc
+from metachain.chain import arc_rate
 from metachain.demos import two_state_chain
 from metachain.kmc import GENERATOR_NAME, KS_CRITICAL_1PCT, exponential_ks, mean_occupancy
 
@@ -62,6 +69,33 @@ def test_event_cap_flags_truncation():
     tr = mc.simulate(TWO, 0.5, 1, 1e9, seed=7, max_events=3)
     assert tr.truncated and tr.n_jumps == 3
     assert tr.end_time() == tr.jumps[-1][0]
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, True, "3", None])
+def test_event_cap_must_be_a_positive_int(cap):
+    with pytest.raises(mc.GraphError, match="max_events"):
+        mc.simulate(TWO, 0.5, 1, 1e9, seed=7, max_events=cap)
+    with pytest.raises(mc.GraphError, match="max_events"):
+        mc.simulate_ensemble(TWO, 0.5, 1, 1e9, 2, seed=7, max_events=cap)
+
+
+def test_event_cap_takes_any_integer_type():
+    tr = mc.simulate(TWO, 0.5, 1, 1e9, seed=7, max_events=np.int64(3))
+    assert tr.truncated and tr.n_jumps == 3
+    assert tr == mc.simulate(TWO, 0.5, 1, 1e9, seed=7, max_events=3)
+
+
+@pytest.mark.parametrize("weight, epsilon, total", [
+    (1, 0.001, "0.0"),  # exp(-1000) underflows to 0
+    (740, 1.0, "4.2"),  # exp(-740) is subnormal: 1 / total overflows
+])
+def test_a_state_that_cannot_leave_is_refused(weight, epsilon, total):
+    g = mc.chain_graph([(1, 2, weight), (2, 1, Fraction(1, 1000))])
+    expected = rf"state 1 has total exit rate {total}.* at epsilon={epsilon}"
+    with pytest.raises(mc.GraphError, match=expected):
+        mc.simulate(g, epsilon, 2, 10.0, seed=1)
+    with pytest.raises(mc.GraphError, match=expected):
+        mc.simulate_ensemble(g, epsilon, 2, math.inf, 3, seed=1)
 
 
 def test_ensemble_spawns_distinct_seeds():
@@ -173,3 +207,111 @@ def test_ks_statistic_separates_rates():
     assert not exponential_ks(xs, 5.0).passed
     with pytest.raises(mc.GraphError):
         exponential_ks([], 1.0)
+
+
+def reference_walk(g, epsilon, x0, horizon, seed, max_events=10**6):
+    """The event loop as first written: one numpy search per event, the
+    clamp to the last arc and the cap checked on ``len(jumps)``."""
+    rng = np.random.default_rng(seed)
+    arcs_of = {s: g.out_arcs(s) for s in g.states}
+    cum_of = {s: np.cumsum([arc_rate(a, epsilon) for a in arcs]) for s, arcs in arcs_of.items() if arcs}
+    t, state, jumps = 0.0, x0, []
+    absorbed = truncated = False
+    while True:
+        arcs = arcs_of[state]
+        if not arcs:
+            absorbed = True
+            break
+        total = float(cum_of[state][-1])
+        t_next = t + rng.exponential(1.0 / total)
+        if t_next > horizon:
+            break
+        j = int(np.searchsorted(cum_of[state], rng.random() * total, side="right"))
+        arc = arcs[min(j, len(arcs) - 1)]
+        jumps.append((t_next, arc))
+        t, state = t_next, arc.head
+        if len(jumps) >= max_events:
+            truncated = True
+            break
+    return tuple(jumps), absorbed, truncated
+
+
+class ScriptedStream:
+    """Stands in for numpy's generator with a short repeating script of
+    dyadic draws, so a uniform often lands exactly on the boundary between
+    two arcs of equal rate; the sampler must then take the later arc."""
+
+    def __init__(self, seed):
+        r = random.Random(seed)
+        self.units = itertools.cycle([r.randrange(1, 9) / 4 for _ in range(16)])
+        self.uniforms = itertools.cycle([r.randrange(8) / 8 for _ in range(16)])
+
+    def exponential(self, scale):
+        return scale * next(self.units)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"s{i}",
+    "mixed": lambda i: (i + 1) // 2 if i % 2 else str(i // 2),  # 1, "1", 2, "2", ...
+}
+
+
+@st.composite
+def sampled_chains(draw):
+    """2-8-state chains whose states are ints, strings or both (1 and "1"),
+    some with prefactors and some with absorbing states; with a start
+    state, an epsilon, a horizon that may cut the walk and an event cap."""
+    n = draw(st.integers(2, 8))
+    label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
+    states = [label(i) for i in range(1, n + 1)]
+    pairs = [(a, b) for a in states for b in states if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n, unique=True))
+    weights = st.sampled_from(["1/2", "1", "1", "3/2", "2"])
+    arcs = [(t, h, draw(weights)) for t, h in chosen]
+    if draw(st.booleans()):  # prefactors are all-or-none
+        arcs = [arc + (draw(st.sampled_from([0.5, 1, 2, 3.25])),) for arc in arcs]
+    g = mc.chain_graph(arcs, states=states)
+    return (
+        g,
+        draw(st.sampled_from([0.5, 1.0, 2.0])),
+        draw(st.sampled_from(states)),
+        draw(st.sampled_from([0.5, 5.0, 1e300])),
+        draw(st.sampled_from([1, 2, 7, 40, 500])),
+    )
+
+
+def _same_as_reference(g, eps, x0, horizon, cap, seed):
+    tr = mc.simulate(g, eps, x0, horizon, seed, max_events=cap)
+    assert (tr.jumps, tr.absorbed, tr.truncated) == reference_walk(g, eps, x0, horizon, seed, cap)
+    return tr
+
+
+@settings(max_examples=300)
+@given(sampled_chains(), st.integers(0, 2**64 - 1))
+def test_simulate_matches_the_reference_walk(case, seed):
+    g, eps, x0, horizon, cap = case
+    tr = _same_as_reference(g, eps, x0, horizon, cap, seed)
+    assert tr.n_jumps <= cap
+    for member in mc.simulate_ensemble(g, eps, x0, horizon, 3, seed, max_events=cap):
+        assert member == mc.simulate(g, eps, x0, horizon, member.seed, max_events=cap)
+
+
+@settings(max_examples=200)
+@given(sampled_chains(), st.integers(0, 2**32))
+def test_simulate_matches_the_reference_walk_on_dyadic_draws(case, seed):
+    g, eps, x0, horizon, cap = case
+    with mock.patch.object(np.random, "default_rng", ScriptedStream):
+        _same_as_reference(g, eps, x0, horizon, cap, seed)
+
+
+def test_a_uniform_on_a_boundary_takes_the_later_arc():
+    # two arcs of rate r: cumulative rates r and 2r, and u = 0.5 * 2r = r
+    g = mc.chain_graph([(1, 2, 1), (1, 3, 1)], states=[1, 2, 3])
+    stream = mock.Mock(exponential=lambda scale: scale, random=lambda: 0.5)
+    with mock.patch.object(np.random, "default_rng", lambda seed: stream):
+        tr = mc.simulate(g, 1.0, 1, 10.0, 0)
+    assert [arc.pair() for _t, arc in tr.jumps] == [(1, 3)] and tr.absorbed

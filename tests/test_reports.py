@@ -257,12 +257,17 @@ def test_dropped_keys_derive_from_the_written_report(rep):
     ("metachain.alg1", "cycle_hierarchy", mc.run_algorithm1),
     ("metachain.alg2", "class_hierarchy", mc.run_algorithm2),
     ("metachain.alg2", "_PairedClosedClasses", mc.compare_alg1_alg2),
+    ("metachain.kmc", "_walk", mc.simulate),
+    ("metachain.kmc", "_walk", mc.simulate_ensemble),
 ])
 @pytest.mark.parametrize("was_enabled", [True, False])
 def test_report_building_restores_the_collector(monkeypatch, module, builder, run, was_enabled):
     g = mc.nested_cycle_chain()
+    samplers = {mc.simulate: (0,), mc.simulate_ensemble: (3, 0)}  # [n,] seed
     if run is mc.compare_alg1_alg2:  # the comparison as a whole is paused
         paused = functools.partial(run, g, "lex", mc.run_algorithm1(g), mc.run_algorithm2(g))
+    elif run in samplers:  # so is a sampler, which keeps every jump live
+        paused = functools.partial(run, g, 1.0, 1, 10.0, *samplers[run])
     else:  # a sweep is paused only while its report is written
         paused = run(g).to_json_dict
 

@@ -1,13 +1,14 @@
 """Single-min-arc sweep: critical exponents, T-graphs, sinks, cycle tree.
 
-The sweep keeps one min-arc per current vertex in an exact-weight bucket and
-transfers the globally cheapest arc at each step.  A transfer either extends
-the growing transition graph (a non-cycle step, which fixes one eigenvalue
-exponent) or closes a cycle, which the working graph contracts to a
-super-vertex with repriced exit arcs; the super-vertex's min-arc then
-enters the bucket.  Arcs keep their original (tail, head) identity
-throughout, so the fully expanded T-graph after k steps is simply the first
-k transferred arcs with their in-force weights.
+The sweep keeps one min-arc per current vertex in a bucket of ints
+``w * m + p`` (arc id p of m, in-force weight w: ``WorkingGraph``'s
+encoding, so equal weights leave in id order) and transfers the cheapest
+at each step.  A transfer either extends the growing transition graph (a
+non-cycle step, which fixes one eigenvalue exponent) or closes a cycle,
+which the working graph contracts to a super-vertex with repriced exit
+arcs; the super-vertex's min-arc then enters the bucket.  Transfers keep
+their original (tail, head) pair, so the fully expanded T-graph after k
+steps is simply the first k transferred arcs with their in-force weights.
 
 Exactness matters: the sweep compares and reprices integers, every
 exponent times the lcm of the chain's denominators, and reports each
@@ -29,7 +30,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .chain import (
-    Arc,
     ChainGraph,
     InternalInvariantError,
     State,
@@ -43,7 +43,6 @@ from .stopping import StopCriterion
 from .wgraph import ForestExpansion
 
 __all__ = [
-    "Bucket",
     "TGraph",
     "TGraphs",
     "SinkRecord",
@@ -54,44 +53,6 @@ __all__ = [
     "cycle_hierarchy",
     "hierarchy_json",
 ]
-
-
-class Bucket:
-    """Exact min-priority structure over arcs; ties are reported, not hidden.
-
-    Arcs are keyed on (weight, rank of their pair), so arcs of one weight
-    leave in rank order (``WorkingGraph.rank``).
-    """
-
-    def __init__(self, rank: dict):
-        self._heap: list = []
-        self._rank = rank
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def insert(self, arc: Arc) -> None:
-        heapq.heappush(self._heap, (arc.weight, self._rank[arc.tail, arc.head], arc))
-
-    def peek_min_weight(self) -> Fraction:
-        if not self._heap:
-            raise IndexError("bucket is empty")
-        return self._heap[0][0]
-
-    def extract_min(self) -> tuple[Arc, bool]:
-        """Remove the least-rank arc of minimal weight; the flag tells
-        whether another arc has that weight too."""
-        w, _, arc = heapq.heappop(self._heap)
-        return arc, bool(self._heap) and self._heap[0][0] == w
-
-    def extract_all_min(self) -> tuple[Fraction, list[Arc]]:
-        """Remove every arc attaining the current minimum weight, in rank order."""
-        heap = self._heap
-        w, _, arc = heapq.heappop(heap)
-        group = [arc]
-        while heap and heap[0][0] == w:
-            group.append(heapq.heappop(heap)[2])
-        return w, group
 
 
 class TGraph:
@@ -281,7 +242,8 @@ def run_algorithm1(
     n = g.n
     wg = WorkingGraph(g, revlex=tie_break == "revlex")
     scale, vertex = wg.scale, wg.vertex
-    bucket = Bucket(wg.rank)
+    n_ids, kappa = wg.m, wg.kappa
+    bucket: list = []  # w * n_ids + p for the chosen min-arc p of each current vertex
     kappa_min: dict = {}  # current vertex -> prefactor of its chosen min arc
     main: dict = dict(enumerate(vertex))  # current vertex -> its main state
     limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
@@ -292,14 +254,13 @@ def run_algorithm1(
         if not symmetry["detected"]:
             symmetry.update(detected=True, step=step, kind=kind)
 
-    def select_min_arc(vid, step: int) -> Optional[Arc]:
+    def select_min_arc(vid, step: int) -> Optional[int]:
         chosen, tied = wg.min_arc(vid)
-        if chosen is None:
-            return None
         if tied:
             note_symmetry(step, "min-arc-multiplicity")
-        kappa_min[vid] = chosen.kappa
-        bucket.insert(chosen)
+        if chosen is not None:
+            kappa_min[vid] = kappa[chosen]
+            heapq.heappush(bucket, wg.u_min[vid] * n_ids + chosen)
         return chosen
 
     for v in range(n):
@@ -322,20 +283,19 @@ def run_algorithm1(
     r = 0
     stop_reason = "bucket-empty"
 
-    while len(bucket):
+    while bucket:
         if stop.kind == "bucket-size-one" and len(bucket) == 1:
             stop_reason = "bucket-size-one"
             break
-        if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= limit:
+        if stop.kind == "exponent-threshold" and bucket[0] // n_ids >= limit:
             stop_reason = "exponent-threshold"
             break
-        arc, tied = bucket.extract_min()
+        threshold, p = divmod(heapq.heappop(bucket), n_ids)
         k += 1
-        if tied:
+        if bucket and bucket[0] // n_ids == threshold:
             note_symmetry(k, "bucket-min-multiplicity")
-        threshold = arc.weight
+        arc = wg.transfer(p, threshold)
         tail_v, head_v = wg.vertex_of(arc.tail), wg.vertex_of(arc.head)
-        arc = wg.transfer(arc)
         w = arc.weight
         gamma.append(w)
         transfers.append(arc)
@@ -379,8 +339,8 @@ def run_algorithm1(
                     member_vids=tuple(vertex[v] for v in (tail_v, *walked)),
                     vertex=vertex[sv], closing=arc.pair(), main_state=main[sv],
                     contracted=chosen is not None,
-                    exit_pair=None if chosen is None else chosen.pair(),
-                    exit_weight=None if chosen is None else Fraction(chosen.weight, scale),
+                    exit_pair=None if chosen is None else wg.arcs[chosen].pair(),
+                    exit_weight=None if chosen is None else Fraction(wg.u_min[sv], scale),
                 )
             )
         if stop.kind == "custom":

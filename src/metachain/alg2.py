@@ -4,7 +4,8 @@ Where the single-arc sweep breaks weight ties one arc at a time, this
 variant releases every arc attaining the bucket minimum at once and then
 contracts every nontrivial closed communicating class of the current
 transition graph simultaneously.  It therefore needs no tie-breaking and is
-the reference behaviour for graphs with weight symmetries.  Prefactors, if
+the reference behaviour for graphs with weight symmetries; its bucket is
+the single-arc sweep's, so a released group is in id order.  Prefactors, if
 present, are carried through unmodified and flagged as ignored: the class
 update rule only preserves exponents.  The new closed classes of a step are
 found on the contracted graph, from the vertices that step released, never
@@ -19,6 +20,7 @@ the sweep uses, on the states rather than the sweep's working graph.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +28,6 @@ from typing import Iterable, Optional
 
 from .alg1 import (
     Alg1Report,
-    Bucket,
     TGraph,
     TGraphs,
     _hierarchy,
@@ -200,10 +201,10 @@ def run_algorithm2(
         # per vertex id, whether it holds a state of each target set
         targets = stop.targets
         hits = tuple([s in t for s in vertex] for t in targets)
-    bucket = Bucket(wg.rank)
-    for v in range(g.n):
-        for a in wg.min_arcs(v):
-            bucket.insert(a)
+    n_ids = wg.m
+    # w * n_ids + q for every min-arc id q not yet released
+    bucket = [wg.u_min[v] * n_ids + q for v in range(g.n) for q in wg.min_arcs(v)]
+    heapq.heapify(bucket)
     limit = None if stop.threshold is None else math.ceil(stop.threshold * scale)
 
     heads: dict = {}  # released current vertex -> head state ids of its released arcs
@@ -219,17 +220,18 @@ def run_algorithm2(
     stop_reason = "bucket-empty"
     p = 0
 
-    while len(bucket):
-        if stop.kind == "exponent-threshold" and bucket.peek_min_weight() >= limit:
+    while bucket:
+        if stop.kind == "exponent-threshold" and bucket[0] // n_ids >= limit:
             stop_reason = "exponent-threshold"
             break
-        threshold, released = bucket.extract_all_min()
+        threshold, released = bucket[0] // n_ids, []
+        while bucket and bucket[0] // n_ids == threshold:
+            released.append(wg.transfer(heapq.heappop(bucket) % n_ids, threshold))
         p += 1
         step: dict = {}
         for a in released:
             step.setdefault(wg.vertex_of(a.tail), []).append(sid[a.head])
         multiplicity.append(len(step))
-        released = [wg.transfer(a) for a in released]
         w = released[0].weight
         theta.append(w)
         released_all.extend(released)
@@ -288,8 +290,8 @@ def run_algorithm2(
                 for h in hits:
                     h.append(any(h[v] for v in ids))
             exits = wg.min_arcs(sv)
-            for a in exits:
-                bucket.insert(a)
+            for q in exits:
+                heapq.heappush(bucket, wg.u_min[sv] * n_ids + q)
             classes.append(
                 ClassRecord(
                     index=len(classes) + 1,
@@ -298,7 +300,7 @@ def run_algorithm2(
                     member_vids=cls,
                     vertex=vertex[sv],
                     main_state=vertex[sv].least,
-                    exit_weight=Fraction(exits[0].weight, scale) if exits else None,
+                    exit_weight=Fraction(wg.u_min[sv], scale) if exits else None,
                 )
             )
 

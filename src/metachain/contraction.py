@@ -6,12 +6,14 @@ closed class into a super-vertex and reprice every arc leaving it as
 *Finding optimum branchings*).  ``WorkingGraph`` is the one place that
 makes that move, on integers: every exponent times the lcm of the chain's
 denominators (``ChainGraph.integer_weights``); the sweeps turn what they
-report back into Fractions.  Arcs never lose their original (tail, head)
-identity, so parallel arcs to one current head are all kept.  Each current
-vertex keeps its exit arcs in a heap with an additive offset, and a
-contraction adds ``threshold - U_min(i)`` to member i's offset and merges
-the smaller heaps into the largest (Tarjan 1977; Gabow, Galil, Spencer &
-Tarjan 1986), so an arc is repriced only when it is read.  Arcs inside a
+report back into Fractions.  An arc is its id p, its place in (tail, head)
+state order (reversed for revlex), so parallel arcs to one current head
+are all kept.  Each current vertex keeps its exit arcs in a heap of ints
+``key * m + p`` with an additive offset, and a contraction adds
+``threshold - U_min(i)`` to member i's offset and merges the smaller heaps
+into the largest (Tarjan 1977; Gabow, Galil, Spencer & Tarjan 1986), so an
+arc is repriced only when it is read.  The sweeps' buckets hold
+``w * m + p`` too, so every order is by (weight, id).  Arcs inside a
 contracted group, and arcs the sweeps have taken, are dropped when they
 reach the top of a heap; a contraction is never undone.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional
 
 from .chain import Arc, ChainGraph, GraphError, State, parse_rational, state_key, super_vertex_name
 
@@ -40,8 +42,6 @@ __all__ = [
     "updated_weight",
     "vertex_order",
 ]
-
-Pair = Tuple[State, State]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +131,13 @@ class WorkingGraph:
     or ``SuperVertex`` an id stands for; ``vertex_of(state)`` and
     ``current(vid)`` are union-find lookups of the current vertex that holds
     a state or an earlier vertex.
-    rank[pair]: position of an arc pair in (tail, head) state order,
-                reversed when ``revlex``; the one order among equal weights.
+    arcs[p]:    arc p of the chain; ids follow (tail, head) state order,
+                reversed when ``revlex``, the one order among equal weights.
+    kappa[p]:   arc p's prefactor in force.
     u_min[vid]: least weight of vid's arcs, as last read by ``min_arcs``
                 or ``min_arc``.
-    Heap entries are ``key * m + rank`` (m arcs); an entry's in-force
-    weight is ``key + offset[vid]``.
+    Heap entries are ``key * m + p``; an entry's in-force weight is
+    ``key + offset[vid]``.
     """
 
     def __init__(self, g: ChainGraph, revlex: bool = False):
@@ -144,11 +145,10 @@ class WorkingGraph:
         self.vertex: list = sorted(g.states, key=state_key)
         n = len(self.vertex)
         sid = self.sid = {s: i for i, s in enumerate(self.vertex)}
-        arcs = self._arcs = sorted(g.arcs, key=lambda a: (sid[a.tail], sid[a.head]), reverse=revlex)
-        m = self._m = max(len(arcs), 1)
-        self.rank: Dict[Pair, int] = {a.pair(): p for p, a in enumerate(arcs)}
+        arcs = self.arcs = sorted(g.arcs, key=lambda a: (sid[a.tail], sid[a.head]), reverse=revlex)
+        m = self.m = max(len(arcs), 1)
         self._head = [sid[a.head] for a in arcs]
-        self._kappa = [a.kappa for a in arcs]
+        self.kappa = [a.kappa for a in arcs]
         self._heap: list = [[] for _ in range(n)]
         for p, a in enumerate(arcs):
             self._heap[sid[a.tail]].append(weight[a.tail, a.head] * m + p)
@@ -171,18 +171,18 @@ class WorkingGraph:
         return self._gone[p] or find(self._up, self._head[p]) == vid
 
     def min_arcs(self, vid: int) -> list:
-        """The least-weight arcs of ``vid`` in rank order, weights as ints.
+        """The ids of ``vid``'s least-weight arcs, in id order.
 
         Records their weight as ``u_min[vid]``; a vertex without arcs gets
         an empty list and leaves ``u_min[vid]`` alone.
         """
-        heap, m = self._heap[vid], self._m
+        heap, m = self._heap[vid], self.m
         while heap and self._dead(vid, heap[0] % m):
             heappop(heap)
         if not heap:
             return []
         key, p = divmod(heap[0], m)
-        w = self.u_min[vid] = key + self._offset[vid]
+        self.u_min[vid] = key + self._offset[vid]
         group, todo = [p], [1, 2]  # entries below ``end`` form a subtree at the top
         end, size = (key + 1) * m, len(heap)
         while todo:
@@ -191,14 +191,13 @@ class WorkingGraph:
                 if not self._dead(vid, heap[j] % m):
                     group.append(heap[j] % m)
                 todo += (2 * j + 1, 2 * j + 2)
-        arcs, kappa = self._arcs, self._kappa
-        return [Arc(arcs[p].tail, arcs[p].head, w, kappa[p]) for p in sorted(group)]
+        return sorted(group)
 
     def min_arc(self, vid: int) -> tuple:
-        """``(arc, tied)``: the least-rank arc of ``min_arcs(vid)``, and
-        whether that list holds another; ``(None, False)`` for a vertex
-        without arcs.  Reads two heap entries, not the whole tied group."""
-        heap, m = self._heap[vid], self._m
+        """``(p, tied)``: the first id of ``min_arcs(vid)``, and whether that
+        list holds another; ``(None, False)`` for a vertex without arcs.
+        Reads two heap entries, not the whole tied group."""
+        heap, m = self._heap[vid], self.m
         while heap and self._dead(vid, heap[0] % m):
             heappop(heap)
         if not heap:
@@ -209,19 +208,19 @@ class WorkingGraph:
         key, p = divmod(top, m)
         tied = bool(heap) and heap[0] // m == key
         heappush(heap, top)
-        w = self.u_min[vid] = key + self._offset[vid]
-        a = self._arcs[p]
-        return Arc(a.tail, a.head, w, self._kappa[p]), tied
+        self.u_min[vid] = key + self._offset[vid]
+        return p, tied
 
-    def transfer(self, arc: Arc) -> Arc:
-        """Take an arc ``min_arcs`` gave out of the graph and return it with a
-        Fraction weight (the graph's own arc while its tail is uncontracted)."""
-        p = self.rank[arc.tail, arc.head]
+    def transfer(self, p: int, weight: int) -> Arc:
+        """Take arc ``p`` out of the graph and return it as an ``Arc`` whose
+        weight is ``weight``, its in-force int, as a Fraction (the graph's
+        own arc while its tail is uncontracted)."""
         self._gone[p] = 1
-        t = self.sid[arc.tail]
+        a = self.arcs[p]
+        t = self.sid[a.tail]
         if self._up[t] == t:
-            return self._arcs[p]
-        return Arc(arc.tail, arc.head, Fraction(arc.weight, self.scale), arc.kappa)
+            return a
+        return Arc(a.tail, a.head, Fraction(weight, self.scale), self.kappa[p])
 
     def contract(
         self,
@@ -241,12 +240,12 @@ class WorkingGraph:
         group = set(vids)
         if len(group) < 2:
             raise GraphError("contraction needs at least two vertices")
-        up, heaps, m = self._up, self._heap, self._m
+        up, heaps, m = self._up, self._heap, self.m
         for v in group:
             if not (isinstance(v, int) and 0 <= v < len(up) and up[v] == v):
                 raise GraphError(f"cannot contract missing vertex {v!r}")
         if kappa_last is not None:
-            kappa = self._kappa
+            kappa = self.kappa
             for v in group:
                 for p in (e % m for e in heaps[v]):
                     kappa[p] = updated_prefactor(kappa[p], kappa_min[v], kappa_last)

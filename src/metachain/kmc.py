@@ -109,19 +109,22 @@ class Trajectory:
         return {s: dt / end for s, dt in time_in.items()}
 
 
-def _check_start(g: ChainGraph, x0: State, horizon: float, max_events) -> int:
-    """Check the start state and horizon; return the event cap as an int."""
+def _check_start(g: ChainGraph, x0: State, horizon: float, seed, max_events, n=1) -> list:
+    """Check the start state and horizon; return the seed, the event cap and
+    the ensemble size as ints, refusing a bool or a non-integer."""
     if x0 not in set(g.states):
         raise GraphError(f"unknown start state {x0!r}")
     if not (horizon > 0):
         raise GraphError(f"horizon must be positive, got {horizon!r}")
-    try:
-        cap = operator.index(max_events)
-    except TypeError:
-        cap = 0
-    if cap < 1 or isinstance(max_events, bool):
-        raise GraphError(f"max_events must be an int >= 1, got {max_events!r}")
-    return cap
+    out = []
+    for name, value, least in (("seed", seed, 0), ("max_events", max_events, 1), ("ensemble size n", n, 1)):
+        try:
+            out.append(operator.index(value))
+        except TypeError:
+            out.append(least - 1)
+        if out[-1] < least or isinstance(value, bool):
+            raise GraphError(f"{name} must be an int >= {least}, got {value!r}")
+    return out
 
 
 def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
@@ -153,10 +156,11 @@ def simulate(
 ) -> Trajectory:
     """Sample one trajectory from x0 over [0, horizon], deterministic in seed.
 
-    Ends early when an absorbing state is reached (flagged ``absorbed``) or
-    when the event cap, an int >= 1, trips (flagged ``truncated``, never silent).
+    The seed is an int >= 0.  Ends early when an absorbing state is reached
+    (flagged ``absorbed``) or when the event cap, an int >= 1, trips
+    (flagged ``truncated``, never silent).
     """
-    cap = _check_start(g, x0, horizon, max_events)
+    seed, cap, _n = _check_start(g, x0, horizon, seed, max_events)
     return _walk(_rate_tables(g, epsilon), epsilon, x0, horizon, seed, cap)
 
 
@@ -207,11 +211,10 @@ def simulate_ensemble(
 ) -> tuple:
     """n independent trajectories; per-trajectory seeds spawn from one root.
 
-    The rate tables are built once and shared by every trajectory.
+    n is an int >= 1 and the root seed an int >= 0.  The rate tables are
+    built once and shared by every trajectory.
     """
-    if n <= 0:
-        raise GraphError(f"ensemble size must be positive, got {n}")
-    cap = _check_start(g, x0, horizon, max_events)
+    seed, cap, n = _check_start(g, x0, horizon, seed, max_events, n)
     tables = _rate_tables(g, epsilon)
     child_seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
     return tuple(_walk(tables, epsilon, x0, horizon, int(s), cap) for s in child_seeds)
@@ -268,6 +271,12 @@ def _arc_counts_to_json(counts: dict) -> list:
 
 def census(trajectories: Sequence[Trajectory], window: tuple) -> TransitionCensus:
     """Count per-arc jumps with jump time in (t_lo, t_hi], per trajectory set."""
+    return _census(trajectories, window, frozenset())[0]
+
+
+def _census(trajectories: Sequence[Trajectory], window: tuple, pairs: frozenset) -> tuple:
+    """The census of ``window``, and per trajectory how many of its
+    in-window jumps run along an arc in ``pairs``, in one walk."""
     lo, hi = window
     if not (hi > lo >= 0):
         raise GraphError(f"window must satisfy 0 <= t_lo < t_hi, got {window!r}")
@@ -276,15 +285,19 @@ def census(trajectories: Sequence[Trajectory], window: tuple) -> TransitionCensu
     eps = trajectories[0].epsilon
     counts: dict = {}
     per_traj: list = []
+    on_per: list = []
     for traj in trajectories:
         if traj.epsilon != eps:
             raise GraphError("all trajectories in one census must share epsilon")
-        k = 0
+        k = on = 0
         for t, arc in traj.jumps:
             if lo < t <= hi:
-                counts[arc.pair()] = counts.get(arc.pair(), 0) + 1
+                pair = arc.pair()
+                counts[pair] = counts.get(pair, 0) + 1
                 k += 1
+                on += pair in pairs
         per_traj.append(k)
+        on_per.append(on)
     return TransitionCensus(
         counts=counts,
         n_trajectories=len(trajectories),
@@ -293,7 +306,7 @@ def census(trajectories: Sequence[Trajectory], window: tuple) -> TransitionCensu
         seeds=tuple(t.seed for t in trajectories),
         generator_name=GENERATOR_NAME,
         per_trajectory=tuple(per_traj),
-    )
+    ), on_per
 
 
 @dataclass(frozen=True)
@@ -327,22 +340,16 @@ def census_vs_tgraph(
     trajectory are correlated, so per-jump binomial errors would overstate
     the precision).
     """
-    cen = census(trajectories, window)
+    pairs = tgraph.pairs()
+    cen, on_per = _census(trajectories, window, pairs)
     if cen.total_jumps == 0:
         raise GraphError("no jumps observed in the window; census is empty")
-    pairs = tgraph.pairs()
-    on = sum(c for p, c in cen.counts.items() if p in pairs)
+    on = sum(on_per)
     off_arcs = {p: c for p, c in cen.counts.items() if p not in pairs}
     total = cen.total_jumps
     coverage = on / total
-
-    lo, hi = cen.window
-    on_per: list = []
-    for traj, tot_c in zip(trajectories, cen.per_trajectory):
-        k = sum(1 for t, arc in traj.jumps if lo < t <= hi and arc.pair() in pairs)
-        on_per.append((k, tot_c))
-    resid_sq = sum((k - coverage * tot) ** 2 for k, tot in on_per)
-    stderr = float(np.sqrt(resid_sq)) / total if total else float("nan")
+    resid_sq = sum((k - coverage * tot) ** 2 for k, tot in zip(on_per, cen.per_trajectory))
+    stderr = float(np.sqrt(resid_sq)) / total
 
     return CoverageReport(
         census=cen,

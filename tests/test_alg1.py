@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 import metachain as mc
-from metachain.alg1 import Bucket, cycle_hierarchy
-from metachain.chain import Arc
-from metachain.contraction import WorkingGraph, updated_prefactor, updated_weight
+from metachain.alg1 import cycle_hierarchy
+from metachain.contraction import updated_prefactor, updated_weight
 from metachain.demos import tied_min_arc_chain, two_state_chain
 
 F = Fraction
@@ -36,47 +35,34 @@ def test_updated_prefactor():
     assert updated_prefactor(1.0, 1.0, 1.0) == 1.0
 
 
-def _bucket(arcs, revlex=False):
-    """A bucket ranked like a sweep over the graph of these arcs."""
-    return Bucket(WorkingGraph(mc.chain_graph(arcs), revlex=revlex).rank)
-
-
 def test_bucket_orders_exactly():
-    b = _bucket([(2, 3, 1), (1, 2, 1), (3, 1, 1)])
-    for arc in (Arc(2, 3, F(1, 3)), Arc(1, 2, F(1, 2)), Arc(3, 1, F(2, 6))):
-        b.insert(arc)
-    assert len(b) == 3
-    assert b.peek_min_weight() == F(1, 3)
-    first, tied = b.extract_min()
-    assert tied  # 1/3 == 2/6 exactly
-    assert first.pair() == (2, 3)  # lex smallest of the tied pair
-    second, tied = b.extract_min()
-    assert (second.pair(), tied) == ((3, 1), False)
+    """The bucket compares weights exactly and breaks ties by arc order."""
+    rep = mc.run_algorithm1(mc.chain_graph([(1, 2, "1/2"), (2, 3, "1/3"), (3, 1, "2/6")]))
+    # one arc per state, so the only tie is in the bucket: 1/3 == 2/6 exactly
+    assert (rep.symmetry_kind, rep.symmetry_step) == ("bucket-min-multiplicity", 1)
+    assert [a.pair() for a in rep.transfers[:2]] == [(2, 3), (3, 1)]  # lex first
+    assert rep.gamma[:3] == (F(1, 3), F(1, 3), F(1, 2))
 
 
 def test_bucket_revlex_takes_largest_pair():
-    b = _bucket([(1, 2, 1), (2, 1, 1)], revlex=True)
-    b.insert(Arc(1, 2, F(1)))
-    b.insert(Arc(2, 1, F(1)))
-    arc, tied = b.extract_min()
-    assert arc.pair() == (2, 1)
-    assert tied
+    g = mc.chain_graph([(1, 2, 1), (2, 1, 1)])
+    for tie_break, first in (("lex", (1, 2)), ("revlex", (2, 1))):
+        rep = mc.run_algorithm1(g, tie_break=tie_break)
+        assert rep.transfers[0].pair() == first
+        assert (rep.symmetry_kind, rep.symmetry_step) == ("bucket-min-multiplicity", 1)
 
 
 def test_bucket_extract_all_min():
-    b = _bucket([(1, 2, 1), (2, 1, 1), (3, 1, 1)])
-    b.insert(Arc(3, 1, F(2)))
-    b.insert(Arc(2, 1, F(1)))
-    b.insert(Arc(1, 2, F(1)))
-    w, group = b.extract_all_min()
-    assert w == F(1)
-    assert [a.pair() for a in group] == [(1, 2), (2, 1)]
-    assert len(b) == 1
-
-
-def test_bucket_empty_peek_raises():
-    with pytest.raises(IndexError):
-        _bucket([(1, 2, 1)]).peek_min_weight()
+    """alg2 releases a tied group at once, in arc order, not push order: the
+    exit 2->3 of the class {1,2} enters the bucket after 3->1 and leaves first."""
+    g = mc.chain_graph([(1, 2, 1), (2, 1, 1), (2, 3, 2), (3, 1, 2)])
+    rep = mc.run_algorithm2(g)
+    assert rep.theta == (F(1), F(2))
+    assert [[a.pair() for a in arcs] for arcs in rep.transfers_by_step] == [
+        [(1, 2), (2, 1)],
+        [(2, 3), (3, 1)],
+    ]
+    assert [a.weight for a in rep.transfers] == [F(1), F(1), F(2), F(2)]
 
 
 def test_walk_closes_cycles_and_finds_sinks():

@@ -121,10 +121,10 @@ def test_class_update_rule():
         wg.min_arcs(v)
     assert {wg.vertex[v]: F(wg.u_min[v], wg.scale) for v in vids} == {1: F(2), 2: F(2), 3: F(2)}
     sv = wg.contract(vids, 2 * wg.scale)
-    (exit_arc,) = wg.min_arcs(sv)
-    assert wg.min_arcs(sv) == [exit_arc]  # reading does not take the arc
-    assert exit_arc.pair() == (2, 4)
-    assert wg.transfer(exit_arc).weight == F(3)  # 3 - 2 + 2
+    (exit_id,) = wg.min_arcs(sv)
+    assert wg.min_arcs(sv) == [exit_id]  # reading does not take the arc
+    assert wg.arcs[exit_id].pair() == (2, 4)
+    assert wg.transfer(exit_id, wg.u_min[sv]).weight == F(3)  # 3 - 2 + 2
     assert wg.min_arcs(sv) == []
 
 

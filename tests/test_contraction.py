@@ -46,9 +46,9 @@ def exits(wg, vid):
     """Every exit arc of ``vid`` by pair, with its in-force Fraction weight.
     Reads them one least-weight group at a time, so it empties the vertex."""
     out = {}
-    while arcs := wg.min_arcs(vid):
-        for a in arcs:
-            out[a.pair()] = wg.transfer(a)
+    while ids := wg.min_arcs(vid):
+        for p in ids:
+            out[wg.arcs[p].pair()] = wg.transfer(p, wg.u_min[vid])
     return out
 
 
@@ -79,7 +79,7 @@ def test_min_arcs_records_the_least_weight():
     g = mc.chain_graph([(1, 3, 2), (1, 2, 2), (1, 4, 5), (2, 1, 1), (3, 1, 1), (4, 1, 1)])
     wg = WorkingGraph(g)
     v = wg.vertex_of(1)
-    assert [a.pair() for a in wg.min_arcs(v)] == [(1, 2), (1, 3)]
+    assert [wg.arcs[p].pair() for p in wg.min_arcs(v)] == [(1, 2), (1, 3)]
     assert F(wg.u_min[v], wg.scale) == F(2)
     assert wg.min_arc(v) == (wg.min_arcs(v)[0], True)
     lone = WorkingGraph(mc.chain_graph([(1, 2, 1)]))
@@ -201,8 +201,8 @@ def test_state_named_like_a_super_vertex_on_the_command_line(tmp_path, capsys):
 def test_remove_arc_tracks_contracted_tail():
     wg = priced(square())
     vid = merge(wg, {1, 2}, 2)
-    (arc,) = [a for a in wg.min_arcs(vid) if a.pair() == (2, 3)]
-    assert wg.transfer(arc).weight == F(3)
+    (p,) = [p for p in wg.min_arcs(vid) if wg.arcs[p].pair() == (2, 3)]
+    assert wg.transfer(p, wg.u_min[vid]).weight == F(3)
     assert set(exits(wg, vid)) == {(1, 3)}
 
 
@@ -272,12 +272,13 @@ def test_lazy_repricing_matches_an_eager_reference(g, rnd):
         return tuple(-x[1] for x in key) if revlex else key
 
     def check(v):
-        got = [(a.pair(), F(a.weight, wg.scale), bits(a.kappa)) for a in wg.min_arcs(v)]
+        ids = wg.min_arcs(v)
+        got = [(wg.arcs[p].pair(), F(wg.u_min[v], wg.scale), bits(wg.kappa[p])) for p in ids]
         want = [(p, w, bits(k)) for p, w, k in ref.min_arcs(members(wg.vertex[v]), order)]
         assert got == want
-        arcs = wg.min_arcs(v)
-        assert wg.min_arc(v) == ((arcs[0], len(arcs) > 1) if arcs else (None, False))
-        return arcs
+        assert wg.min_arcs(v) == ids
+        assert wg.min_arc(v) == ((ids[0], len(ids) > 1) if ids else (None, False))
+        return ids
 
     def vids():
         return sorted({wg.vertex_of(s) for s in g.states})
@@ -288,10 +289,12 @@ def test_lazy_repricing_matches_an_eager_reference(g, rnd):
             break
         if rnd.random() < 0.4:  # take one arc, or a whole least-weight group
             v = rnd.choice(live)
-            arcs = check(v)
-            for a in arcs if rnd.random() < 0.5 else arcs[:1]:
-                taken = wg.transfer(a)
-                assert ref.out[members(wg.vertex[v])].pop(a.pair())[0] == taken.weight
+            ids = check(v)
+            for p in ids if rnd.random() < 0.5 else ids[:1]:
+                kappa = bits(wg.kappa[p])
+                taken = wg.transfer(p, wg.u_min[v])
+                assert (taken.pair(), bits(taken.kappa)) == (wg.arcs[p].pair(), kappa)
+                assert ref.out[members(wg.vertex[v])].pop(taken.pair())[0] == taken.weight
             continue
         group = rnd.sample(live, rnd.randint(2, min(4, len(live))))
         for v in group:

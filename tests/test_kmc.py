@@ -85,6 +85,27 @@ def test_event_cap_takes_any_integer_type():
     assert tr == mc.simulate(TWO, 0.5, 1, 1e9, seed=7, max_events=3)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, "3", None])
+def test_ensemble_size_must_be_a_positive_int(n):
+    with pytest.raises(mc.GraphError, match="ensemble size"):
+        mc.simulate_ensemble(TWO, 0.5, 1, 5.0, n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+def test_seed_must_be_a_nonnegative_int(seed):
+    with pytest.raises(mc.GraphError, match="seed"):
+        mc.simulate(TWO, 0.5, 1, 5.0, seed=seed)
+    with pytest.raises(mc.GraphError, match="seed"):
+        mc.simulate_ensemble(TWO, 0.5, 1, 5.0, 2, seed=seed)
+
+
+def test_size_and_seed_take_any_integer_type():
+    trajs = mc.simulate_ensemble(TWO, 0.5, 1, 50.0, np.int64(3), seed=np.uint64(9))
+    assert trajs == mc.simulate_ensemble(TWO, 0.5, 1, 50.0, 3, seed=9)
+    tr = mc.simulate(TWO, 0.5, 1, 50.0, seed=np.int64(0))
+    assert tr == mc.simulate(TWO, 0.5, 1, 50.0, seed=0) and type(tr.seed) is int
+
+
 @pytest.mark.parametrize("weight, epsilon, total", [
     (1, 0.001, "0.0"),  # exp(-1000) underflows to 0
     (740, 1.0, "4.2"),  # exp(-740) is subnormal: 1 / total overflows
@@ -173,6 +194,22 @@ def test_coverage_against_transition_graph():
     doc = rep.to_json_dict()
     assert doc["kind"] == "coverage-report"
     assert doc["on_count"] + doc["off_count"] == doc["census"]["total_jumps"]
+
+
+def test_coverage_counts_each_trajectory_by_hand():
+    g = mc.nested_cycle_chain_integer()
+    tg = mc.run_algorithm2(g).tgraphs[2]
+    trajs = mc.simulate_ensemble(g, 0.3, 1, 22000.0, 40, seed=5)
+    lo, hi = window = (1100.0, 19800.0)
+    rep = mc.census_vs_tgraph(trajs, tg, window)
+    assert rep.census == mc.census(trajs, window)
+    pairs = tg.pairs()
+    per = [[a.pair() in pairs for t, a in tr.jumps if lo < t <= hi] for tr in trajs]
+    assert rep.census.per_trajectory == tuple(map(len, per))
+    assert rep.on_count == sum(map(sum, per)) and rep.off_count > 0
+    total = sum(map(len, per))
+    resid = sum((sum(on) - rep.coverage * len(on)) ** 2 for on in per)
+    assert rep.stderr == float(np.sqrt(resid)) / total
 
 
 def test_coverage_needs_jumps():

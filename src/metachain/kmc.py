@@ -6,11 +6,16 @@ proportionally to its rate, so trajectories are exact samples of the chain
 at the given epsilon.  The rate tables come from the arcs, never from a
 dense generator, and an ensemble builds them once for all its trajectories.
 They hold each state's cumulative rates as a Python list, so an event costs
-two scalar draws, one ``bisect`` and one append (under 2 us in
+two scalar draws, one ``bisect`` and two list appends (under 2 us in
 CPython), and a state whose exit rates all underflow at that epsilon is
-refused, since its holding time would not be finite.  Census helpers count
-which arcs the jumps used inside a time window; comparing those counts
-against a transition graph's arc set quantifies how strongly the dynamics
+refused, since its holding time would not be finite.
+
+A trajectory stores its jumps as two flat columns: the jump times in an
+``array("d")`` and the arcs taken in a tuple of the graph's own ``Arc``
+objects, 16 bytes per jump.  ``Trajectory.jumps`` reads them as a lazy
+sequence of ``(time, arc)`` pairs.  Census helpers count which arcs the
+jumps used inside a time window; comparing those counts against a
+transition graph's arc set quantifies how strongly the dynamics
 concentrates on the predicted transitions.
 
 Randomness comes from numpy's PCG64 via ``default_rng``; each event draws
@@ -27,9 +32,12 @@ import io
 import json
 import math
 import operator
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from numbers import Real
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,10 +63,48 @@ GENERATOR_NAME = "numpy-PCG64"
 KS_CRITICAL_1PCT = 1.628
 
 
+class _Jumps(Sequence):
+    """A trajectory's jumps as ``(time, arc)`` pairs, read from its two
+    columns without copying them.  A slice is a tuple of pairs, and the
+    view equals another view or the tuple of pairs with the same jumps."""
+
+    __slots__ = ("_times", "_arcs")
+
+    def __init__(self, times: array, arcs: tuple):
+        self._times = times
+        self._arcs = arcs
+
+    def __len__(self) -> int:
+        return len(self._arcs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self._times[i], self._arcs[i]))
+        return (self._times[i], self._arcs[i])
+
+    def __iter__(self):
+        return zip(self._times, self._arcs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Jumps):
+            return self._times == other._times and self._arcs == other._arcs
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_Jumps({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Trajectory:
+    """One sampled path from ``initial``: jump k happens at ``times[k]``
+    along ``arcs[k]``, one of the graph's own arcs.  ``jumps`` views the
+    two columns as ``(time, arc)`` pairs."""
+
     initial: State
-    jumps: tuple
+    times: array = field(hash=False)  # an array is unhashable; equal arcs stand for it in the hash
+    arcs: tuple
     horizon: float
     seed: int
     epsilon: float
@@ -67,18 +113,22 @@ class Trajectory:
     generator_name: str = GENERATOR_NAME
 
     @property
+    def jumps(self) -> _Jumps:
+        return _Jumps(self.times, self.arcs)
+
+    @property
     def n_jumps(self) -> int:
-        return len(self.jumps)
+        return len(self.arcs)
 
     def states_visited(self) -> list:
         out = [self.initial]
-        out.extend(arc.head for _t, arc in self.jumps)
+        out.extend(arc.head for arc in self.arcs)
         return out
 
     def end_time(self) -> float:
         # A truncated trajectory carries no information past its last jump.
-        if self.truncated and self.jumps:
-            return self.jumps[-1][0]
+        if self.truncated and self.times:
+            return self.times[-1]
         return self.horizon
 
     def holding_times(self) -> dict:
@@ -86,7 +136,7 @@ class Trajectory:
         out: dict = {}
         t_prev = 0.0
         state = self.initial
-        for t, arc in self.jumps:
+        for t, arc in zip(self.times, self.arcs):
             out.setdefault(state, []).append(t - t_prev)
             t_prev = t
             state = arc.head
@@ -100,7 +150,7 @@ class Trajectory:
         time_in: dict = {}
         t_prev = 0.0
         state = self.initial
-        for t, arc in self.jumps:
+        for t, arc in zip(self.times, self.arcs):
             time_in[state] = time_in.get(state, 0.0) + (t - t_prev)
             t_prev = t
             state = arc.head
@@ -110,13 +160,17 @@ class Trajectory:
 
 
 def _check_start(g: ChainGraph, x0: State, horizon: float, seed, max_events, n=1) -> list:
-    """Check the start state and horizon; return the seed, the event cap and
+    """Check the start state and horizon; return the horizon as a float (a
+    real too large for one is infinite), then the seed, the event cap and
     the ensemble size as ints, refusing a bool or a non-integer."""
     if x0 not in set(g.states):
         raise GraphError(f"unknown start state {x0!r}")
-    if not (horizon > 0):
-        raise GraphError(f"horizon must be positive, got {horizon!r}")
-    out = []
+    if isinstance(horizon, bool) or not isinstance(horizon, Real) or not horizon > 0:
+        raise GraphError(f"horizon must be a real number > 0, got {horizon!r}")
+    try:
+        out = [float(horizon)]
+    except OverflowError:
+        out = [math.inf]
     for name, value, least in (("seed", seed, 0), ("max_events", max_events, 1), ("ensemble size n", n, 1)):
         try:
             out.append(operator.index(value))
@@ -128,7 +182,11 @@ def _check_start(g: ChainGraph, x0: State, horizon: float, seed, max_events, n=1
 
 
 def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
-    """Per state with arcs: (arcs, cumulative rates, total rate, 1 / total)."""
+    """Per state with arcs: (arcs, cumulative rates, total rate, 1 / total).
+
+    The arc tuple ends with its last arc once more, so that when
+    ``u * total`` reaches ``total`` and ``bisect_right`` returns
+    ``len(cum)``, the walk still takes the last arc, without a branch."""
     epsilon = check_epsilon(epsilon)
     tables: dict = {}
     for s in g.states:
@@ -141,7 +199,7 @@ def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
                     f"state {s!r} has total exit rate {total!r} at epsilon={epsilon!r}, "
                     "so its holding time is not finite; use a larger epsilon"
                 )
-            tables[s] = (arcs, cum, total, 1.0 / total)
+            tables[s] = (arcs + (arcs[-1],), cum, total, 1.0 / total)
     return tables
 
 
@@ -160,7 +218,7 @@ def simulate(
     (flagged ``absorbed``) or when the event cap, an int >= 1, trips
     (flagged ``truncated``, never silent).
     """
-    seed, cap, _n = _check_start(g, x0, horizon, seed, max_events)
+    horizon, seed, cap, _n = _check_start(g, x0, horizon, seed, max_events)
     return _walk(_rate_tables(g, epsilon), epsilon, x0, horizon, seed, cap)
 
 
@@ -169,33 +227,28 @@ def _walk(tables: dict, epsilon: float, x0: State, horizon: float, seed: int, ma
     exponential, uniform = rng.exponential, rng.random
     t = 0.0
     state = x0
-    jumps: list = []
+    times: list = []
+    arcs: list = []
+    add_time, add_arc = times.append, arcs.append
     absorbed = truncated = False
     for _ in range(max_events):
         table = tables.get(state)
         if table is None:
             absorbed = True
             break
-        arcs, cum, total, mean = table
-        t_next = t + exponential(mean)
-        if t_next > horizon:
+        padded, cum, total, mean = table
+        t += exponential(mean)
+        if t > horizon:
             break
-        # u < total in exact arithmetic; the clamp keeps a rounded u on the last arc
-        j = bisect_right(cum, uniform() * total)
-        arc = arcs[j] if j < len(arcs) else arcs[-1]
-        jumps.append((t_next, arc))
-        t = t_next
+        arc = padded[bisect_right(cum, uniform() * total)]
+        add_time(t)
+        add_arc(arc)
         state = arc.head
     else:
         truncated = True
+    # positional: a keyword call to the frozen dataclass costs ~0.5 us more per trajectory
     return Trajectory(
-        initial=x0,
-        jumps=tuple(jumps),
-        horizon=float(horizon),
-        seed=int(seed),
-        epsilon=float(epsilon),
-        absorbed=absorbed,
-        truncated=truncated,
+        x0, array("d", times), tuple(arcs), horizon, int(seed), float(epsilon), absorbed, truncated
     )
 
 
@@ -214,10 +267,10 @@ def simulate_ensemble(
     n is an int >= 1 and the root seed an int >= 0.  The rate tables are
     built once and shared by every trajectory.
     """
-    seed, cap, n = _check_start(g, x0, horizon, seed, max_events, n)
+    horizon, seed, cap, n = _check_start(g, x0, horizon, seed, max_events, n)
     tables = _rate_tables(g, epsilon)
     child_seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-    return tuple(_walk(tables, epsilon, x0, horizon, int(s), cap) for s in child_seeds)
+    return tuple(_walk(tables, epsilon, x0, horizon, s, cap) for s in child_seeds.tolist())
 
 
 @dataclass(frozen=True)
@@ -290,7 +343,7 @@ def _census(trajectories: Sequence[Trajectory], window: tuple, pairs: frozenset)
         if traj.epsilon != eps:
             raise GraphError("all trajectories in one census must share epsilon")
         k = on = 0
-        for t, arc in traj.jumps:
+        for t, arc in zip(traj.times, traj.arcs):
             if lo < t <= hi:
                 pair = arc.pair()
                 counts[pair] = counts.get(pair, 0) + 1
@@ -377,14 +430,23 @@ class KSResult(NamedTuple):
 
 
 def exponential_ks(samples: Iterable[float], rate: float) -> KSResult:
-    """Kolmogorov-Smirnov test of samples against Exp(rate), significance 0.01."""
+    """Kolmogorov-Smirnov test of samples against Exp(rate), significance 0.01.
+
+    The rate is a finite positive real (not a bool) and every sample a
+    finite number >= 0; anything else is refused with ``GraphError``."""
+    try:
+        rate = check_epsilon(rate)  # the same rule as an epsilon's
+    except ValueError:
+        raise GraphError(f"rate must be a finite positive real, got {rate!r}") from None
     xs = np.sort(np.asarray(list(samples), dtype=float))
     n = len(xs)
     if n == 0:
         raise GraphError("KS test needs at least one sample")
+    if not (np.isfinite(xs) & (xs >= 0)).all():
+        raise GraphError("KS test samples must be finite and >= 0")
     cdf = 1.0 - np.exp(-rate * xs)
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
-    d = float(max(upper, lower)) * np.sqrt(n)
+    d = float(max(upper, lower)) * math.sqrt(n)
     crit = KS_CRITICAL_1PCT
     return KSResult(statistic=d, n_samples=n, critical_value=crit, passed=d <= crit)

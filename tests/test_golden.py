@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden`` is the output of one ``metachain``
 invocation on one demo chain (saved next to it as ``<demo>.graph.json``),
-on the motor model or on the built-in example (``demo.dot``).
+on the motor model or on the built-in example (``demo.dot``), or of
+``scripts/kmc_coverage.py`` on the built-in integer example.
 A refactor of the sweeps or the sampler must leave every byte of these
 reports unchanged.
 The same chain saved as ``<demo>.graph.tsv`` must give the same bytes.
@@ -12,6 +13,7 @@ Regenerate the files (only when a report is meant to change) with
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from metachain.cli import main
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 DEMOS = {
     "nested": mc.nested_cycle_chain,
@@ -54,6 +57,10 @@ def _cases() -> dict:
 
 
 CASES = _cases()
+# script output: file name -> (script, argv); the script writes with dump_json too
+SCRIPT_CASES = {
+    "nested_integer.kmc_coverage.json": ("kmc_coverage.py", ["--epsilons", "0.3,0.2", "--trajectories", "200"]),
+}
 TSV_CASES = {
     f"{demo}.{kind}.json": [kind.split("_")[0], "--input", str(GOLDEN / f"{demo}.graph.tsv")]
     for demo in DEMOS
@@ -75,6 +82,21 @@ def test_tsv_input_matches_golden_bytes(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _run_script(script: str, argv: list) -> int:
+    spec = importlib.util.spec_from_file_location(Path(script).stem, SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
+def test_script_output_matches_golden_bytes(name, tmp_path):
+    script, argv = SCRIPT_CASES[name]
+    out = tmp_path / name
+    assert _run_script(script, argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for demo, make in DEMOS.items():
@@ -83,6 +105,9 @@ def _write_golden() -> None:
     for name, argv in CASES.items():
         if main(argv + ["--out", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"{name}: {' '.join(argv)} failed")
+    for name, (script, argv) in SCRIPT_CASES.items():
+        if _run_script(script, argv + ["--out", str(GOLDEN / name)]) != 0:
+            raise SystemExit(f"{name}: {script} {' '.join(argv)} failed")
 
 
 if __name__ == "__main__":

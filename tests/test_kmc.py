@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -58,11 +59,56 @@ def test_simulate_guard_rails():
         mc.simulate(TWO, -0.5, 1, 10.0, seed=1)
 
 
+@pytest.mark.parametrize("horizon", [0, -1.0, math.nan, -math.inf, True, False, "5", None, 1j])
+def test_horizon_must_be_a_positive_real(horizon):
+    with pytest.raises(mc.GraphError, match="horizon"):
+        mc.simulate(TWO, 0.5, 1, horizon, seed=1)
+    with pytest.raises(mc.GraphError, match="horizon"):
+        mc.simulate_ensemble(TWO, 0.5, 1, horizon, 2, seed=1)
+
+
+def test_horizon_takes_any_real_type_and_infinity():
+    for horizon in (math.inf, 10**400):
+        tr = mc.simulate(TWO, 0.5, 1, horizon, seed=1, max_events=5)
+        assert tr.truncated and tr.n_jumps == 5 and tr.horizon == math.inf
+    for horizon in (50, np.float64(50.0), Fraction(50)):
+        assert mc.simulate(TWO, 0.5, 1, horizon, seed=3) == mc.simulate(TWO, 0.5, 1, 50.0, seed=3)
+
+
 def test_absorption_ends_the_walk():
     g = mc.chain_graph([(1, 2, 1)], states=[1, 2])
     tr = mc.simulate(g, 0.5, 1, 1e9, seed=7)
     assert tr.absorbed and not tr.truncated
     assert tr.n_jumps == 1 and tr.states_visited() == [1, 2]
+
+
+def test_a_trajectory_stores_16_bytes_per_jump():
+    tr = mc.simulate(TWO, 0.5, 1, 1e9, seed=7, max_events=10_000)
+    assert tr.truncated and tr.n_jumps == len(tr.times) == len(tr.arcs) == 10_000
+    assert sys.getsizeof(tr.times) + sys.getsizeof(tr.arcs) <= 16 * 10_000 + 256
+    assert tr.times.typecode == "d" and type(tr.arcs) is tuple
+    # every stored arc is one of the graph's own objects, not a copy
+    assert all(any(arc is own for own in TWO.arcs) for arc in tr.arcs)
+
+
+def test_jumps_is_a_view_of_the_two_columns():
+    a = mc.simulate(TWO, 0.5, 1, 2000.0, seed=42)
+    jumps = a.jumps
+    pairs = tuple(zip(a.times, a.arcs))
+    assert len(jumps) == a.n_jumps == len(pairs) > 3
+    assert jumps[0] == pairs[0] and jumps[-1] == pairs[-1] and jumps[-2] == pairs[-2]
+    assert jumps[1:3] == pairs[1:3] and jumps[::-1] == pairs[::-1] and jumps[5:2] == ()
+    with pytest.raises(IndexError):
+        jumps[len(pairs)]
+    assert isinstance(iter(jumps), zip) and tuple(jumps) == pairs and list(jumps) == list(pairs)  # no copy
+    assert jumps == pairs and pairs == jumps and not jumps != pairs
+    assert jumps != pairs[:-1] and jumps != pairs[:-1] + (pairs[0],) and jumps != list(pairs)
+    assert jumps == reference_walk(TWO, 0.5, 1, 2000.0, 42)[0]
+    b = mc.simulate(TWO, 0.5, 1, 2000.0, seed=42)
+    assert a == b and hash(a) == hash(b) and a.jumps == b.jumps and a.jumps is not b.jumps
+    c = mc.simulate(TWO, 0.5, 1, 2000.0, seed=43)
+    assert a.jumps != c.jumps and a != c
+    assert a.jumps != mc.simulate(TWO, 0.5, 1, 1000.0, seed=42).jumps
 
 
 def test_event_cap_flags_truncation():
@@ -240,10 +286,30 @@ def test_holding_times_are_exponential():
 def test_ks_statistic_separates_rates():
     rng = np.random.default_rng(5)
     xs = rng.exponential(2.0, 800)
-    assert exponential_ks(xs, 0.5).passed
-    assert not exponential_ks(xs, 5.0).passed
+    res = exponential_ks(xs, 0.5)
+    assert res.passed is True and type(res.statistic) is float
+    res = exponential_ks(xs, 5.0)
+    assert res.passed is False and type(res.statistic) is float
     with pytest.raises(mc.GraphError):
         exponential_ks([], 1.0)
+
+
+@pytest.mark.parametrize("rate", [-1.0, 0, 0.0, math.nan, math.inf, 10**400, True, "1", None])
+def test_ks_refuses_a_rate_it_cannot_test(rate):
+    with pytest.raises(mc.GraphError, match="rate"):
+        exponential_ks([1.0, 2.0, 0.5], rate)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_ks_refuses_a_sample_it_cannot_test(bad):
+    with pytest.raises(mc.GraphError, match="samples"):
+        exponential_ks([1.0, bad, 0.5], 1.0)
+
+
+def test_ks_takes_any_real_rate():
+    xs = [0.25, 1.0, 2.0, 0.5, 0.0]
+    assert exponential_ks(xs, Fraction(1, 2)) == exponential_ks(xs, 0.5)
+    assert exponential_ks(xs, 1) == exponential_ks(xs, np.float64(1.0)) == exponential_ks(xs, 1.0)
 
 
 def reference_walk(g, epsilon, x0, horizon, seed, max_events=10**6):
@@ -343,6 +409,16 @@ def test_simulate_matches_the_reference_walk_on_dyadic_draws(case, seed):
     g, eps, x0, horizon, cap = case
     with mock.patch.object(np.random, "default_rng", ScriptedStream):
         _same_as_reference(g, eps, x0, horizon, cap, seed)
+
+
+def test_a_draw_that_reaches_the_total_takes_the_last_arc():
+    # u * total == total finds no cumulative rate above it
+    g = mc.chain_graph([(1, 2, 1), (1, 3, 1)], states=[1, 2, 3])
+    stream = mock.Mock(exponential=lambda scale: scale, random=lambda: 1.0)
+    with mock.patch.object(np.random, "default_rng", lambda seed: stream):
+        tr = mc.simulate(g, 1.0, 1, 10.0, 0)
+        assert (tr.jumps, tr.absorbed, tr.truncated) == reference_walk(g, 1.0, 1, 10.0, 0)
+    assert [arc.pair() for _t, arc in tr.jumps] == [(1, 3)] and tr.absorbed
 
 
 def test_a_uniform_on_a_boundary_takes_the_later_arc():

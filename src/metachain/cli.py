@@ -8,6 +8,7 @@ mean a bug in the algorithms, never bad input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -19,6 +20,7 @@ from .chain import (
     InternalInvariantError,
     SymmetryError,
     ValidationFailure,
+    check_epsilon,
     generator_matrix,
     parse_state,
     validate,
@@ -122,11 +124,11 @@ def build_parser() -> _Parser:
     _add_io(p)
     p.add_argument("--tie-break", choices=("lex", "revlex"), default="lex")
 
-    p = sub.add_parser("kmc", help="kinetic Monte Carlo census")
+    p = sub.add_parser("kmc", help="kinetic Monte Carlo census; without --horizon, a coverage sweep")
     _add_io(p)
     p.add_argument("--epsilon", type=float, action="append", required=True)
     p.add_argument("--x0", required=True, help="start state")
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--horizon", type=float, help="omit for a sweep over every --epsilon")
     p.add_argument("--n", type=int, default=100, help="trajectory count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", help="t_lo:t_hi (default 0:horizon)")
@@ -246,22 +248,25 @@ def _parse_window(spec: str) -> tuple:
     raise GraphError(f"--window must be t_lo:t_hi, two numbers, got {spec!r}")
 
 
+def _tgraph(g, p: int):
+    tgraphs = run_algorithm2(g).tgraphs
+    if not (0 <= p < len(tgraphs)):
+        raise GraphError(f"window index {p} out of range; the run has {len(tgraphs)} transition graphs")
+    return tgraphs[p]
+
+
 def _cmd_kmc(args) -> int:
+    if args.horizon is None:
+        return _kmc_sweep(args)
     if len(args.epsilon) > 1:
-        raise GraphError(f"kmc takes one --epsilon, got {len(args.epsilon)}")
+        raise GraphError(f"kmc takes one --epsilon with --horizon, got {len(args.epsilon)}")
     g = _load(args)
     eps = args.epsilon[0]
     x0 = parse_state(args.x0)
     window = _parse_window(args.window) if args.window else (0.0, args.horizon)
     trajs = simulate_ensemble(g, eps, x0, args.horizon, args.n, args.seed)
     if args.tgraph is not None:
-        r2 = run_algorithm2(g)
-        if not (0 <= args.tgraph < len(r2.tgraphs)):
-            raise GraphError(
-                f"window index {args.tgraph} out of range; the run has "
-                f"{len(r2.tgraphs)} transition graphs"
-            )
-        cov = census_vs_tgraph(trajs, r2.tgraphs[args.tgraph], window)
+        cov = census_vs_tgraph(trajs, _tgraph(g, args.tgraph), window)
         doc = cov.to_json_dict()
         cen = cov.census
     else:
@@ -270,6 +275,31 @@ def _cmd_kmc(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(cen.to_csv())
+    _emit(dump_json(doc), args.out)
+    return 0
+
+
+def _kmc_sweep(args) -> int:
+    """Coverage of T-graph p at the i-th epsilon over (0, exp(theta_p / eps)],
+    from seed + i: the jumps should concentrate on it as epsilon shrinks."""
+    if args.tgraph is None:
+        raise GraphError("kmc needs --horizon, or --tgraph for a coverage sweep")
+    if args.window or args.csv:
+        raise GraphError("--window and --csv need --horizon")
+    g = _load(args)
+    x0 = parse_state(args.x0)
+    tgraph = _tgraph(g, args.tgraph)
+    points = []
+    for i, eps in enumerate(args.epsilon):
+        try:
+            horizon = math.exp(float(tgraph.threshold) / check_epsilon(eps))
+        except OverflowError:
+            raise GraphError(f"horizon exp({tgraph.threshold}/{eps!r}) is too large for a float") from None
+        trajs = simulate_ensemble(g, eps, x0, horizon, args.n, args.seed + i)
+        rep = census_vs_tgraph(trajs, tgraph, (0.0, horizon))
+        points.append({"epsilon": eps, "horizon": horizon, **rep.to_json_dict()})
+    doc = {"schema": 1, "kind": "kmc-coverage-sweep", "tgraph_index": args.tgraph,
+           "threshold": str(tgraph.threshold), "trajectories": args.n, "seed": args.seed, "points": points}
     _emit(dump_json(doc), args.out)
     return 0
 

@@ -36,6 +36,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from numbers import Real
 from typing import Iterable, NamedTuple, Optional
 
@@ -192,7 +193,7 @@ def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
     for s in g.states:
         arcs = g.out_arcs(s)
         if arcs:
-            cum = np.cumsum([arc_rate(a, epsilon) for a in arcs]).tolist()
+            cum = list(accumulate(arc_rate(a, epsilon) for a in arcs))  # sequential adds: np.cumsum's doubles
             total = cum[-1]
             if not (total > 0 and math.isfinite(1.0 / total)):
                 raise GraphError(

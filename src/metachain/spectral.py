@@ -44,9 +44,6 @@ __all__ = [
     "charpoly_identity_check",
 ]
 
-MINORS_MAX_N = 6
-
-
 def numerical_eigenvalues(gm: GeneratorMatrix) -> np.ndarray:
     """All eigenvalues of L, sorted by descending real part.
 
@@ -212,12 +209,11 @@ class CharpolyReport:
     rel_residuals: tuple
     max_rel_residual: float
     t0_coefficient: float
-    minors_path_used: bool
     diagonalizable_assumed: bool = True
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "charpoly-report",
             "epsilon": self.epsilon,
             "coeff_matrix": list(self.coeff_matrix),
@@ -225,7 +221,6 @@ class CharpolyReport:
             "rel_residuals": list(self.rel_residuals),
             "max_rel_residual": self.max_rel_residual,
             "t0_coefficient": self.t0_coefficient,
-            "minors_path_used": self.minors_path_used,
             "diagonalizable_assumed": self.diagonalizable_assumed,
         }
 
@@ -245,18 +240,10 @@ def _coeffs_via_minors(L: np.ndarray) -> np.ndarray:
     return C
 
 
-def _coeffs_via_eigenproducts(L: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvals(L)
-    # char poly of L in t has roots at the eigenvalues
-    return np.real(np.poly(eigs))
-
-
-def _coeffs_via_wgraphs(g: ChainGraph, epsilon: float, cap: int) -> np.ndarray:
-    gm = generator_matrix(g, epsilon)
+def _coeffs_via_wgraphs(g: ChainGraph, gm: GeneratorMatrix, cap: int) -> np.ndarray:
     idx = gm.index
     L = gm.matrix
-    n = g.n
-    C = np.zeros(n + 1)
+    C = np.zeros(g.n + 1)
     C[0] = 1.0
     for chosen, _total in _iter_assignments(g, cap):
         if not chosen:
@@ -274,17 +261,25 @@ def charpoly_identity_check(
 ) -> CharpolyReport:
     """Compare both computations of the characteristic coefficients.
 
-    The matrix side uses principal minors up to n = 6 (cancellation-free,
-    hence numerically stable at moderate epsilon) and eigenvalue products
-    beyond; the combinatorial side sums rate products over enumerated
-    in-forests.  Relative residuals cover l = 1 .. n-1; the t^0 coefficient
-    is reported on its own since it must vanish.
+    The matrix side sums principal minors at every size (cancellation-free,
+    hence numerically stable at moderate epsilon); its 2^n determinants cost
+    about as much as the combinatorial side, which sums rate products over
+    the in-forests the capped enumeration yields.  An arc whose rate
+    underflows to zero at this epsilon is refused with ``GraphError``.
+    Relative residuals cover l = 1 .. n-1; the t^0 coefficient is reported
+    on its own since it must vanish.
     """
     gm = generator_matrix(g, epsilon)
+    idx = gm.index
+    for a in g.arcs:
+        if gm.matrix[idx[a.tail], idx[a.head]] == 0.0:
+            raise GraphError(
+                f"arc {a.tail!r}->{a.head!r} has rate 0.0 at epsilon={gm.epsilon!r}, "
+                "so the coefficient identity cannot be checked; use a larger epsilon"
+            )
     n = g.n
-    use_minors = n <= MINORS_MAX_N
-    cm = _coeffs_via_minors(gm.matrix) if use_minors else _coeffs_via_eigenproducts(gm.matrix)
-    cw = _coeffs_via_wgraphs(g, epsilon, cap)
+    cw = _coeffs_via_wgraphs(g, gm, cap)  # first: it refuses a graph over the cap
+    cm = _coeffs_via_minors(gm.matrix)
     residuals = []
     for l in range(1, n):
         denom = max(abs(cw[l]), np.finfo(float).tiny)
@@ -296,5 +291,4 @@ def charpoly_identity_check(
         rel_residuals=tuple(residuals),
         max_rel_residual=max(residuals) if residuals else 0.0,
         t0_coefficient=float(cm[n]),
-        minors_path_used=use_minors,
     )

@@ -3,17 +3,18 @@
 A w-graph with m sinks assigns to each non-sink vertex exactly one of its
 outgoing arcs so that no cycle forms; equivalently it is a spanning forest
 of in-trees rooted at the m sinks.  Two routes to the optimal ones live
-here.  The oracle is an exact enumeration, pruned by branch and bound on
-integer weights: it skips only partial assignments whose every completion
-is strictly heavier than the best w-graph found, so it keeps every tied
-optimum, in enumeration order.  It stays exponential and is capped at 9
-states unless the caller raises the cap.  The other route reads the
-optimum off a completed symmetry-free sweep report by Edmonds' expansion:
-the first k(m) transfers form the contracted in-forest the sweep held
-with m sinks, and expanding its cycles drops one T-arc per cycle.  The
-report is replayed once into O(n + K) integers.  Each sink count then
-takes one interpreted step per cycle closed by step k(m), and C-level bulk
-operations over the first k(m) transfers and the n - m kept arcs.
+here.  The oracle is one exact enumeration for every sink count at once,
+pruned by branch and bound on integer weights: it skips only partial
+assignments whose every completion is strictly heavier than the best
+w-graph found with its sink count, so it keeps every tied optimum, in
+enumeration order.  It stays exponential and is capped at 9 states unless
+the caller raises the cap.  The other route reads the optimum off a
+completed symmetry-free sweep report by Edmonds' expansion: the first k(m)
+transfers form the contracted in-forest the sweep held with m sinks, and
+expanding its cycles drops one T-arc per cycle.  The report is replayed
+once into O(n + K) integers.  Each sink count then takes one interpreted
+step per cycle closed by step k(m), and C-level bulk operations over the
+first k(m) transfers and the n - m kept arcs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .graphio import format_rational, state_set_to_json, state_to_json
 __all__ = [
     "WGraph",
     "enumerate_wgraphs",
-    "enumerate_optimal",
     "enumerate_all_optimal",
     "extract_wgraph",
     "weak_nested_violations",
@@ -157,19 +157,7 @@ def enumerate_wgraphs(g: ChainGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP)
             yield _make_wgraph(g, vertices, chosen, Fraction(total, scale))
 
 
-def enumerate_optimal(
-    g: ChainGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple:
-    """All minimum-weight w-graphs with m sinks, plus a uniqueness flag."""
-    per_m = enumerate_all_optimal(g, cap=cap, only_m=m)
-    if m not in per_m:
-        raise GraphError(f"graph admits no w-graph with {m} sinks")
-    return per_m[m]
-
-
-def enumerate_all_optimal(
-    g: ChainGraph, cap: int = DEFAULT_ENUMERATION_CAP, only_m: Optional[int] = None
-) -> dict:
+def enumerate_all_optimal(g: ChainGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     """Minimum-weight w-graphs for every sink count in one pruned enumeration.
 
     Returns {m: (optima, unique)} where optima is a tuple of WGraphs tied
@@ -196,10 +184,9 @@ def enumerate_all_optimal(
     ]
     # ceiling[m]: the heaviest total still worth visiting with m sinks, the
     # best found so far; before the first, more than any w-graph weighs, and
-    # less than any weighs for m = 0 (no w-graph is sinkless) or for a sink
-    # count other than only_m
+    # less than any weighs for m = 0 (no w-graph is sinkless)
     unbounded = sum(int_weight.values()) + 1
-    ceiling = [unbounded if m and only_m in (None, m) else -1 for m in range(n + 1)]
+    ceiling = [unbounded if m else -1 for m in range(n + 1)]
     optima: dict = {}  # m -> assignments weighing ceiling[m]
 
     def hopeless(i: int, arcs: int, total: int) -> bool:

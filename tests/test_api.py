@@ -1,8 +1,5 @@
-"""The public surface: the top-level names the README documents, and the
-experiment script that uses them."""
+"""The public surface: the top-level names the README documents."""
 
-import importlib.util
-import json
 import re
 import types
 from pathlib import Path
@@ -30,13 +27,3 @@ def test_namespace_holds_only_the_api_and_submodules():
     extra = {n for n in public - set(mc.__all__) if not isinstance(getattr(mc, n), types.ModuleType)}
     assert extra == set()
     assert all(hasattr(mc, n) for n in mc.__all__)
-
-
-def test_kmc_coverage_script_runs_on_a_tiny_input(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("kmc_coverage", ROOT / "scripts" / "kmc_coverage.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "kmc_coverage.json"
-    assert script.main(["--epsilons", "0.5", "--trajectories", "5", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["kind"] == "kmc-coverage-sweep"
-    assert f"wrote {out}" in capsys.readouterr().out

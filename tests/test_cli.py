@@ -6,6 +6,7 @@ what the console script runs, including the exit-code contract:
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,6 +21,8 @@ from metachain import alg2, cli
 from metachain.cli import main
 from metachain.demos import tied_min_arc_chain, two_state_chain
 from metachain.dot import export_dot
+
+NESTED_INTEGER = str(Path(__file__).parent / "golden" / "nested_integer.graph.json")
 
 
 @pytest.fixture()
@@ -116,6 +119,14 @@ def test_oracle_bundle(capsys, two_state_file):
     assert doc["optima"]["1"]["unique"] is True
     assert doc["charpoly"][0]["max_rel_residual"] <= 1e-9
     assert doc["spectral"] is not None
+
+
+def test_oracle_at_an_epsilon_where_an_arc_rate_underflows_exits_one(capsys):
+    assert main(["oracle", "--input", NESTED_INTEGER, "--epsilon", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arc 3->4 has rate 0.0 at epsilon=0.01")
+    assert "math domain error" not in captured.err
 
 
 def test_compare_ok(capsys, demo_file):
@@ -262,6 +273,35 @@ def test_kmc_rejects_a_second_epsilon(capsys, two_state_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "one --epsilon" in captured.err
+
+
+def test_kmc_sweep_points_are_one_epsilon_coverage_reports(capsys):
+    base = ["kmc", "--input", NESTED_INTEGER, "--x0", "1", "--tgraph", "2", "--n", "30"]
+    code, doc = run_json(capsys, base + ["--epsilon", "0.3", "--epsilon", "0.25", "--seed", "11"])
+    assert code == 0
+    assert doc["kind"] == "kmc-coverage-sweep" and doc["threshold"] == "3"
+    assert [p["epsilon"] for p in doc["points"]] == [0.3, 0.25]
+    for i, point in enumerate(doc["points"]):
+        eps, horizon = point.pop("epsilon"), point.pop("horizon")
+        assert horizon == math.exp(3 / eps)
+        one = ["--epsilon", repr(eps), "--horizon", repr(horizon), "--seed", str(11 + i)]
+        assert run_json(capsys, base + one) == (0, point)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--epsilon", "0.3"], "error: kmc needs --horizon, or --tgraph for a coverage sweep\n"),
+        (["--epsilon", "0.3", "--tgraph", "2", "--window", "0:5"], "error: --window and --csv need --horizon\n"),
+        (["--epsilon", "0.3", "--tgraph", "2", "--csv", "census.csv"], "error: --window and --csv need --horizon\n"),
+        (["--epsilon", "1e-05", "--tgraph", "2"], "error: horizon exp(3/1e-05) is too large for a float\n"),
+    ],
+)
+def test_kmc_sweep_refusals_exit_one(tmp_path, capsys, monkeypatch, extra, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["kmc", "--input", NESTED_INTEGER, "--x0", "1", "--n", "2"] + extra) == 1
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_exits_one(demo_file, capsys):

@@ -2,8 +2,7 @@
 
 Each file under ``tests/golden`` is the output of one ``metachain``
 invocation on one demo chain (saved next to it as ``<demo>.graph.json``),
-on the motor model or on the built-in example (``demo.dot``), or of
-``scripts/kmc_coverage.py`` on the built-in integer example.
+on the motor model or on the built-in example (``demo.dot``).
 A refactor of the sweeps or the sampler must leave every byte of these
 reports unchanged.
 The same chain saved as ``<demo>.graph.tsv`` must give the same bytes.
@@ -13,7 +12,6 @@ Regenerate the files (only when a report is meant to change) with
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -23,7 +21,6 @@ from metachain.cli import main
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 
 GOLDEN = Path(__file__).parent / "golden"
-SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 DEMOS = {
     "nested": mc.nested_cycle_chain,
@@ -52,15 +49,16 @@ def _cases() -> dict:
         "kmc", "--input", str(GOLDEN / "nested_integer.graph.json"), "--epsilon", "0.3", "--x0", "1",
         "--horizon", "22000", "--n", "200", "--seed", "7", "--tgraph", "2",
     ]
+    # without --horizon: the coverage sweep over an epsilon schedule
+    cases["nested_integer.kmc_coverage.json"] = [
+        "kmc", "--input", str(GOLDEN / "nested_integer.graph.json"), "--x0", "1", "--tgraph", "2",
+        "--epsilon", "0.3", "--epsilon", "0.2", "--n", "200", "--seed", "4000",
+    ]
     cases["demo.dot"] = ["export-dot", "--demo"]
     return cases
 
 
 CASES = _cases()
-# script output: file name -> (script, argv); the script writes with dump_json too
-SCRIPT_CASES = {
-    "nested_integer.kmc_coverage.json": ("kmc_coverage.py", ["--epsilons", "0.3,0.2", "--trajectories", "200"]),
-}
 TSV_CASES = {
     f"{demo}.{kind}.json": [kind.split("_")[0], "--input", str(GOLDEN / f"{demo}.graph.tsv")]
     for demo in DEMOS
@@ -82,21 +80,6 @@ def test_tsv_input_matches_golden_bytes(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def _run_script(script: str, argv: list) -> int:
-    spec = importlib.util.spec_from_file_location(Path(script).stem, SCRIPTS / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main(argv)
-
-
-@pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
-def test_script_output_matches_golden_bytes(name, tmp_path):
-    script, argv = SCRIPT_CASES[name]
-    out = tmp_path / name
-    assert _run_script(script, argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
-
-
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for demo, make in DEMOS.items():
@@ -105,9 +88,6 @@ def _write_golden() -> None:
     for name, argv in CASES.items():
         if main(argv + ["--out", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"{name}: {' '.join(argv)} failed")
-    for name, (script, argv) in SCRIPT_CASES.items():
-        if _run_script(script, argv + ["--out", str(GOLDEN / name)]) != 0:
-            raise SystemExit(f"{name}: {script} {' '.join(argv)} failed")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import metachain as mc
 from metachain.chain import arc_rate
 from metachain.demos import two_state_chain
-from metachain.kmc import GENERATOR_NAME, KS_CRITICAL_1PCT, exponential_ks, mean_occupancy
+from metachain.kmc import GENERATOR_NAME, KS_CRITICAL_1PCT, _rate_tables, exponential_ks, mean_occupancy
 
 TWO = two_state_chain()
 
@@ -337,6 +337,19 @@ def reference_walk(g, epsilon, x0, horizon, seed, max_events=10**6):
             truncated = True
             break
     return tuple(jumps), absorbed, truncated
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(1, 600), st.floats(0.01, 100.0)), min_size=1, max_size=12),
+    st.sampled_from([0.5, 1.0, 3.0, 7.5]),
+)
+def test_rate_tables_add_as_numpy_cumsum(arcs, eps):
+    # exponents 1/10 .. 60: at epsilon 0.5 one state's rates can span 52 decades
+    g = mc.chain_graph([(0, h, Fraction(u, 10), k) for h, (u, k) in enumerate(arcs, start=1)])
+    _padded, cum, total, _mean = _rate_tables(g, eps)[0]
+    assert cum == np.cumsum([arc_rate(a, eps) for a in g.out_arcs(0)]).tolist()
+    assert total == cum[-1]
 
 
 class ScriptedStream:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import metachain as mc
 from conftest import chain_graphs
 from metachain.contraction import SuperVertex
-from metachain.wgraph import enumerate_optimal
 
 F = Fraction
 FACTORS = [F(2), F(3, 7), F(1000003, 999983)]
@@ -103,6 +102,7 @@ def test_chain_with_a_huge_common_denominator():
     r1 = mc.run_algorithm1(g)
     assert not r1.symmetry_detected and r1.complete
     assert mc.compare_alg1_alg2(g, r1=r1).ok
+    per_m = mc.enumerate_all_optimal(g)
     for m in range(1, g.n):
-        optima, unique = enumerate_optimal(g, m)
+        optima, unique = per_m[m]
         assert unique and mc.extract_wgraph(r1, m) == optima[0]

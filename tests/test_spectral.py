@@ -148,11 +148,11 @@ def test_five_state_spectrum_against_trace_recursion():
 
 def test_charpoly_two_state_exact():
     rep = mc.charpoly_identity_check(two_state_chain(), 1.0)
-    assert rep.minors_path_used
     assert rep.max_rel_residual == 0.0
     assert rep.t0_coefficient == 0.0
     doc = rep.to_json_dict()
-    assert doc["kind"] == "charpoly-report" and doc["epsilon"] == 1.0
+    assert doc["kind"] == "charpoly-report" and doc["schema"] == 2 and doc["epsilon"] == 1.0
+    assert "minors_path_used" not in doc
 
 
 def test_charpoly_complete_four_state():
@@ -164,7 +164,6 @@ def test_charpoly_complete_four_state():
                 arcs.append((i, j, w))
                 w += F(1, 10)
     rep = mc.charpoly_identity_check(mc.chain_graph(arcs), 0.5)
-    assert rep.minors_path_used
     assert rep.max_rel_residual < 1e-9
     assert abs(rep.t0_coefficient) < 1e-12
     assert len(rep.rel_residuals) == 3
@@ -172,8 +171,20 @@ def test_charpoly_complete_four_state():
 
 def test_charpoly_beyond_minor_range():
     rep = mc.charpoly_identity_check(mc.nested_cycle_chain(), 1.0)
-    assert not rep.minors_path_used
     assert rep.max_rel_residual < 1e-8
+
+
+@pytest.mark.parametrize("make", [mc.nested_cycle_chain, mc.nested_cycle_chain_integer])
+def test_charpoly_seven_states_at_small_epsilon(make):
+    # coefficients from products of eigenvalues cancel badly here; sums of minors do not
+    rep = mc.charpoly_identity_check(make(), 0.05)
+    assert rep.max_rel_residual < 1e-6
+
+
+def test_charpoly_refuses_an_underflowing_arc_rate():
+    g = mc.nested_cycle_chain_integer()  # exp(-14 / 0.01) of arc 3->4 is 0.0
+    with pytest.raises(mc.GraphError, match=r"arc 3->4 has rate 0\.0 at epsilon=0\.01"):
+        mc.charpoly_identity_check(g, 0.01)
 
 
 def test_charpoly_cap():

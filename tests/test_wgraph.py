@@ -14,7 +14,7 @@ from conftest import chain_graphs
 from metachain.chain import state_key
 from metachain.contraction import SuperVertex
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
-from metachain.wgraph import WGraph, enumerate_optimal, enumerate_wgraphs, weak_nested_violations
+from metachain.wgraph import WGraph, enumerate_wgraphs, weak_nested_violations
 
 F = Fraction
 
@@ -44,20 +44,20 @@ def test_two_state_enumeration():
 
 
 def test_two_state_unique_optimum():
-    optima, unique = enumerate_optimal(two_state_chain(), 1)
+    optima, unique = mc.enumerate_all_optimal(two_state_chain())[1]
     assert unique
     assert optima[0].arcs == ((1, 2),)
     assert optima[0].total_weight == F(1)
 
 
 def test_wgraph_json_shape():
-    optima, _ = enumerate_optimal(two_state_chain(), 1)
+    optima, _ = mc.enumerate_all_optimal(two_state_chain())[1]
     doc = optima[0].to_json_dict()
     assert doc == {"sinks": [2], "arcs": [[1, 2]], "total_weight": "1"}
 
 
 def test_successor_map():
-    optima, _ = enumerate_optimal(two_state_chain(), 1)
+    optima, _ = mc.enumerate_all_optimal(two_state_chain())[1]
     assert optima[0].successor_map() == {1: 2}
 
 
@@ -80,8 +80,7 @@ def test_enumeration_cap():
 def test_missing_sink_count_reported():
     # states 2 and 3 have no outgoing arcs, so one sink is impossible
     g = mc.chain_graph([(1, 2, 1)], states=[1, 2, 3])
-    with pytest.raises(mc.GraphError):
-        enumerate_optimal(g, 1)
+    assert 1 not in mc.enumerate_all_optimal(g)
 
 
 def test_demo_optimum_single_sink(demo_optima):
@@ -395,7 +394,7 @@ def test_extraction_takes_a_numpy_sink_count(demo):
 
 
 def test_tied_optima_both_enumerated():
-    optima, unique = enumerate_optimal(tied_optimum_chain(), 2)
+    optima, unique = mc.enumerate_all_optimal(tied_optimum_chain())[2]
     assert not unique
     assert sorted(w.arcs for w in optima) == [((2, 1),), ((2, 3),)]
     assert {w.total_weight for w in optima} == {F(1)}
@@ -469,9 +468,3 @@ def test_pruned_oracle_matches_full_enumeration(g):
     want = {m: reference_optima(g, m) for m in range(1, g.n + 1)}
     got = mc.enumerate_all_optimal(g)
     assert list(got.items()) == [(m, ref) for m, ref in want.items() if ref is not None]
-    for m, ref in want.items():
-        if ref is None:
-            with pytest.raises(mc.GraphError):
-                enumerate_optimal(g, m)
-        else:
-            assert enumerate_optimal(g, m) == ref

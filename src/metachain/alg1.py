@@ -34,7 +34,6 @@ from .chain import (
     InternalInvariantError,
     State,
     state_key,
-    super_vertex_name,
     validate,
 )
 from .contraction import SuperVertex, WorkingGraph, find, vertex_order
@@ -142,11 +141,6 @@ class CycleRecord:
         """The original states of the cycle, expanded on each access."""
         return self.vertex.states()
 
-    @property
-    def super_vid(self) -> Optional[str]:
-        """Display name of the super-vertex this cycle became, if any."""
-        return super_vertex_name(self.member_states) if self.contracted else None
-
 
 @dataclass(frozen=True)
 class Alg1Report:
@@ -181,9 +175,6 @@ class Alg1Report:
     def forest_expansion(self) -> ForestExpansion:
         """This report replayed once for ``extract_wgraph``."""
         return ForestExpansion(self)
-
-    def distinct_gamma(self) -> tuple:
-        return tuple(sorted(set(self.gamma)))
 
     @gc_paused
     def to_json_dict(self) -> dict:

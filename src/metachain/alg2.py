@@ -42,7 +42,6 @@ from .chain import (
     State,
     closed_communicating_classes,
     state_key,
-    super_vertex_name,
     validate,
 )
 from .contraction import SuperVertex, WorkingGraph, find, vertex_order
@@ -83,11 +82,6 @@ class ClassRecord:
         """The original states of the class, expanded on each access."""
         return self.vertex.states()
 
-    @property
-    def super_vid(self) -> str:
-        """Display name of the super-vertex this class became."""
-        return super_vertex_name(self.member_states)
-
 
 @dataclass(frozen=True)
 class Alg2Report:
@@ -121,13 +115,6 @@ class Alg2Report:
         """The arcs released at each step, one slice of ``transfers`` per step."""
         t, ends = self.tgraphs.transfers, self.tgraphs.ends
         return tuple(t[a:b] for a, b in zip(ends, ends[1:]))
-
-    def gamma_multiset(self) -> tuple:
-        """The exponent multiset reconstructed as theta_p repeated m(p) times."""
-        out = []
-        for w, mult in zip(self.theta, self.multiplicity):
-            out.extend([w] * mult)
-        return tuple(out)
 
     @gc_paused
     def to_json_dict(self) -> dict:

@@ -21,6 +21,7 @@ from .chain import (
     SymmetryError,
     ValidationFailure,
     check_epsilon,
+    closed_communicating_classes,
     generator_matrix,
     parse_state,
     validate,
@@ -141,10 +142,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("export-dot", help="Graphviz DOT text")
-    p.add_argument("--input", help="graph file (JSON or TSV)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="graph file (JSON or TSV)")
+    source.add_argument("--demo", action="store_true", help="use the built-in example instead of --input")
     p.add_argument("--format", choices=("json", "tsv"), help="input format override")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--demo", action="store_true", help="use the built-in example instead of --input")
     return parser
 
 
@@ -319,16 +321,9 @@ def _cmd_kinesin_sweep(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    if args.demo:
-        g = nested_cycle_chain()
-    elif args.input:
-        g = _load(args)
-    else:
-        raise GraphError("export-dot needs --input or --demo")
-    report = validate(g)
-    nontrivial = [c for c in report.closed_classes if len(c) >= 2]
-    absorbing = [next(iter(c)) for c in report.closed_classes if len(c) == 1]
-    _emit(export_dot(g, closed_classes=nontrivial, absorbing=absorbing), args.out)
+    g = nested_cycle_chain() if args.demo else _load(args)
+    closed = closed_communicating_classes(g)
+    _emit(export_dot(g, closed_classes=closed.nontrivial, absorbing=closed.absorbing), args.out)
     return 0
 
 

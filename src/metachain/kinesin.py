@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -85,9 +85,6 @@ class KinesinParams:
             "f12", "f21", "f34", "f43", "f23", "f32", "f41", "f14",
         ):
             object.__setattr__(self, name, parse_rational(getattr(self, name)))
-
-    def with_zeta(self, zeta) -> "KinesinParams":
-        return replace(self, zeta=parse_rational(zeta))
 
 
 def _ring_exponents(p: KinesinParams, psi: Fraction) -> dict:

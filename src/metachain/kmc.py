@@ -38,7 +38,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Real
-from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,14 +53,9 @@ __all__ = [
     "simulate_ensemble",
     "census",
     "census_vs_tgraph",
-    "mean_occupancy",
-    "exponential_ks",
 ]
 
 GENERATOR_NAME = "numpy-PCG64"
-
-# Asymptotic Kolmogorov-Smirnov critical value at significance 0.01.
-KS_CRITICAL_1PCT = 1.628
 
 
 class _Jumps(Sequence):
@@ -121,43 +115,11 @@ class Trajectory:
     def n_jumps(self) -> int:
         return len(self.arcs)
 
-    def states_visited(self) -> list:
-        out = [self.initial]
-        out.extend(arc.head for arc in self.arcs)
-        return out
-
     def end_time(self) -> float:
         # A truncated trajectory carries no information past its last jump.
         if self.truncated and self.times:
             return self.times[-1]
         return self.horizon
-
-    def holding_times(self) -> dict:
-        """Completed holding times per state (the final unfinished one is dropped)."""
-        out: dict = {}
-        t_prev = 0.0
-        state = self.initial
-        for t, arc in zip(self.times, self.arcs):
-            out.setdefault(state, []).append(t - t_prev)
-            t_prev = t
-            state = arc.head
-        return out
-
-    def occupancy(self) -> dict:
-        """Fraction of time spent in each visited state over [0, end_time]."""
-        end = self.end_time()
-        if end <= 0:
-            raise GraphError("trajectory has no elapsed time to measure")
-        time_in: dict = {}
-        t_prev = 0.0
-        state = self.initial
-        for t, arc in zip(self.times, self.arcs):
-            time_in[state] = time_in.get(state, 0.0) + (t - t_prev)
-            t_prev = t
-            state = arc.head
-        if end > t_prev:
-            time_in[state] = time_in.get(state, 0.0) + (end - t_prev)
-        return {s: dt / end for s, dt in time_in.items()}
 
 
 def _check_start(g: ChainGraph, x0: State, horizon: float, seed, max_events, n=1) -> list:
@@ -414,40 +376,3 @@ def census_vs_tgraph(
         off_arcs=off_arcs,
     )
 
-
-def mean_occupancy(trajectories: Sequence[Trajectory], state: State) -> tuple:
-    """Mean and standard error of the per-trajectory time fraction in a state."""
-    fracs = np.array([t.occupancy().get(state, 0.0) for t in trajectories])
-    if len(fracs) < 2:
-        raise GraphError("need at least two trajectories for a standard error")
-    return float(fracs.mean()), float(fracs.std(ddof=1) / np.sqrt(len(fracs)))
-
-
-class KSResult(NamedTuple):
-    statistic: float
-    n_samples: int
-    critical_value: float
-    passed: bool
-
-
-def exponential_ks(samples: Iterable[float], rate: float) -> KSResult:
-    """Kolmogorov-Smirnov test of samples against Exp(rate), significance 0.01.
-
-    The rate is a finite positive real (not a bool) and every sample a
-    finite number >= 0; anything else is refused with ``GraphError``."""
-    try:
-        rate = check_epsilon(rate)  # the same rule as an epsilon's
-    except ValueError:
-        raise GraphError(f"rate must be a finite positive real, got {rate!r}") from None
-    xs = np.sort(np.asarray(list(samples), dtype=float))
-    n = len(xs)
-    if n == 0:
-        raise GraphError("KS test needs at least one sample")
-    if not (np.isfinite(xs) & (xs >= 0)).all():
-        raise GraphError("KS test samples must be finite and >= 0")
-    cdf = 1.0 - np.exp(-rate * xs)
-    upper = np.max(np.arange(1, n + 1) / n - cdf)
-    lower = np.max(cdf - np.arange(0, n) / n)
-    d = float(max(upper, lower)) * math.sqrt(n)
-    crit = KS_CRITICAL_1PCT
-    return KSResult(statistic=d, n_samples=n, critical_value=crit, passed=d <= crit)

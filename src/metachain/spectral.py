@@ -35,7 +35,6 @@ from .wgraph import DEFAULT_ENUMERATION_CAP, _iter_assignments
 __all__ = [
     "numerical_eigenvalues",
     "eigenvalue_magnitudes",
-    "count_near_zero",
     "SpectralEstimate",
     "eigenvalue_estimates",
     "SpectralRow",
@@ -63,10 +62,6 @@ def numerical_eigenvalues(gm: GeneratorMatrix) -> np.ndarray:
 def eigenvalue_magnitudes(eigs: np.ndarray) -> np.ndarray:
     """Positive decay rates: negated real parts of the nonzero eigenvalues."""
     return -np.real(eigs[1:])
-
-
-def count_near_zero(eigs: np.ndarray, norm: float, tol: float = 1e-10) -> int:
-    return int(np.sum(np.abs(eigs) <= tol * norm))
 
 
 @dataclass(frozen=True)

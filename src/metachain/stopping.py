@@ -67,13 +67,3 @@ class StopCriterion:
     def custom(predicate: Callable) -> "StopCriterion":
         """predicate(tgraph, exponent) -> bool, checked after every step."""
         return StopCriterion("custom", predicate=predicate)
-
-    def covering_class(self, classes) -> Optional[frozenset]:
-        """First class (expanded state sets) meeting both targets, if any."""
-        if self.kind != "class-covering":
-            return None
-        a, b = self.targets
-        for c in classes:
-            if c & a and c & b:
-                return c
-        return None

@@ -39,10 +39,8 @@ from .graphio import format_rational, state_set_to_json, state_to_json
 
 __all__ = [
     "WGraph",
-    "enumerate_wgraphs",
     "enumerate_all_optimal",
     "extract_wgraph",
-    "weak_nested_violations",
     "DEFAULT_ENUMERATION_CAP",
 ]
 
@@ -61,9 +59,6 @@ class WGraph:
     @property
     def m(self) -> int:
         return len(self.sinks)
-
-    def successor_map(self) -> dict:
-        return {t: h for (t, h) in self.arcs}
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,18 +138,6 @@ def _iter_assignments(
                 del succ[v]
 
     yield from rec(0, 0)
-
-
-def enumerate_wgraphs(g: ChainGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield every w-graph of g with exactly m sinks (brute force)."""
-    if not (1 <= m <= g.n):
-        raise ValueError(f"sink count must lie in [1, {g.n}], got {m}")
-    target_arcs = g.n - m
-    scale, int_weight = g.integer_weights
-    vertices = tuple(_decision_order(g))
-    for chosen, total in _iter_assignments(g, cap, int_weight):
-        if len(chosen) == target_arcs:
-            yield _make_wgraph(g, vertices, chosen, Fraction(total, scale))
 
 
 def enumerate_all_optimal(g: ChainGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
@@ -388,49 +371,3 @@ def extract_wgraph(report, m: int) -> WGraph:
         total_weight=Fraction(total, expansion.scale),
     )
 
-
-def weak_nested_violations(fine: WGraph, coarse: WGraph) -> list:
-    """Check the weak nesting relation between consecutive optima.
-
-    ``fine`` has m sinks and ``coarse`` m+1; returns human-readable
-    violation strings (empty list means the pair nests properly):
-    the fine sinks are the coarse sinks minus exactly one lost sink, arcs
-    rooted outside the lost sink's in-tree coincide, and exactly one fine
-    arc leads out of that in-tree.
-    """
-    problems = []
-    if fine.m + 1 != coarse.m:
-        return [f"sink counts {fine.m} and {coarse.m} are not consecutive"]
-    if not fine.sinks <= coarse.sinks:
-        problems.append("finer sink set is not contained in the coarser one")
-        return problems
-    lost = coarse.sinks - fine.sinks
-    if len(lost) != 1:
-        problems.append(f"expected exactly one lost sink, got {len(lost)}")
-        return problems
-    (lost_sink,) = lost
-
-    succ = coarse.successor_map()
-    root: dict = {}  # vertex -> its tree's sink, for every vertex walked so far
-
-    def root_of(v):
-        path = []
-        while v in succ and v not in root:
-            path.append(v)
-            v = succ[v]
-        r = root.get(v, v)
-        for p in path:
-            root[p] = r
-        return r
-
-    basin = {v for v in coarse.vertices if root_of(v) == lost_sink}
-    outside_coarse = {p for p in coarse.arcs if p[0] not in basin}
-    outside_fine = {p for p in fine.arcs if p[0] not in basin}
-    if outside_coarse != outside_fine:
-        problems.append("arcs rooted outside the lost sink's in-tree differ")
-    crossing = [p for p in fine.arcs if p[0] in basin and p[1] not in basin]
-    if len(crossing) != 1:
-        problems.append(
-            f"expected exactly one arc leaving the lost sink's in-tree, got {len(crossing)}"
-        )
-    return problems

@@ -9,6 +9,7 @@ silently weakening the assertion.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -165,6 +166,84 @@ def reversible_prefactor_graph(rng: random.Random, n: int = 4):
         if len(set(weights)) != len(weights) or min(weights) <= 0:
             continue
         return mc.chain_graph(arcs)
+
+
+def occupancy(tr) -> dict:
+    """Fraction of time a trajectory spends in each visited state over
+    [0, end_time]."""
+    end = tr.end_time()
+    if end <= 0:
+        raise mc.GraphError("trajectory has no elapsed time to measure")
+    time_in: dict = {}
+    t_prev = 0.0
+    state = tr.initial
+    for t, arc in zip(tr.times, tr.arcs):
+        time_in[state] = time_in.get(state, 0.0) + (t - t_prev)
+        t_prev = t
+        state = arc.head
+    if end > t_prev:
+        time_in[state] = time_in.get(state, 0.0) + (end - t_prev)
+    return {s: dt / end for s, dt in time_in.items()}
+
+
+def mean_occupancy(trajectories, state) -> tuple:
+    """Mean and standard error of the per-trajectory time fraction in a state."""
+    fracs = np.array([occupancy(t).get(state, 0.0) for t in trajectories])
+    if len(fracs) < 2:
+        raise mc.GraphError("need at least two trajectories for a standard error")
+    return float(fracs.mean()), float(fracs.std(ddof=1) / np.sqrt(len(fracs)))
+
+
+def successor_map(w) -> dict:
+    """Each non-sink vertex of a w-graph mapped to the head of its arc."""
+    return {t: h for (t, h) in w.arcs}
+
+
+def weak_nested_violations(fine, coarse) -> list:
+    """Check the weak nesting relation between consecutive optima.
+
+    ``fine`` has m sinks and ``coarse`` m+1; returns human-readable
+    violation strings (empty list means the pair nests properly):
+    the fine sinks are the coarse sinks minus exactly one lost sink, arcs
+    rooted outside the lost sink's in-tree coincide, and exactly one fine
+    arc leads out of that in-tree.
+    """
+    problems = []
+    if fine.m + 1 != coarse.m:
+        return [f"sink counts {fine.m} and {coarse.m} are not consecutive"]
+    if not fine.sinks <= coarse.sinks:
+        problems.append("finer sink set is not contained in the coarser one")
+        return problems
+    lost = coarse.sinks - fine.sinks
+    if len(lost) != 1:
+        problems.append(f"expected exactly one lost sink, got {len(lost)}")
+        return problems
+    (lost_sink,) = lost
+
+    succ = successor_map(coarse)
+    root: dict = {}  # vertex -> its tree's sink, for every vertex walked so far
+
+    def root_of(v):
+        path = []
+        while v in succ and v not in root:
+            path.append(v)
+            v = succ[v]
+        r = root.get(v, v)
+        for p in path:
+            root[p] = r
+        return r
+
+    basin = {v for v in coarse.vertices if root_of(v) == lost_sink}
+    outside_coarse = {p for p in coarse.arcs if p[0] not in basin}
+    outside_fine = {p for p in fine.arcs if p[0] not in basin}
+    if outside_coarse != outside_fine:
+        problems.append("arcs rooted outside the lost sink's in-tree differ")
+    crossing = [p for p in fine.arcs if p[0] in basin and p[1] not in basin]
+    if len(crossing) != 1:
+        problems.append(
+            f"expected exactly one arc leaving the lost sink's in-tree, got {len(crossing)}"
+        )
+    return problems
 
 
 SPECTRAL_SCHEDULE = (0.1, 0.05, 0.025)

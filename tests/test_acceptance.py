@@ -15,8 +15,6 @@ import metachain as mc
 from metachain.chain import closed_communicating_classes
 from metachain.contraction import updated_weight
 from metachain.demos import tied_min_arc_chain, two_state_chain
-from metachain.kmc import mean_occupancy
-from metachain.wgraph import weak_nested_violations
 
 F = Fraction
 
@@ -139,7 +137,7 @@ def test_criterion_06_sweep_comparison(integer_corpus):
         r1 = mc.run_algorithm1(tied, tie_break=tb)
         cmp = mc.compare_alg1_alg2(tied, tie_break=tb, r1=r1)
         assert cmp.ok
-        assert r1.distinct_gamma() == cmp.alg2_theta == (F(1), F(2))
+        assert tuple(sorted(set(r1.gamma))) == cmp.alg2_theta == (F(1), F(2))
     dt = time.perf_counter() - t0
     assert len(integer_corpus) == 100
     assert dt < 30.0
@@ -210,7 +208,7 @@ def test_criterion_09_kinetic_monte_carlo():
 
     # long-run occupancy of the heavy state at eps = 0.2, 3 sigma
     trajs = mc.simulate_ensemble(two, 0.2, 2, 50_000.0, 200, seed=77)
-    mean, se = mean_occupancy(trajs, 2)
+    mean, se = conftest.mean_occupancy(trajs, 2)
     pi2 = 1 / (1 + math.exp(-5))
     assert abs(mean - pi2) <= 3 * se
 
@@ -258,7 +256,7 @@ def test_criterion_10_weak_nesting(oracle_extractions):
     for _g, rep, by_m in oracle_extractions:
         n = rep.n
         for m in range(1, n - 1):
-            problems = weak_nested_violations(by_m[m], by_m[m + 1])
+            problems = conftest.weak_nested_violations(by_m[m], by_m[m + 1])
             assert problems == [], (m, problems)
             pairs += 1
     print(f"\nPASS 10: weak nesting holds for all {pairs} consecutive optimum pairs")

@@ -48,7 +48,7 @@ def test_integer_class_record(integer_report):
     assert rec.step == 2
     assert rec.birth == F(3)
     assert rec.member_states == frozenset({1, 2, 3})
-    assert rec.super_vid == "{1,2,3}"
+    assert super_vertex_name(rec.member_states) == "{1,2,3}"
     assert rec.exit_weight == F(4)
     assert rec.contracted and rec.main_state == 1
 
@@ -74,7 +74,8 @@ def test_integer_final_classes(integer_report):
 
 
 def test_gamma_multiset(integer_report):
-    assert integer_report.gamma_multiset() == (
+    rep = integer_report
+    assert tuple(w for w, mult in zip(rep.theta, rep.multiplicity) for _ in range(mult)) == (
         F(1), F(1), F(3), F(3), F(3), F(3), F(4), F(4)
     )
 
@@ -290,7 +291,7 @@ def _documented_order(rep, step, cc):
     vid = {s: s for s in rep.graph.states}
     for rec in rep.classes:  # creation order: an outer class comes later
         if rec.step < step:
-            vid.update(dict.fromkeys(rec.member_states, rec.super_vid))
+            vid.update(dict.fromkeys(rec.member_states, super_vertex_name(rec.member_states)))
     classes = list(cc.nontrivial) + [frozenset((s,)) for s in cc.absorbing]
     vids = [frozenset(vid[s] for s in c) for c in classes]
     nontrivial = sorted(
@@ -302,6 +303,17 @@ def _documented_order(rep, step, cc):
     )
     members = {v: frozenset(s for s in rep.graph.states if vid[s] in v) for v in absorbing}
     return nontrivial + [members[v] for v in absorbing]
+
+
+def covering_class(stop, classes):
+    """First class (expanded state sets) meeting both targets, if any."""
+    if stop.kind != "class-covering":
+        return None
+    a, b = stop.targets
+    for c in classes:
+        if c & a and c & b:
+            return c
+    return None
 
 
 @st.composite
@@ -367,7 +379,7 @@ def test_closed_classes_match_a_fresh_scc_pass(case):
     if stop is None or stop.kind != "class-covering":
         return
     for step in range(1, rep.P + 1):
-        first = stop.covering_class(_documented_order(rep, step, _closed_at(g, rep, step)))
+        first = covering_class(stop, _documented_order(rep, step, _closed_at(g, rep, step)))
         if step < rep.P:
             assert first is None
         else:

@@ -18,7 +18,6 @@ from metachain.chain import (
     state_key,
     strongly_connected_components,
 )
-from metachain.quasistationary import quasi_invariant_class, quasi_invariant_cycle
 
 
 def triangle():
@@ -314,16 +313,12 @@ def test_generator_rejects_bad_epsilon():
         generator_matrix(triangle(), -1.0)
 
 
-CYCLE = (Arc(1, 2, Fraction(1)), Arc(2, 1, Fraction(2)))
-
 EPSILON_TAKERS = {
     "generator_matrix": lambda eps: generator_matrix(triangle(), eps),
     "simulate": lambda eps: mc.simulate(triangle(), eps, 1, 1.0, seed=0),
     "eigenvalue_estimates": lambda eps: mc.eigenvalue_estimates(
         mc.run_algorithm1(triangle()), eps
     ),
-    "quasi_invariant_cycle": lambda eps: quasi_invariant_cycle(CYCLE, eps),
-    "quasi_invariant_class": lambda eps: quasi_invariant_class((1, 2), CYCLE, eps),
 }
 
 

@@ -446,7 +446,26 @@ def test_export_dot_demo_cli(capsys):
 
 def test_export_dot_needs_a_source(capsys):
     assert main(["export-dot"]) == 1
-    assert "--input or --demo" in capsys.readouterr().err
+    assert "one of the arguments --input --demo is required" in capsys.readouterr().err
+
+
+def test_export_dot_input_styles_closed_classes(tmp_path, capsys):
+    # {1, 2} is a closed class, 3 is absorbing and 4 is transient
+    path = tmp_path / "split.json"
+    mc.save_graph(mc.chain_graph([(1, 2, 1), (2, 1, 2), (4, 1, 1), (4, 3, 2)], states=[1, 2, 3, 4]), path)
+    assert main(["export-dot", "--input", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert len(_check_dot_shape(text)) == 4
+    assert text.count("subgraph cluster_") == 1
+    cluster = text.split("subgraph cluster_0 {", 1)[1].split("}", 1)[0]
+    assert 'label="1"' in cluster and 'label="2"' in cluster
+    assert cluster.count("fillcolor=lightskyblue") == 2
+    assert text.count("fillcolor=lightsalmon") == 1
+    assert '[label="3", style=filled, fillcolor=lightsalmon]' in text
+    assert '[label="4"];' in text  # the transient state is not filled
+    assert main(["export-dot", "--input", str(path), "--demo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
 
 
 # 1 and "1" (and 10 and "10") print alike, so a class holding both is

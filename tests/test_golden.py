@@ -55,6 +55,8 @@ def _cases() -> dict:
         "--epsilon", "0.3", "--epsilon", "0.2", "--n", "200", "--seed", "4000",
     ]
     cases["demo.dot"] = ["export-dot", "--demo"]
+    # state 3 is absorbing: its node takes the absorbing fill
+    cases["tied_min_arc.dot"] = ["export-dot", "--input", str(GOLDEN / "tied_min_arc.graph.json")]
     return cases
 
 

@@ -1,5 +1,6 @@
 """Two-ring motor model: construction, switch sweep, exact regimes."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest.mock import patch
@@ -26,7 +27,7 @@ def test_params_coerce_to_rationals():
     p = mc.KinesinParams(zeta="7/2", psi="1.5")
     assert p.zeta == F(7, 2) and p.psi == F(3, 2)
     assert p.f23 == F(15, 2)
-    q = p.with_zeta(4)
+    q = dataclasses.replace(p, zeta=4)
     assert q.zeta == F(4) and q.psi == F(3, 2)
 
 
@@ -153,7 +154,7 @@ def test_sweep_json_shape(sweep):
 
 def direct(zeta, params) -> tuple:
     """Signature and final theta of one run of the sweep at ``zeta``."""
-    rep = mc.run_algorithm2(mc.build_kinesin(params.with_zeta(zeta)), stop=kinesin_stop())
+    rep = mc.run_algorithm2(mc.build_kinesin(dataclasses.replace(params, zeta=zeta)), stop=kinesin_stop())
     return tuple(frozenset(a.pair() for a in step) for step in rep.transfers_by_step), rep.theta[-1]
 
 

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -15,11 +16,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from metachain.chain import arc_rate
+from conftest import mean_occupancy, occupancy
+from metachain.chain import arc_rate, check_epsilon
 from metachain.demos import two_state_chain
-from metachain.kmc import GENERATOR_NAME, KS_CRITICAL_1PCT, _rate_tables, exponential_ks, mean_occupancy
+from metachain.kmc import GENERATOR_NAME, _rate_tables
 
 TWO = two_state_chain()
+
+# Asymptotic Kolmogorov-Smirnov critical value at significance 0.01.
+KS_CRITICAL_1PCT = 1.628
+
+
+def states_visited(tr) -> list:
+    out = [tr.initial]
+    out.extend(arc.head for arc in tr.arcs)
+    return out
+
+
+def holding_times(tr) -> dict:
+    """Completed holding times per state (the final unfinished one is dropped)."""
+    out: dict = {}
+    t_prev = 0.0
+    state = tr.initial
+    for t, arc in zip(tr.times, tr.arcs):
+        out.setdefault(state, []).append(t - t_prev)
+        t_prev = t
+        state = arc.head
+    return out
+
+
+class KSResult(NamedTuple):
+    statistic: float
+    n_samples: int
+    critical_value: float
+    passed: bool
+
+
+def exponential_ks(samples, rate: float) -> KSResult:
+    """Kolmogorov-Smirnov test of samples against Exp(rate), significance 0.01.
+
+    The rate is a finite positive real (not a bool) and every sample a
+    finite number >= 0; anything else is refused with ``GraphError``."""
+    try:
+        rate = check_epsilon(rate)  # the same rule as an epsilon's
+    except ValueError:
+        raise mc.GraphError(f"rate must be a finite positive real, got {rate!r}") from None
+    xs = np.sort(np.asarray(list(samples), dtype=float))
+    n = len(xs)
+    if n == 0:
+        raise mc.GraphError("KS test needs at least one sample")
+    if not (np.isfinite(xs) & (xs >= 0)).all():
+        raise mc.GraphError("KS test samples must be finite and >= 0")
+    cdf = 1.0 - np.exp(-rate * xs)
+    upper = np.max(np.arange(1, n + 1) / n - cdf)
+    lower = np.max(cdf - np.arange(0, n) / n)
+    d = float(max(upper, lower)) * math.sqrt(n)
+    crit = KS_CRITICAL_1PCT
+    return KSResult(statistic=d, n_samples=n, critical_value=crit, passed=d <= crit)
 
 
 def test_seed_reproducibility():
@@ -36,16 +89,16 @@ def test_trajectory_bookkeeping():
     assert tr.initial == 1 and tr.epsilon == 0.5
     assert not tr.absorbed and not tr.truncated
     assert tr.end_time() == 200.0
-    visited = tr.states_visited()
+    visited = states_visited(tr)
     assert visited[0] == 1
     assert len(visited) == tr.n_jumps + 1
     times = [t for t, _a in tr.jumps]
     assert times == sorted(times) and all(0 < t <= 200.0 for t in times)
     # alternating two-state path: every jump flips the state
     assert all(a.tail != a.head for _t, a in tr.jumps)
-    occ = tr.occupancy()
+    occ = occupancy(tr)
     assert sum(occ.values()) == pytest.approx(1.0)
-    held = tr.holding_times()
+    held = holding_times(tr)
     assert sum(len(v) for v in held.values()) == tr.n_jumps
     assert held[1][0] == tr.jumps[0][0]
 
@@ -79,7 +132,7 @@ def test_absorption_ends_the_walk():
     g = mc.chain_graph([(1, 2, 1)], states=[1, 2])
     tr = mc.simulate(g, 0.5, 1, 1e9, seed=7)
     assert tr.absorbed and not tr.truncated
-    assert tr.n_jumps == 1 and tr.states_visited() == [1, 2]
+    assert tr.n_jumps == 1 and states_visited(tr) == [1, 2]
 
 
 def test_a_trajectory_stores_16_bytes_per_jump():
@@ -276,7 +329,7 @@ def test_occupancy_matches_stationary_law():
 
 def test_holding_times_are_exponential():
     tr = mc.simulate(TWO, 0.5, 2, 1e9, seed=12345, max_events=400)
-    h1 = tr.holding_times()[1]
+    h1 = holding_times(tr)[1]
     assert len(h1) == 200
     res = exponential_ks(h1, math.exp(-2.0))
     assert res.passed and res.critical_value == KS_CRITICAL_1PCT

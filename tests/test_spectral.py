@@ -9,9 +9,13 @@ import pytest
 import metachain as mc
 from metachain.chain import generator_matrix
 from metachain.demos import tied_min_arc_chain, two_state_chain
-from metachain.spectral import count_near_zero, eigenvalue_magnitudes, numerical_eigenvalues
+from metachain.spectral import eigenvalue_magnitudes, numerical_eigenvalues
 
 F = Fraction
+
+
+def count_near_zero(eigs: np.ndarray, norm: float, tol: float = 1e-10) -> int:
+    return int(np.sum(np.abs(eigs) <= tol * norm))
 
 
 def five_state_graph():
@@ -144,6 +148,23 @@ def test_five_state_spectrum_against_trace_recursion():
     key = lambda z: (round(z.real, 10), round(z.imag, 10))
     for a, b in zip(sorted(eigs, key=key), sorted(roots, key=key)):
         assert abs(a - b) < 1e-8
+
+
+def test_escape_rate_exponent():
+    """Killing the class through its exit reproduces the exit exponent."""
+    g = mc.chain_graph(
+        [(1, 2, 2), (1, 3, 2), (2, 1, 2), (3, 1, 2), (2, 4, 3), (4, 1, 1)]
+    )
+    defects = []
+    for eps in (0.15, 0.1):
+        gm = generator_matrix(g, eps)
+        keep = [gm.index[s] for s in (1, 2, 3)]
+        killed = gm.matrix[np.ix_(keep, keep)]
+        rate = -np.max(np.real(np.linalg.eigvals(killed)))
+        assert rate > 0
+        defects.append(abs(eps * log(rate) + 3.0))
+    assert defects[0] > defects[1]
+    assert defects[1] <= 0.3
 
 
 def test_charpoly_two_state_exact():

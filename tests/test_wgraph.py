@@ -10,13 +10,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from conftest import chain_graphs
+from conftest import chain_graphs, successor_map, weak_nested_violations
 from metachain.chain import state_key
 from metachain.contraction import SuperVertex
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
-from metachain.wgraph import WGraph, enumerate_wgraphs, weak_nested_violations
+from metachain.wgraph import (
+    DEFAULT_ENUMERATION_CAP,
+    WGraph,
+    _decision_order,
+    _iter_assignments,
+    _make_wgraph,
+)
 
 F = Fraction
+
+
+def enumerate_wgraphs(g, m: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Yield every w-graph of g with exactly m sinks (brute force)."""
+    if not (1 <= m <= g.n):
+        raise ValueError(f"sink count must lie in [1, {g.n}], got {m}")
+    target_arcs = g.n - m
+    scale, int_weight = g.integer_weights
+    vertices = tuple(_decision_order(g))
+    for chosen, total in _iter_assignments(g, cap, int_weight):
+        if len(chosen) == target_arcs:
+            yield _make_wgraph(g, vertices, chosen, Fraction(total, scale))
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +76,7 @@ def test_wgraph_json_shape():
 
 def test_successor_map():
     optima, _ = mc.enumerate_all_optimal(two_state_chain())[1]
-    assert optima[0].successor_map() == {1: 2}
+    assert successor_map(optima[0]) == {1: 2}
 
 
 def test_sink_count_bounds():

@@ -321,6 +321,8 @@ def _cmd_kinesin_sweep(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    if args.demo and args.format:
+        raise GraphError("--format applies to an --input file, not to --demo")
     g = nested_cycle_chain() if args.demo else _load(args)
     closed = closed_communicating_classes(g)
     _emit(export_dot(g, closed_classes=closed.nontrivial, absorbing=closed.absorbing), args.out)

@@ -4,11 +4,19 @@ The simulator (Gillespie's direct method) draws exponential holding times
 with the total exit rate of the current state and picks the next arc
 proportionally to its rate, so trajectories are exact samples of the chain
 at the given epsilon.  The rate tables come from the arcs, never from a
-dense generator, and an ensemble builds them once for all its trajectories.
-They hold each state's cumulative rates as a Python list, so an event costs
-two scalar draws, one ``bisect`` and two list appends (under 2 us in
-CPython), and a state whose exit rates all underflow at that epsilon is
-refused, since its holding time would not be finite.
+dense generator.  A call builds a state's table the first time one of its
+walks enters that state, and an ensemble shares its tables across its
+trajectories, so a short ensemble on a large chain pays only for the states
+it visits; no table outlives the call.  A table holds the state's
+cumulative rates as a Python list, so an event costs two scalar draws, one
+``bisect`` and two list appends (under 2 us in CPython).
+
+A state whose exit rates all underflow at that epsilon is refused, visited
+or not, since its holding time would not be finite.  Tables are built on
+first entry only when no arc's rate can fall below exp(-700), which holds
+when the chain has no prefactors and every exponent is below 700 epsilon;
+otherwise every table is built before the first jump, in state order, and
+the first such state is refused.
 
 A trajectory stores its jumps as two flat columns: the jump times in an
 ``array("d")`` and the arcs taken in a tuple of the graph's own ``Arc``
@@ -126,8 +134,10 @@ def _check_start(g: ChainGraph, x0: State, horizon: float, seed, max_events, n=1
     """Check the start state and horizon; return the horizon as a float (a
     real too large for one is infinite), then the seed, the event cap and
     the ensemble size as ints, refusing a bool or a non-integer."""
-    if x0 not in set(g.states):
-        raise GraphError(f"unknown start state {x0!r}")
+    try:
+        g.out_arcs(x0)
+    except KeyError:
+        raise GraphError(f"unknown start state {x0!r}") from None
     if isinstance(horizon, bool) or not isinstance(horizon, Real) or not horizon > 0:
         raise GraphError(f"horizon must be a real number > 0, got {horizon!r}")
     try:
@@ -144,25 +154,70 @@ def _check_start(g: ChainGraph, x0: State, horizon: float, seed, max_events, n=1
     return out
 
 
-def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
-    """Per state with arcs: (arcs, cumulative rates, total rate, 1 / total).
+# exp(-700) is a normal double whose reciprocal is finite (both overflow
+# and underflow start past exp(+-708)), so a state whose arcs all have
+# U / epsilon below this and prefactor 1 has a finite holding time.
+_SAFE_EXPONENT = 700.0
+
+
+def _rate_table(g: ChainGraph, s: State, epsilon: float):
+    """(arcs, cumulative rates, total rate, 1 / total) of state s, or None
+    when s is absorbing.
 
     The arc tuple ends with its last arc once more, so that when
     ``u * total`` reaches ``total`` and ``bisect_right`` returns
     ``len(cum)``, the walk still takes the last arc, without a branch."""
+    arcs = g.out_arcs(s)
+    if not arcs:
+        return None
+    cum = list(accumulate(arc_rate(a, epsilon) for a in arcs))  # sequential adds: np.cumsum's doubles
+    total = cum[-1]
+    if not (total > 0 and math.isfinite(1.0 / total)):
+        raise GraphError(
+            f"state {s!r} has total exit rate {total!r} at epsilon={epsilon!r}, "
+            "so its holding time is not finite; use a larger epsilon"
+        )
+    return (arcs + (arcs[-1],), cum, total, 1.0 / total)
+
+
+class _RateTables(dict):
+    """One call's rate tables: a state's table is built on its first lookup."""
+
+    __slots__ = ("_g", "_epsilon")
+
+    def __init__(self, g: ChainGraph, epsilon: float):
+        super().__init__()
+        self._g = g
+        self._epsilon = epsilon
+
+    def __missing__(self, s: State):
+        table = self[s] = _rate_table(self._g, s, self._epsilon)
+        return table
+
+
+def _rates_stay_normal(g: ChainGraph, epsilon: float) -> bool:
+    """True when no arc's rate can fall below exp(-700): the chain has no
+    prefactors and its largest exponent is below 700 epsilon."""
+    if g.has_prefactors:
+        return False
+    scale, weights = g.integer_weights
+    try:
+        return max(weights.values(), default=0) / scale < _SAFE_EXPONENT * epsilon
+    except OverflowError:  # an exponent too large for a float
+        return False
+
+
+def _rate_tables(g: ChainGraph, epsilon: float) -> dict:
+    """The rate tables of one call, keyed by state.
+
+    They are built on first entry when every state's holding time is
+    known to be finite; otherwise every table is built now, in state
+    order, so the first state whose exit rates underflow is refused
+    whether or not a walk would reach it."""
     epsilon = check_epsilon(epsilon)
-    tables: dict = {}
-    for s in g.states:
-        arcs = g.out_arcs(s)
-        if arcs:
-            cum = list(accumulate(arc_rate(a, epsilon) for a in arcs))  # sequential adds: np.cumsum's doubles
-            total = cum[-1]
-            if not (total > 0 and math.isfinite(1.0 / total)):
-                raise GraphError(
-                    f"state {s!r} has total exit rate {total!r} at epsilon={epsilon!r}, "
-                    "so its holding time is not finite; use a larger epsilon"
-                )
-            tables[s] = (arcs + (arcs[-1],), cum, total, 1.0 / total)
+    tables = _RateTables(g, epsilon)
+    if not _rates_stay_normal(g, epsilon):
+        tables.update({s: _rate_table(g, s, epsilon) for s in g.states})
     return tables
 
 
@@ -195,7 +250,7 @@ def _walk(tables: dict, epsilon: float, x0: State, horizon: float, seed: int, ma
     add_time, add_arc = times.append, arcs.append
     absorbed = truncated = False
     for _ in range(max_events):
-        table = tables.get(state)
+        table = tables[state]
         if table is None:
             absorbed = True
             break
@@ -227,8 +282,10 @@ def simulate_ensemble(
 ) -> tuple:
     """n independent trajectories; per-trajectory seeds spawn from one root.
 
-    n is an int >= 1 and the root seed an int >= 0.  The rate tables are
-    built once and shared by every trajectory.
+    n is an int >= 1 and the root seed an int >= 0.  The trajectories
+    share one set of rate tables, each built when a walk first enters its
+    state, and the tables are dropped when the call returns.  A state whose
+    holding time is not finite is refused, reached or not.
     """
     horizon, seed, cap, n = _check_start(g, x0, horizon, seed, max_events, n)
     tables = _rate_tables(g, epsilon)

@@ -195,6 +195,17 @@ def test_kmc_at_an_epsilon_where_every_rate_underflows_exits_one(capsys, two_sta
     assert capsys.readouterr().err.startswith("error: state 1 has total exit rate 0.0 at epsilon=0.001")
 
 
+def test_kmc_refuses_an_unreachable_state_that_cannot_leave(tmp_path, capsys):
+    # 3 -> 1 is not reachable from 1, and exp(-800) underflows to 0
+    path = tmp_path / "stuck.json"
+    mc.save_graph(mc.chain_graph([(1, 2, 1), (2, 1, 1), (3, 1, 800)]), path)
+    code = main(["kmc", "--input", str(path), "--epsilon", "1", "--x0", "1", "--horizon", "10"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: state 3 has total exit rate 0.0 at epsilon=1.0")
+
+
 def test_kmc_window_needs_two_numbers(capsys, two_state_file):
     code = main(
         ["kmc", "--input", two_state_file, "--epsilon", "0.5", "--x0", "1",
@@ -442,6 +453,13 @@ def test_export_dot_demo_cli(capsys):
     out = capsys.readouterr().out
     assert code == 0
     _check_dot_shape(out)
+
+
+def test_export_dot_refuses_a_format_for_the_demo(capsys):
+    assert main(["export-dot", "--demo", "--format", "tsv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --format applies to an --input file, not to --demo\n"
 
 
 def test_export_dot_needs_a_source(capsys):

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -112,6 +113,15 @@ def test_simulate_guard_rails():
         mc.simulate(TWO, -0.5, 1, 10.0, seed=1)
 
 
+@pytest.mark.parametrize("x0", [9, "1", None, 1.5])
+def test_an_unknown_start_state_is_refused_by_name(x0):
+    expected = f"^unknown start state {re.escape(repr(x0))}$"
+    with pytest.raises(mc.GraphError, match=expected):
+        mc.simulate(TWO, 0.5, x0, 10.0, seed=1)
+    with pytest.raises(mc.GraphError, match=expected):
+        mc.simulate_ensemble(TWO, 0.5, x0, 10.0, 2, seed=1)
+
+
 @pytest.mark.parametrize("horizon", [0, -1.0, math.nan, -math.inf, True, False, "5", None, 1j])
 def test_horizon_must_be_a_positive_real(horizon):
     with pytest.raises(mc.GraphError, match="horizon"):
@@ -216,6 +226,91 @@ def test_a_state_that_cannot_leave_is_refused(weight, epsilon, total):
         mc.simulate(g, epsilon, 2, 10.0, seed=1)
     with pytest.raises(mc.GraphError, match=expected):
         mc.simulate_ensemble(g, epsilon, 2, math.inf, 3, seed=1)
+
+
+# 1 and 2 joined both ways at U = 1; 3 -> 1 cannot be reached from 1 and
+# its one rate, exp(-800) or 1e-310 * exp(-1), leaves no finite holding time
+@pytest.mark.parametrize("arcs, total", [
+    ([(1, 2, 1), (2, 1, 1), (3, 1, 800)], "0.0"),
+    ([(1, 2, 1, 1.0), (2, 1, 1, 1.0), (3, 1, 1, 1e-310)], "3.6"),  # subnormal: 1 / total overflows
+])
+def test_an_unreachable_state_that_cannot_leave_is_refused(arcs, total):
+    g = mc.chain_graph(arcs)
+    expected = rf"^state 3 has total exit rate {total}.* at epsilon=1.0, so its holding time is not finite"
+    with pytest.raises(mc.GraphError, match=expected):
+        mc.simulate(g, 1.0, 1, 10.0, seed=1)
+    with pytest.raises(mc.GraphError, match=expected):
+        mc.simulate_ensemble(g, 1.0, 1, 10.0, 3, seed=1)
+
+
+@st.composite
+def chains_near_underflow(draw):
+    """2-6-state chains whose exponents (at epsilon 0.5-1.5) and prefactors
+    straddle the edge where a state's total exit rate stops being a normal
+    double, with a start state."""
+    n = draw(st.integers(2, 6))
+    states = list(range(1, n + 1))
+    pairs = [(a, b) for a in states for b in states if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2 * n, unique=True))
+    arcs = [(t, h, draw(st.sampled_from([1, 350, 699, 700, 701, 709, 710, 745, 800]))) for t, h in chosen]
+    if draw(st.booleans()):
+        arcs = [arc + (draw(st.sampled_from([1e-310, 1e-300, 1.0, 1e300])),) for arc in arcs]
+    return mc.chain_graph(arcs, states=states), draw(st.sampled_from([0.5, 1.0, 1.5])), draw(st.sampled_from(states))
+
+
+def first_stuck_state(g, epsilon):
+    """The first state, in state order, whose holding time is not finite."""
+    for s in g.states:
+        rates = [arc_rate(a, epsilon) for a in g.out_arcs(s)]
+        if rates:
+            total = float(np.cumsum(rates)[-1])
+            if not (total > 0 and math.isfinite(1.0 / total)):
+                return s
+    return None
+
+
+@settings(max_examples=300)
+@given(chains_near_underflow(), st.integers(0, 2**32))
+def test_a_call_is_refused_whenever_some_state_cannot_leave(case, seed):
+    g, eps, x0 = case
+    stuck = first_stuck_state(g, eps)
+    calls = (
+        lambda: mc.simulate(g, eps, x0, 1e300, seed, max_events=20),
+        lambda: mc.simulate_ensemble(g, eps, x0, 1e300, 2, seed, max_events=20),
+    )
+    for call in calls:
+        if stuck is None:
+            call()
+        else:
+            with pytest.raises(mc.GraphError, match=rf"^state {stuck!r} has total exit rate .* at epsilon={eps!r}"):
+                call()
+
+
+def test_exponents_over_a_scale_too_large_for_a_float():
+    primes = [p for p in range(2, 800) if all(p % q for q in range(2, p))]
+    g = mc.chain_graph([(i, i + 1, Fraction(1, p)) for i, p in enumerate(primes)] + [(len(primes), 0, 1)])
+    assert g.integer_weights[0] > 2**1024  # the lcm of the denominators
+    tr = mc.simulate(g, 1.0, 0, 50.0, seed=1)
+    assert tr.n_jumps > 3
+    assert (tr.jumps, tr.absorbed, tr.truncated) == reference_walk(g, 1.0, 0, 50.0, 1)
+
+
+def test_a_call_builds_tables_only_for_the_states_its_walks_enter(monkeypatch):
+    # 4 and 5 cannot be reached from the cycle 1 -> 2 -> 3 -> 1
+    g = mc.chain_graph([(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 4, 1), (4, 1, 2)])
+    built = []
+    rate_table = mc.kmc._rate_table
+    monkeypatch.setattr(mc.kmc, "_rate_table", lambda g, s, eps: built.append(s) or rate_table(g, s, eps))
+    tr = mc.simulate(g, 1.0, 1, 5.0, seed=10)
+    assert states_visited(tr) == [1, 2] and not tr.truncated  # one jump, then the horizon
+    assert built == [1, 2]
+    built.clear()
+    trajs = mc.simulate_ensemble(g, 1.0, 1, 50.0, 4, seed=5)
+    assert sorted(built) == [1, 2, 3]  # one build per entered state, shared by the ensemble
+    assert all(not t.truncated and t.n_jumps > 3 for t in trajs)
+    built.clear()
+    mc.simulate_ensemble(g, 1.0, 1, 50.0, 4, seed=5)
+    assert sorted(built) == [1, 2, 3]  # no table outlives its call
 
 
 def test_ensemble_spawns_distinct_seeds():

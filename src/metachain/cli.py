@@ -30,7 +30,7 @@ from .demos import nested_cycle_chain
 from .dot import export_dot
 from .graphio import dump_json, load_graph, parse_rational
 from .kinesin import kinesin_sweep, parse_grid
-from .kmc import census, census_vs_tgraph, simulate_ensemble
+from .kmc import _check_window, census, census_vs_tgraph, simulate_ensemble
 from .spectral import (
     charpoly_identity_check,
     compare_spectrum,
@@ -265,10 +265,13 @@ def _cmd_kmc(args) -> int:
     g = _load(args)
     eps = args.epsilon[0]
     x0 = parse_state(args.x0)
-    window = _parse_window(args.window) if args.window else (0.0, args.horizon)
+    # refuse a bad --window or --tgraph before simulating; the default window
+    # is valid whenever the horizon is, and simulate_ensemble checks that
+    window = _check_window(_parse_window(args.window)) if args.window else (0.0, args.horizon)
+    tgraph = None if args.tgraph is None else _tgraph(g, args.tgraph)
     trajs = simulate_ensemble(g, eps, x0, args.horizon, args.n, args.seed)
-    if args.tgraph is not None:
-        cov = census_vs_tgraph(trajs, _tgraph(g, args.tgraph), window)
+    if tgraph is not None:
+        cov = census_vs_tgraph(trajs, tgraph, window)
         doc = cov.to_json_dict()
         cen = cov.census
     else:

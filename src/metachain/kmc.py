@@ -26,16 +26,24 @@ jumps used inside a time window; comparing those counts against a
 transition graph's arc set quantifies how strongly the dynamics
 concentrates on the predicted transitions.
 
-Randomness comes from numpy's PCG64 via ``default_rng``; each event draws
-an exponential and then a uniform, so a seed gives the same trajectory as
-in earlier versions.  Ensembles derive one 64-bit seed per trajectory from
-a single ``SeedSequence`` root, and every census records the seeds and the
-generator name.
+Randomness comes from numpy's PCG64 as ``default_rng(seed)`` starts it;
+each event draws an exponential and then a uniform, so a seed gives the
+same trajectory as in earlier versions.  Ensembles derive one 64-bit seed
+per trajectory from a single ``SeedSequence`` root, and every census
+records the seeds and the generator name.  ``simulate`` calls
+``default_rng``; an ensemble instead derives the PCG64 state of all its
+seeds in one vectorised pass, replaying ``SeedSequence``'s hash and
+PCG64's seeding (both fixed by NumPy's stream-compatibility policy,
+NEP 19), and walks every trajectory on one generator set to its seed's
+state: constructing a generator per seed cost about 10 us, a third of a
+short trajectory.  Once per process the derivation is checked against
+``default_rng`` itself, and a mismatch raises ``InternalInvariantError``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -49,7 +57,17 @@ from numbers import Real
 
 import numpy as np
 
-from .chain import Arc, ChainGraph, GraphError, State, arc_rate, check_epsilon, state_key, state_to_json
+from .chain import (
+    Arc,
+    ChainGraph,
+    GraphError,
+    InternalInvariantError,
+    State,
+    arc_rate,
+    check_epsilon,
+    state_key,
+    state_to_json,
+)
 from .graphio import gc_paused
 
 __all__ = [
@@ -237,11 +255,10 @@ def simulate(
     (flagged ``truncated``, never silent).
     """
     horizon, seed, cap, _n = _check_start(g, x0, horizon, seed, max_events)
-    return _walk(_rate_tables(g, epsilon), epsilon, x0, horizon, seed, cap)
+    return _walk(np.random.default_rng(seed), _rate_tables(g, epsilon), epsilon, x0, horizon, seed, cap)
 
 
-def _walk(tables: dict, epsilon: float, x0: State, horizon: float, seed: int, max_events: int):
-    rng = np.random.default_rng(seed)
+def _walk(rng, tables: dict, epsilon: float, x0: State, horizon: float, seed: int, max_events: int):
     exponential, uniform = rng.exponential, rng.random
     t = 0.0
     state = x0
@@ -270,6 +287,114 @@ def _walk(tables: dict, epsilon: float, x0: State, horizon: float, seed: int, ma
     )
 
 
+# What ``np.random.default_rng(seed)`` does to an int seed below 2**64, as
+# fixed by NumPy's stream-compatibility policy (NEP 19): ``SeedSequence``
+# hashes the seed's two 32-bit words into a pool of four words, draws eight
+# words from the pool, and ``PCG64`` takes them as a 128-bit initial state
+# and a 128-bit stream selector.  Every ``SeedSequence`` hash multiplies by
+# a power of a fixed constant, one per call in a fixed order, so those
+# powers are tabled here once.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _powers(init: int, mult: int, k: int) -> list:
+    """init * mult**i mod 2**32 for i = 0..k."""
+    out = [init]
+    for _ in range(k):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of x, whose hash constants are ``xor``
+    before the call and ``mul`` after it."""
+    x = (x ^ xor) * mul
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of x and y."""
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> _XSHIFT
+    return r
+
+
+# hashmix call k, for k = 0..15, xors with _A[k] and multiplies by _A[k + 1].
+_A = _powers(0x43B0D7E5, 0x931E8875, 16)
+# Calls 0 and 1 hash the seed's low and high word; calls 2 and 3 hash zeros.
+_FILL_XOR, _FILL_MUL = _column(_A[0:2]), _column(_A[1:3])
+_FILL_ZEROS = _hashmix(np.zeros((2, 1), dtype=np.uint32), _column(_A[2:4]), _column(_A[3:5]))
+
+
+def _cross_constants(src: int) -> tuple:
+    """Hash constants of the step that mixes pool word src into the other
+    three, in pool order, with hashmix calls 4 + 3 * src onwards; src's own
+    row gets zeros, and the step puts that row back."""
+    xor, mul = [0] * 4, [0] * 4
+    for k, d in enumerate([d for d in range(4) if d != src], start=4 + 3 * src):
+        xor[d], mul[d] = _A[k], _A[k + 1]
+    return _column(xor), _column(mul)
+
+
+# Calls 4..15 mix each pool word into the other three, src = 0..3 in turn.
+_CROSS = [_cross_constants(src) for src in range(4)]
+# generate_state's word i reads pool word i % 4 and hashes with _B[i], _B[i + 1].
+# The eight words are taken in the order that puts each 128-bit number's
+# low 64 bits first: (2, 3, 0, 1) is the initial state, (6, 7, 4, 5) the selector.
+_B = _powers(0x8B51F9DD, 0x58F38DED, 8)
+_WORDS = [2, 3, 0, 1, 6, 7, 4, 5]
+_WORD_ROWS = [i % 4 for i in _WORDS]
+_WORD_XOR, _WORD_MUL = _column([_B[i] for i in _WORDS]), _column([_B[i + 1] for i in _WORDS])
+
+
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """The PCG64 ``(state, inc)`` that ``np.random.default_rng(s)`` starts
+    from, for each s in a uint64 array, in one pass over all of them."""
+    n = len(seeds)
+    words = seeds.astype("<u8", copy=False).view("<u4").reshape(n, 2).T  # low word, high word
+    pool = np.empty((4, n), dtype=np.uint32)
+    pool[:2] = _hashmix(words, _FILL_XOR, _FILL_MUL)
+    pool[2:] = _FILL_ZEROS
+    for src, (xor, mul) in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(pool[_WORD_ROWS], _WORD_XOR, _WORD_MUL)
+    halves = np.ascontiguousarray(out.T).astype("<u4", copy=False).view("<u8").tolist()
+    pairs = []
+    for state_lo, state_hi, seq_lo, seq_hi in halves:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        pairs.append(((((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return pairs
+
+
+def _bit_generator_state(state: int, inc: int) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _check_stream_derivation() -> None:
+    """Refuse, once per process, to run ensembles whose streams would not
+    be the ones ``np.random.default_rng`` gives the same seeds."""
+    seeds = np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    for s, pair in zip(seeds.tolist(), _pcg64_states(seeds)):
+        if np.random.default_rng(s).bit_generator.state != _bit_generator_state(*pair):
+            raise InternalInvariantError(
+                f"the PCG64 state derived for seed {s} is not the one numpy {np.__version__} gives"
+            )
+
+
 @gc_paused
 def simulate_ensemble(
     g: ChainGraph,
@@ -285,12 +410,20 @@ def simulate_ensemble(
     n is an int >= 1 and the root seed an int >= 0.  The trajectories
     share one set of rate tables, each built when a walk first enters its
     state, and the tables are dropped when the call returns.  A state whose
-    holding time is not finite is refused, reached or not.
+    holding time is not finite is refused, reached or not.  Each
+    trajectory is the one ``simulate`` gives at its own seed.
     """
     horizon, seed, cap, n = _check_start(g, x0, horizon, seed, max_events, n)
+    _check_stream_derivation()
     tables = _rate_tables(g, epsilon)
     child_seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-    return tuple(_walk(tables, epsilon, x0, horizon, s, cap) for s in child_seeds.tolist())
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    out = []
+    for s, pair in zip(child_seeds.tolist(), _pcg64_states(child_seeds)):
+        bit_generator.state = _bit_generator_state(*pair)
+        out.append(_walk(rng, tables, epsilon, x0, horizon, s, cap))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -347,12 +480,18 @@ def census(trajectories: Sequence[Trajectory], window: tuple) -> TransitionCensu
     return _census(trajectories, window, frozenset())[0]
 
 
-def _census(trajectories: Sequence[Trajectory], window: tuple, pairs: frozenset) -> tuple:
-    """The census of ``window``, and per trajectory how many of its
-    in-window jumps run along an arc in ``pairs``, in one walk."""
+def _check_window(window: tuple) -> tuple:
+    """The census window ``(t_lo, t_hi)``, refused unless 0 <= t_lo < t_hi."""
     lo, hi = window
     if not (hi > lo >= 0):
         raise GraphError(f"window must satisfy 0 <= t_lo < t_hi, got {window!r}")
+    return lo, hi
+
+
+def _census(trajectories: Sequence[Trajectory], window: tuple, pairs: frozenset) -> tuple:
+    """The census of ``window``, and per trajectory how many of its
+    in-window jumps run along an arc in ``pairs``, in one walk."""
+    lo, hi = _check_window(window)
     if not trajectories:
         raise GraphError("census needs at least one trajectory")
     eps = trajectories[0].epsilon

@@ -215,6 +215,21 @@ def test_kmc_window_needs_two_numbers(capsys, two_state_file):
     assert capsys.readouterr().err == "error: --window must be t_lo:t_hi, two numbers, got '5'\n"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--tgraph", "99"], "error: window index 99 out of range; the run has 4 transition graphs\n"),
+        (["--window", "5:1"], "error: window must satisfy 0 <= t_lo < t_hi, got (5.0, 1.0)\n"),
+        (["--window=-1:5", "--tgraph", "2"], "error: window must satisfy 0 <= t_lo < t_hi, got (-1.0, 5.0)\n"),
+    ],
+)
+def test_kmc_refuses_a_bad_tgraph_or_window_before_simulating(capsys, monkeypatch, extra, message):
+    monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: pytest.fail("simulated before refusing"))
+    argv = ["kmc", "--input", NESTED_INTEGER, "--epsilon", "0.3", "--x0", "1", "--horizon", "100", "--n", "3000"]
+    assert main(argv + extra) == 1
+    assert capsys.readouterr() == ("", message)
+
+
 def test_alg2_covering_stop_with_an_unknown_state_exits_one(capsys):
     golden = str(Path(__file__).parent / "golden" / "nested.graph.json")
     assert main(["alg2", "--input", golden, "--stop", "covering:1;99"]) == 1

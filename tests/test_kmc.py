@@ -323,6 +323,51 @@ def test_ensemble_spawns_distinct_seeds():
         mc.simulate_ensemble(TWO, 0.5, 1, 50.0, 0, seed=9)
 
 
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def assert_streams_are_default_rngs(seeds):
+    derived = mc.kmc._pcg64_states(np.array(seeds, dtype=np.uint64))
+    assert [mc.kmc._bit_generator_state(*pair) for pair in derived] == [
+        np.random.default_rng(s).bit_generator.state for s in seeds
+    ]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_an_ensemble_derives_the_stream_default_rng_gives_a_seed(seed):
+    assert_streams_are_default_rngs([seed])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_an_ensemble_derives_the_streams_default_rng_gives_any_seeds(seeds):
+    assert_streams_are_default_rngs(seeds)
+
+
+@pytest.mark.parametrize("n", [1, 1200])
+def test_no_trajectory_inherits_state_from_the_one_before(n):
+    # 3 absorbs; the cap of 8 events trips on some trajectories and not others
+    g = mc.chain_graph([(1, 2, 1), (2, 1, 1), (2, 3, 3)], states=[1, 2, 3])
+    trajs = mc.simulate_ensemble(g, 1.0, 1, 15.0, n, seed=21, max_events=8)
+    assert len(trajs) == n
+    for member in trajs:
+        assert member == mc.simulate(g, 1.0, 1, 15.0, member.seed, max_events=8)
+    if n > 1:
+        ends = {(t.absorbed, t.truncated) for t in trajs}
+        assert ends == {(True, False), (False, True), (False, False)}
+
+
+def test_a_wrong_stream_derivation_is_refused(monkeypatch):
+    derive = mc.kmc._pcg64_states
+    monkeypatch.setattr(mc.kmc, "_pcg64_states", lambda seeds: [(s ^ 1, inc) for s, inc in derive(seeds)])
+    mc.kmc._check_stream_derivation.cache_clear()
+    try:
+        with pytest.raises(mc.InternalInvariantError, match="derived for seed 0 is not the one numpy"):
+            mc.simulate_ensemble(TWO, 0.5, 1, 50.0, 3, seed=9)
+    finally:
+        mc.kmc._check_stream_derivation.cache_clear()
+
+
 def test_census_counts_and_serialization():
     trajs = mc.simulate_ensemble(TWO, 0.5, 1, 200.0, 4, seed=11)
     cen = mc.census(trajs, (0.0, 200.0))

@@ -294,12 +294,14 @@ def _kmc_sweep(args) -> int:
     g = _load(args)
     x0 = parse_state(args.x0)
     tgraph = _tgraph(g, args.tgraph)
-    points = []
-    for i, eps in enumerate(args.epsilon):
+    horizons = []  # every epsilon and horizon is checked before the first ensemble
+    for eps in args.epsilon:
         try:
-            horizon = math.exp(float(tgraph.threshold) / check_epsilon(eps))
+            horizons.append(math.exp(float(tgraph.threshold) / check_epsilon(eps)))
         except OverflowError:
             raise GraphError(f"horizon exp({tgraph.threshold}/{eps!r}) is too large for a float") from None
+    points = []
+    for i, (eps, horizon) in enumerate(zip(args.epsilon, horizons)):
         trajs = simulate_ensemble(g, eps, x0, horizon, args.n, args.seed + i)
         rep = census_vs_tgraph(trajs, tgraph, (0.0, horizon))
         points.append({"epsilon": eps, "horizon": horizon, **rep.to_json_dict()})

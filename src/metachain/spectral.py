@@ -30,7 +30,7 @@ from .chain import (
     generator_matrix,
 )
 from .graphio import format_rational
-from .wgraph import DEFAULT_ENUMERATION_CAP, _iter_assignments
+from .wgraph import DEFAULT_ENUMERATION_CAP, _check_cap, _iter_assignments
 
 __all__ = [
     "numerical_eigenvalues",
@@ -245,8 +245,8 @@ def _coeffs_via_wgraphs(g: ChainGraph, gm: GeneratorMatrix, cap: int) -> np.ndar
             continue
         l = len(chosen)  # n - (number of sinks)
         log_prod = 0.0
-        for a in chosen:
-            log_prod += log(L[idx[a.tail], idx[a.head]])
+        for t, h in chosen:
+            log_prod += log(L[idx[t], idx[h]])
         C[l] += exp(log_prod)
     return C
 
@@ -259,11 +259,12 @@ def charpoly_identity_check(
     The matrix side sums principal minors at every size (cancellation-free,
     hence numerically stable at moderate epsilon); its 2^n determinants cost
     about as much as the combinatorial side, which sums rate products over
-    the in-forests the capped enumeration yields.  An arc whose rate
-    underflows to zero at this epsilon is refused with ``GraphError``.
-    Relative residuals cover l = 1 .. n-1; the t^0 coefficient is reported
-    on its own since it must vanish.
+    the in-forests the capped enumeration yields; a chain over the cap is
+    refused first.  An arc whose rate underflows to zero at this epsilon is
+    refused with ``GraphError``.  Relative residuals cover l = 1 .. n-1;
+    the t^0 coefficient is reported on its own since it must vanish.
     """
+    _check_cap(g, cap)
     gm = generator_matrix(g, epsilon)
     idx = gm.index
     for a in g.arcs:
@@ -273,7 +274,7 @@ def charpoly_identity_check(
                 "so the coefficient identity cannot be checked; use a larger epsilon"
             )
     n = g.n
-    cw = _coeffs_via_wgraphs(g, gm, cap)  # first: it refuses a graph over the cap
+    cw = _coeffs_via_wgraphs(g, gm, cap)
     cm = _coeffs_via_minors(gm.matrix)
     residuals = []
     for l in range(1, n):

@@ -4,11 +4,13 @@ A w-graph with m sinks assigns to each non-sink vertex exactly one of its
 outgoing arcs so that no cycle forms; equivalently it is a spanning forest
 of in-trees rooted at the m sinks.  Two routes to the optimal ones live
 here.  The oracle is one exact enumeration for every sink count at once,
-pruned by branch and bound on integer weights: it skips only partial
-assignments whose every completion is strictly heavier than the best
-w-graph found with its sink count, so it keeps every tied optimum, in
-enumeration order.  It stays exponential and is capped at 9 states unless
-the caller raises the cap.  The other route reads the optimum off a
+a single loop over per-depth cursors pruned by branch and bound on
+integer weights: each sink count's ceiling starts at the weight of a
+greedy in-forest and falls to the best w-graph found, and the walk skips
+only partial assignments whose every completion is strictly heavier, so
+it keeps every tied optimum, in enumeration order.  It stays exponential
+and is capped at 9 states unless the caller raises the cap; a chain over
+the cap is refused before any work.  The other route reads the optimum off a
 completed symmetry-free sweep report by Edmonds' expansion: the first k(m)
 transfers form the contracted in-forest the sweep held with m sinks, and
 expanding its cycles drops one T-arc per cycle.  The report is replayed
@@ -24,7 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Callable, Mapping, Optional, Sequence
+from math import inf
+from typing import Mapping, Optional, Sequence
 
 from .chain import (
     ChainGraph,
@@ -71,7 +74,7 @@ class WGraph:
 def _make_wgraph(g: ChainGraph, vertices: tuple, chosen: Sequence, total: Fraction) -> WGraph:
     """The w-graph of an assignment.  Its arcs come in decision order, one
     per tail, so they are already sorted."""
-    arcs = tuple(a.pair() for a in chosen)
+    arcs = tuple(chosen)
     tails = {t for (t, _h) in arcs}
     sinks = frozenset(s for s in g.states if s not in tails)
     return WGraph(vertices=vertices, sinks=sinks, arcs=arcs, total_weight=total)
@@ -82,62 +85,107 @@ def _decision_order(g: ChainGraph) -> list:
     return sorted(g.states, key=state_key)
 
 
-def _iter_assignments(
-    g: ChainGraph,
-    cap: int,
-    weight: Optional[Mapping] = None,
-    prune: Optional[Callable[[int, int, int], bool]] = None,
-):
-    """Yield every acyclic sink-or-arc assignment as (chosen arcs, total).
-
-    The walk decides the vertices in ``_decision_order``, each first as a
-    sink and then along its out-arcs in head order.  Cycles are pruned
-    during construction by walking the partial successor map, so only
-    genuine in-forests reach the caller.  ``chosen`` is the walk's own
-    list: copy it to keep it.  ``total`` sums ``weight[pair]`` over the
-    chosen arcs (0 without ``weight``).  Before the walk decides the i-th
-    vertex it asks ``prune(i, arcs chosen so far, total)``; on True it
-    skips every completion of the partial assignment.
-    """
+def _check_cap(g: ChainGraph, cap: int) -> None:
     if g.n > cap:
         raise EnumerationCapError(
             f"enumeration over {g.n} vertices exceeds the cap of {cap}; "
             "raise the cap explicitly if the blow-up is acceptable"
         )
+
+
+def _iter_assignments(
+    g: ChainGraph, cap: int, weight: Optional[Mapping] = None, ceiling: Optional[list] = None
+):
+    """Yield every acyclic sink-or-arc assignment as (chosen pairs, total).
+
+    One loop over per-depth cursors, not recursion, decides the vertices in
+    ``_decision_order``, each first as a sink and then along its out-arcs
+    in head order.  An arc that would close a cycle in the partial
+    successor map is skipped, so only in-forests reach the caller.
+    ``chosen`` is the walk's own list of (tail, head) pairs: copy it to keep
+    it.  ``total`` sums ``weight[pair]`` over it (0 without ``weight``).
+    With ``ceiling``, a list by sink count that the caller may lower between
+    yields, the walk skips every partial assignment, leaves included, whose
+    completions with m sinks all weigh more than ``ceiling[m]``.
+    """
+    _check_cap(g, cap)
     verts = _decision_order(g)
     n = len(verts)
-    options = [
-        [
-            (a, weight[a.pair()] if weight is not None else 0)
-            for a in sorted(g.out_arcs(v), key=lambda a: state_key(a.head))
+    rank = {v: i for i, v in enumerate(verts)}
+    pairs = [sorted((a.pair() for a in g.out_arcs(v)), key=lambda p: rank[p[1]]) for v in verts]
+    options = [[(rank[p[1]], p, 0 if weight is None else weight[p]) for p in ps] for ps in pairs]
+    # limit[i][a]: the heaviest total worth extending at depth i with a arcs
+    limit = [[inf] * (n + 1)] * (n + 1)
+    if ceiling is not None:
+        # least[i][k]: the k smallest least-out-arc weights among the
+        # vertices undecided at depth i, summed: a completion adding k arcs
+        # weighs at least that much more, and has n - a - k sinks
+        least_out = [min(w for _h, _p, w in opts) if opts else None for opts in options]
+        least = [
+            list(accumulate(sorted(w for w in least_out[i:] if w is not None), initial=0)) for i in range(n + 1)
         ]
-        for v in verts
-    ]
-    succ: dict = {}
+
+        def limits() -> list:
+            down = ceiling[::-1]  # down[a + k] is ceiling[n - a - k]
+            return [[max(map(operator.sub, down[a:], least[i])) for a in range(i + 1)] for i in range(n + 1)]
+
+        seen, limit = list(ceiling), limits()
+    succ = [-1] * n  # succ[i]: the rank vertex i points to, or -1
+    cursor = [0] * n  # vertex i tries the sink at 0, then options[i][j - 1] at j
+    totals = [0] * n
     chosen: list = []
-
-    def rec(i: int, total: int):
-        if i == n:
-            yield chosen, total
-            return
-        if prune is not None and prune(i, len(chosen), total):
-            return
-        yield from rec(i + 1, total)  # verts[i] is a sink
-        v = verts[i]
-        for arc, w in options[i]:
-            cur = arc.head
-            while cur in succ:
-                cur = succ[cur]
-                if cur == v:
-                    break  # the arc would close a cycle
+    i = 0
+    while i >= 0:
+        if succ[i] >= 0:  # retract vertex i's last arc
+            succ[i] = -1
+            chosen.pop()
+        j, total, opts = cursor[i], totals[i], options[i]
+        if j:
+            while j <= len(opts):
+                h, pair, w = opts[j - 1]
+                root = h
+                while succ[root] >= 0:
+                    root = succ[root]
+                if root != i:  # no cycle through vertex i
+                    break
+                j += 1
             else:
-                succ[v] = arc.head
-                chosen.append(arc)
-                yield from rec(i + 1, total + w)
-                chosen.pop()
-                del succ[v]
+                i -= 1
+                continue
+            succ[i] = h
+            chosen.append(pair)
+            total += w
+        cursor[i] = j + 1
+        if total > limit[i + 1][len(chosen)]:
+            continue
+        if i + 1 < n:
+            i += 1
+            cursor[i], totals[i] = 0, total
+            continue
+        yield chosen, total
+        if ceiling is not None and ceiling != seen:
+            seen, limit = list(ceiling), limits()
 
-    yield from rec(0, 0)
+
+def _greedy_ceilings(g: ChainGraph, weight: Mapping) -> list:
+    """Weights by sink count of the in-forests met from all n sinks down,
+    each step adding the lightest arc from a root into another tree; a
+    count never met is over every in-forest's weight, and 0 sinks is -1."""
+    n = g.n
+    rank = {s: i for i, s in enumerate(g.states)}
+    arcs = sorted((w, rank[t], rank[h]) for (t, h), w in weight.items())
+    ceiling = [-1] + [sum(weight.values()) + 1] * n
+    ceiling[n] = total = 0
+    up = list(range(n))  # union-find: each tree's representative is its root
+    for m in range(n - 1, 0, -1):
+        for w, t, h in arcs:
+            if up[t] == t and (root := find(up, h)) != t:
+                up[t] = root
+                ceiling[m] = total = total + w
+                break
+        else:
+            break
+    return ceiling
 
 
 def enumerate_all_optimal(g: ChainGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
@@ -145,49 +193,29 @@ def enumerate_all_optimal(g: ChainGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
     Returns {m: (optima, unique)} where optima is a tuple of WGraphs tied
     at the minimum, in enumeration order, and unique says whether exactly
-    one attains it.  Weights are compared as integers after clearing
-    denominators, so ties are exact.  A partial assignment is abandoned only
-    when, for every sink count its completions can still reach, even the
-    lightest completion weighs more than the best w-graph found so far:
-    completions that tie with the best are still visited, so every tied
-    optimum is found and the result equals that of the full enumeration.
+    one attains it.  A graph over the cap is refused before any work.
+    Weights are compared as integers after clearing denominators, so ties
+    are exact.  The ceiling for each sink count starts at the weight of a
+    greedy in-forest and falls to the best found so far.  A partial
+    assignment is abandoned only when, for every sink count its completions
+    can still reach, even the lightest completion weighs more than that
+    ceiling: every in-forest weighs at least the optimum, so completions
+    that tie with it are still visited, every tied optimum is found and the
+    result equals that of the full enumeration.
     """
+    _check_cap(g, cap)
     n = g.n
     scale, int_weight = g.integer_weights
-    verts = _decision_order(g)
-    least_out = {
-        v: min(int_weight[a.pair()] for a in g.out_arcs(v)) for v in verts if g.out_arcs(v)
-    }
-    # least[i][k]: the k smallest least-out-arc weights among the vertices
-    # still undecided at depth i, summed; a completion that adds k arcs
-    # weighs at least that much more
-    least = [
-        list(accumulate(sorted(least_out[v] for v in verts[i:] if v in least_out), initial=0))
-        for i in range(n + 1)
-    ]
-    # ceiling[m]: the heaviest total still worth visiting with m sinks, the
-    # best found so far; before the first, more than any w-graph weighs, and
-    # less than any weighs for m = 0 (no w-graph is sinkless)
-    unbounded = sum(int_weight.values()) + 1
-    ceiling = [unbounded if m else -1 for m in range(n + 1)]
+    ceiling = _greedy_ceilings(g, int_weight)
     optima: dict = {}  # m -> assignments weighing ceiling[m]
-
-    def hopeless(i: int, arcs: int, total: int) -> bool:
-        m = n - arcs
-        for extra in least[i]:  # a completion with m sinks
-            if total + extra <= ceiling[m]:
-                return False
-            m -= 1
-        return True
-
-    for chosen, total in _iter_assignments(g, cap, int_weight, hopeless):
+    for chosen, total in _iter_assignments(g, cap, int_weight, ceiling):
         m = n - len(chosen)
         if total < ceiling[m]:
             ceiling[m] = total
-            optima[m] = [list(chosen)]
-        elif total == ceiling[m]:
-            optima[m].append(list(chosen))
-    vertices = tuple(verts)
+            optima[m] = [tuple(chosen)]
+        else:
+            optima.setdefault(m, []).append(tuple(chosen))
+    vertices = tuple(_decision_order(g))
     result = {}
     for m, assignments in sorted(optima.items()):
         weight = Fraction(ceiling[m], scale)

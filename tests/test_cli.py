@@ -330,6 +330,21 @@ def test_kmc_sweep_refusals_exit_one(tmp_path, capsys, monkeypatch, extra, messa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("-1", "error: epsilon must be a finite positive real, got -1.0\n"),
+        ("1e-05", "error: horizon exp(3/1e-05) is too large for a float\n"),
+    ],
+)
+def test_kmc_sweep_checks_every_epsilon_before_simulating(capsys, monkeypatch, bad, message):
+    monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: pytest.fail("simulated before refusing"))
+    argv = ["kmc", "--input", NESTED_INTEGER, "--x0", "1", "--tgraph", "2", "--n", "3000",
+            "--epsilon", "0.2", "--epsilon", "0.15", "--epsilon", bad]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", message)
+
+
 def test_unknown_flag_exits_one(demo_file, capsys):
     assert main(["alg1", "--input", demo_file, "--frobnicate"]) == 1
 

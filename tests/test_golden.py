@@ -6,6 +6,8 @@ on the motor model or on the built-in example (``demo.dot``).
 A refactor of the sweeps or the sampler must leave every byte of these
 reports unchanged.
 The same chain saved as ``<demo>.graph.tsv`` must give the same bytes.
+``<demo>.optima.json`` holds the oracle's optimal in-forests for every sink
+count, in enumeration order, with their ``unique`` flags.
 
 Regenerate the files (only when a report is meant to change) with
 
@@ -75,6 +77,21 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def optima_json(g) -> str:
+    """``enumerate_all_optimal(g)`` as canonical JSON, exact rationals only."""
+    per_m = mc.enumerate_all_optimal(g)
+    return mc.dump_json({
+        str(m): {"unique": unique, "wgraphs": [w.to_json_dict() for w in graphs]}
+        for m, (graphs, unique) in per_m.items()
+    })
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_oracle_optima_match_golden_bytes(demo):
+    g = mc.load_graph(GOLDEN / f"{demo}.graph.json")
+    assert optima_json(g).encode() == (GOLDEN / f"{demo}.optima.json").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(TSV_CASES))
 def test_tsv_input_matches_golden_bytes(name, tmp_path):
     out = tmp_path / name
@@ -87,6 +104,7 @@ def _write_golden() -> None:
     for demo, make in DEMOS.items():
         mc.save_graph(make(), GOLDEN / f"{demo}.graph.json")
         mc.save_graph(make(), GOLDEN / f"{demo}.graph.tsv")
+        (GOLDEN / f"{demo}.optima.json").write_bytes(optima_json(make()).encode())
     for name, argv in CASES.items():
         if main(argv + ["--out", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"{name}: {' '.join(argv)} failed")

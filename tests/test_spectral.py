@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import metachain as mc
+from metachain import spectral
 from metachain.chain import generator_matrix
 from metachain.demos import tied_min_arc_chain, two_state_chain
 from metachain.spectral import eigenvalue_magnitudes, numerical_eigenvalues
@@ -211,4 +212,11 @@ def test_charpoly_refuses_an_underflowing_arc_rate():
 def test_charpoly_cap():
     ring = mc.chain_graph([(i, i % 10 + 1, i) for i in range(1, 11)])
     with pytest.raises(mc.EnumerationCapError):
+        mc.charpoly_identity_check(ring, 1.0)
+
+
+def test_charpoly_refuses_a_chain_over_the_cap_before_building_the_generator(monkeypatch):
+    ring = mc.chain_graph([(i, i % 3000 + 1, 1) for i in range(1, 3001)])
+    monkeypatch.setattr(spectral, "generator_matrix", lambda *args: pytest.fail("built the generator"))
+    with pytest.raises(mc.EnumerationCapError, match="over 3000 vertices exceeds the cap of 9"):
         mc.charpoly_identity_check(ring, 1.0)

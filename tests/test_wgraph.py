@@ -1,6 +1,7 @@
 """Spanning in-forest enumeration, sweep-based extraction and nesting."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from conftest import chain_graphs, successor_map, weak_nested_violations
 from metachain.chain import state_key
 from metachain.contraction import SuperVertex
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
+from metachain import wgraph
 from metachain.wgraph import (
     DEFAULT_ENUMERATION_CAP,
     WGraph,
@@ -93,6 +95,19 @@ def test_enumeration_cap():
     with pytest.raises(mc.EnumerationCapError):
         list(enumerate_wgraphs(g, 1))
     assert len(list(enumerate_wgraphs(g, 1, cap=10))) == 10
+
+
+def test_enumeration_refuses_a_chain_over_the_cap_before_any_work(monkeypatch):
+    ring = mc.chain_graph([(i, i % 3000 + 1, 1) for i in range(1, 3001)])
+    monkeypatch.setattr(wgraph, "_greedy_ceilings", lambda *args: pytest.fail("seeded the ceilings"))
+    monkeypatch.setattr(wgraph, "_iter_assignments", lambda *args: pytest.fail("started the walk"))
+    with pytest.raises(mc.EnumerationCapError, match="over 3000 vertices exceeds the cap of 9"):
+        mc.enumerate_all_optimal(ring)
+
+
+def test_walk_does_not_recurse_as_deep_as_the_chain():
+    ring = mc.chain_graph([(i, i % 3000 + 1, 1) for i in range(1, 3001)])
+    assert next(_iter_assignments(ring, cap=3000)) == ([], 0)  # every state a sink
 
 
 def test_missing_sink_count_reported():
@@ -455,10 +470,10 @@ def test_corpus_extraction_spot_check(oracle_corpus, oracle_extractions):
 
 
 @st.composite
-def oracle_graphs(draw):
+def oracle_graphs(draw, max_n=9):
     """A 3-9-state chain, sometimes with every out-arc of one state dropped
     (that state is then a sink of every w-graph)."""
-    g = draw(chain_graphs(min_n=3))
+    g = draw(chain_graphs(min_n=3, max_n=max_n))
     if draw(st.booleans()):
         dead = draw(st.sampled_from(g.states))
         g = mc.chain_graph(
@@ -486,3 +501,55 @@ def test_pruned_oracle_matches_full_enumeration(g):
     want = {m: reference_optima(g, m) for m in range(1, g.n + 1)}
     got = mc.enumerate_all_optimal(g)
     assert list(got.items()) == [(m, ref) for m, ref in want.items() if ref is not None]
+
+
+def brute_force_optima(g) -> dict:
+    """{m: (optima, unique)} from ``itertools.product`` over each state's
+    sink-or-out-arc choices, states in decision order and arcs in head
+    order, so the assignments come in the oracle's enumeration order; an
+    assignment with a cycle, found by following successors, is skipped."""
+    verts = sorted(g.states, key=state_key)
+    choices = [[None] + sorted((a.head for a in g.out_arcs(v)), key=state_key) for v in verts]
+    best: dict = {}
+    for heads in itertools.product(*choices):
+        succ = {v: h for v, h in zip(verts, heads) if h is not None}
+        cyclic = False
+        for v in succ:
+            x = v
+            for _ in range(g.n):
+                x = succ.get(x)
+                if x is None:
+                    break
+            else:
+                cyclic = True  # still moving after n steps
+        if cyclic:
+            continue
+        arcs = tuple(succ.items())
+        w = WGraph(
+            vertices=tuple(verts),
+            sinks=frozenset(v for v in verts if v not in succ),
+            arcs=arcs,
+            total_weight=sum((g.arc_map[p].weight for p in arcs), Fraction(0)),
+        )
+        lightest = best.get(w.m)
+        if lightest is None or w.total_weight < lightest[0].total_weight:
+            best[w.m] = [w]
+        elif w.total_weight == lightest[0].total_weight:
+            lightest.append(w)
+    return {m: (tuple(ws), len(ws) == 1) for m, ws in sorted(best.items())}
+
+
+@st.composite
+def small_oracle_graphs(draw):
+    """A 3-7-state chain from ``oracle_graphs``; half of them get integer
+    exponents 1..3 instead, so tied optima are common."""
+    g = draw(oracle_graphs(max_n=7))
+    if draw(st.booleans()):
+        g = mc.chain_graph([(a.tail, a.head, draw(st.integers(1, 3))) for a in g.arcs], states=g.states)
+    return g
+
+
+@settings(max_examples=1000)
+@given(small_oracle_graphs())
+def test_pruned_oracle_matches_brute_force(g):
+    assert mc.enumerate_all_optimal(g) == brute_force_optima(g)

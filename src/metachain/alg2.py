@@ -9,13 +9,15 @@ the single-arc sweep's, so a released group is in id order.  Prefactors, if
 present, are carried through unmodified and flagged as ignored: the class
 update rule only preserves exponents.  The new closed classes of a step are
 found on the contracted graph, from the vertices that step released, never
-recomputed from scratch.
+recomputed from scratch; a released vertex whose first arc already leads
+to a sink, directly or by a memo, is settled without a walk.
 
 ``compare_alg1_alg2`` checks the four consistency statements tying the two
 sweeps together; the command-line ``compare`` subcommand turns a violation
 into exit code 2 because it can only mean an implementation bug.  It
 follows the closed classes of both expanded arc sets with the same walk
-the sweep uses, on the states rather than the sweep's working graph.
+the sweep uses, on state ids rather than the sweep's working graph, and
+pairs again only the classes a window changed.
 """
 
 from __future__ import annotations
@@ -178,7 +180,11 @@ def run_algorithm2(
     if stop.kind not in ("bucket-empty", "exponent-threshold", "class-covering", "custom"):
         raise ValueError(f"stop criterion {stop.kind!r} does not apply to this sweep")
     validate(g).require_one_closed_class()
+    return _sweep(g, stop, _class_order)
 
+
+def _sweep(g: ChainGraph, stop: StopCriterion, _class_order=None) -> Alg2Report:
+    """``run_algorithm2`` on a graph with one closed class, already checked."""
     wg = WorkingGraph(g)
     scale, vertex, sid = wg.scale, wg.vertex, wg.sid
     if stop.kind == "class-covering":
@@ -228,7 +234,7 @@ def run_algorithm2(
 
         by_vids = {
             frozenset(vertex[v] for v in ids): ids
-            for ids in _new_closed_classes(wg.current, step, heads, sinks, reach)
+            for ids in _new_closed_classes(wg.up, step, heads, sinks, reach)
         }
         nontrivial = list(by_vids)
         if len(nontrivial) > 1:
@@ -322,15 +328,15 @@ def _held_states(v) -> frozenset:
     return v.states() if isinstance(v, SuperVertex) else frozenset((v,))
 
 
-def _new_closed_classes(current, starts, heads: dict, sinks: set, reach: dict) -> list:
+def _new_closed_classes(up: list, starts, heads: dict, sinks: set, reach: dict) -> list:
     """The nontrivial closed classes reachable from ``starts``, each as a
     list of current vertices, found by one iterative Tarjan pass.
 
-    Vertices are ints, and ``current(x)`` is the current vertex holding x.
+    Vertices are ints, and ``find(up, x)`` is the current vertex holding x.
     Every current vertex not in ``sinks`` must have ``heads``: the heads of
-    its arcs as ids, ``current`` resolving each.  The pass follows those
-    arcs.  It stops at a sink, and at a vertex whose memo in ``reach`` names
-    a vertex that is still a sink: arcs are never taken back and a
+    its arcs as ids, ``up`` resolving each.  The pass follows those arcs.
+    It stops at a sink, and at a vertex whose memo in ``reach`` names a
+    vertex that is still a sink: arcs are never taken back and a
     contraction keeps every path, so that vertex still reaches the sink and
     lies in no closed class.  A vertex seen to reach outside its component
     reads no more of its arcs: its component is not closed, and a new class
@@ -338,14 +344,32 @@ def _new_closed_classes(current, starts, heads: dict, sinks: set, reach: dict) -
     nothing outside is a closed class; the vertices of any other get a memo
     naming what they reach, either a sink or a member of a class the caller
     contracts into a new sink.
+
+    Most starts stop at their first head; each such start first gets the
+    memo the pass would give it, and the pass stops at it like at any other
+    memo.  Only the other starts are walked, in order, if any are left.
     """
+    walk: list = []
+    for s in starts:
+        x = heads[s][0]
+        while up[x] != x:
+            up[x] = x = up[up[x]]
+        if x not in sinks:
+            m = reach.get(x)
+            if m is None or find(up, m) not in sinks:
+                walk.append(s)
+                continue
+            x = m
+        reach[s] = x
+    if not walk:
+        return walk
     index: dict = {}  # vertex the pass entered -> its preorder number
     low: dict = {}
     done: dict = {}  # vertex whose component is finished -> what it reaches
     out: dict = {}  # vertex on the stack -> what its component is seen to reach, or None
     path: list = []  # Tarjan's stack of unfinished vertices
     found: list = []
-    for s in starts:
+    for s in walk:
         if s in index:
             continue
         index[s] = low[s] = len(index)
@@ -355,14 +379,15 @@ def _new_closed_classes(current, starts, heads: dict, sinks: set, reach: dict) -
         while frames:
             v, it = frames[-1]
             if out[v] is None:
-                for h in it:
-                    x = current(h)
+                for x in it:
+                    while up[x] != x:
+                        up[x] = x = up[up[x]]
                     if x not in index and x not in done:
                         if x in sinks:
                             done[x] = x
                         else:
                             m = reach.get(x)
-                            if m is not None and current(m) in sinks:
+                            if m is not None and find(up, m) in sinks:
                                 done[x] = m
                             else:
                                 index[x] = low[x] = len(index)
@@ -418,7 +443,7 @@ class _GrowingClosedClasses:
     vertex a start of the next walk, and a lost class if it was a sink.  A
     found class has no arc leaving it, so the heads of its parts are dropped.
 
-    ``label(s)`` is the vertex of state s if that is a sink, else None;
+    The label of state s is ``find(up, s)`` if that is a sink, else None;
     ``moved`` lists the states the last ``add`` relabelled, each with its
     former label.
     """
@@ -430,10 +455,6 @@ class _GrowingClosedClasses:
         self.sinks = set(range(n))
         self.reach: dict = {}  # vertex -> a vertex it reached that was a sink then
         self.moved: list = []  # (state, former label) for each state the last add relabelled
-
-    def label(self, s: int) -> Optional[int]:
-        v = find(self.up, s)
-        return v if v in self.sinks else None
 
     def add(self, arcs: Iterable[tuple]) -> tuple:
         """Add (tail, head) arcs; return the labels of the closed classes lost
@@ -456,7 +477,10 @@ class _GrowingClosedClasses:
             if v in sinks:
                 sinks.remove(v)
                 lost.append(v)
-        found = _new_closed_classes(lambda x: find(up, x), starts, heads, sinks, reach)
+        found = _new_closed_classes(up, starts, heads, sinks, reach) if starts else []
+        if not found:  # every lost vertex is transient now
+            self.moved = [(s, x) for x in lost for s in states[x]]
+            return lost, found
         was_sink = set(lost)
         moved = self.moved = []
         gained: list = []
@@ -481,65 +505,77 @@ class _GrowingClosedClasses:
 
 
 class _PairedClosedClasses:
-    """Two closed-class trackers over the same states, and which classes of
-    either side have no class of the same states on the other.
+    """Two closed-class trackers over the same n states, ids 0..n-1, and
+    which classes of either side have no class of the same states on the
+    other.
 
-    A class is keyed (side, label).  ``count[c0, c1]`` is the number of
-    states labelled c0 on side 0 and c1 on side 1, kept as the trackers
-    relabel states.  A class c with a state labelled d on the other side
-    equals d exactly when that count is the size of both.  After each update
-    only the classes it lost or gained, and the former partners of those,
-    are checked again.
+    The class labelled v on side ``side`` is keyed ``side * n + v``.
+    ``count[c0 * n + c1]`` is the number of states labelled c0 on side 0
+    and c1 on side 1, kept as the trackers relabel states.  A class c with
+    a state labelled d on the other side equals d exactly when that count
+    is the size of both.  After each update only the classes it lost or
+    gained, and the former partners of those, are checked again.
     """
 
-    def __init__(self, states):
-        self.sid = {s: i for i, s in enumerate(states)}
-        n = len(self.sid)
+    def __init__(self, n: int):
+        self.n = n
         self.sides = (_GrowingClosedClasses(n), _GrowingClosedClasses(n))
-        self.count: dict = {(v, v): 1 for v in range(n)}
+        self.count: dict = {v * n + v: 1 for v in range(n)}
         # class -> its equal on the other side
-        self.partner: dict = {(side, v): (1 - side, v) for side in (0, 1) for v in range(n)}
+        self.partner: dict = {side * n + v: (1 - side) * n + v for side in (0, 1) for v in range(n)}
         self.unmatched: set = set()  # classes with no partner
 
-    def add(self, arcs0: Iterable[Arc], arcs1: Iterable[Arc]) -> None:
-        sid, sides = self.sid, self.sides
+    def add(self, arcs0: list, arcs1: list) -> None:
+        """Add (tail, head) arcs on the ids to side 0 and side 1."""
+        n, sides = self.n, self.sides
         count, partner, unmatched = self.count, self.partner, self.unmatched
         check: set = set()  # classes to check again
         for side, arcs in ((0, arcs0), (1, arcs1)):
             tracker, other = sides[side], sides[1 - side]
-            lost, gained = tracker.add([(sid[a.tail], sid[a.head]) for a in arcs])
+            lost, gained = tracker.add(arcs)
+            up, sinks, oup, osinks = tracker.up, tracker.sinks, other.up, other.sinks
+            wt, wo = (n, 1) if side == 0 else (1, n)  # count key: label * wt + other label * wo
             for s, old in tracker.moved:
-                d = other.label(s)
-                if d is not None:
-                    for c, step in ((old, -1), (tracker.label(s), 1)):
-                        if c is not None:
-                            key = (c, d) if side == 0 else (d, c)
-                            count[key] = count.get(key, 0) + step
+                d = find(oup, s)
+                if d not in osinks:
+                    continue
+                d *= wo
+                if old is not None:
+                    count[old * wt + d] -= 1
+                c = find(up, s)
+                if c in sinks:
+                    key = c * wt + d
+                    count[key] = count.get(key, 0) + 1
             for v in (*lost, *gained):
-                check.add((side, v))
-                old = partner.pop((side, v), None)
+                c = side * n + v
+                check.add(c)
+                old = partner.pop(c, None)
                 if old is not None:
                     del partner[old]
                     check.add(old)
         # a class and its equal see the same counts, so they agree
         for c in check:
             unmatched.discard(c)
-            side, v = c
-            if c in partner or sides[side].label(v) != v:
+            side, v = divmod(c, n)
+            tracker, other = sides[side], sides[1 - side]
+            if c in partner or tracker.up[v] != v or v not in tracker.sinks:
                 continue  # matched from the other side, or no longer a class
-            d = sides[1 - side].label(v)
-            size = len(sides[side].states[v])
-            key = (v, d) if side == 0 else (d, v)
-            if d is not None and len(sides[1 - side].states[d]) == size == count.get(key, 0):
-                partner[c], partner[1 - side, d] = (1 - side, d), c
-                unmatched.discard((1 - side, d))
+            d = find(other.up, v)
+            key = v * n + d if side == 0 else d * n + v
+            if d in other.sinks and len(other.states[d]) == len(tracker.states[v]) == count.get(key, 0):
+                e = partner[c] = (1 - side) * n + d
+                partner[e] = c
+                unmatched.discard(e)
             else:
                 unmatched.add(c)
 
     def differ(self) -> tuple:
         """Whether the nontrivial classes, and the absorbing vertices, differ."""
-        sizes = {len(self.sides[side].states[v]) for side, v in self.unmatched}
-        return max(sizes, default=0) >= 2, 1 in sizes
+        if not self.unmatched:
+            return False, False
+        n, sides = self.n, self.sides
+        sizes = {len(sides[c // n].states[c % n]) for c in self.unmatched}
+        return max(sizes) >= 2, 1 in sizes
 
 
 @dataclass(frozen=True)
@@ -634,7 +670,10 @@ def compare_alg1_alg2(
                f"differ: {[str(Fraction(x, scale)) for x in distinct]} vs {list(map(str, r2.theta))}"),
         )
     )
-    windows = list(enumerate(zip(k_index, r2.transfers_by_step), start=1))
+    # both transfer lists on state ids; window p is ids2[ends[p - 1]:ends[p]]
+    sid = {s: i for i, s in enumerate(g.states)}
+    ids1, ids2 = ([(sid[a.tail], sid[a.head]) for a in r.transfers] for r in (r1, r2))
+    ends = r2.tgraphs.ends
 
     # Statement 2: every earlier step lay inside an earlier (smaller) window,
     # so a step fits its window exactly when its own arc does.
@@ -642,10 +681,10 @@ def compare_alg1_alg2(
     detail2 = "every partial arc set is contained in its matching window"
     window: set = set()
     prev = 0
-    for p, (kp, released) in windows:
-        window.update(a.pair() for a in released)
+    for p, kp in enumerate(k_index, start=1):
+        window.update(ids2[ends[p - 1]:ends[p]])
         for k in range(prev + 1, kp + 1):
-            if r1.transfers[k - 1].pair() not in window:
+            if ids1[k - 1] not in window:
                 ok2 = False
                 extra = sorted(r1.tgraphs[k].pairs() - r2.tgraphs[p].pairs())
                 detail2 = f"step {k} holds arcs outside window {p}: {extra}"
@@ -661,11 +700,11 @@ def compare_alg1_alg2(
     # Statements 3/4: follow both closed-class families window by window,
     # noting the last window where a class of one side has no equal on the
     # other; that window is then described from scratch.
-    paired = _PairedClosedClasses(g.states)
+    paired = _PairedClosedClasses(len(sid))
     last3 = last4 = None
     prev = 0
-    for p, (kp, released) in windows:
-        paired.add(r1.transfers[prev:kp], released)
+    for p, kp in enumerate(k_index, start=1):
+        paired.add(ids1[prev:kp], ids2[ends[p - 1]:ends[p]])
         prev = kp
         nontrivial_differ, absorbing_differ = paired.differ()
         if nontrivial_differ:

@@ -128,9 +128,11 @@ class WorkingGraph:
 
     A current vertex is an int id: the states in state order are 0..n-1,
     and each contraction makes the next id.  ``vertex[vid]`` is the state
-    or ``SuperVertex`` an id stands for; ``vertex_of(state)`` and
-    ``current(vid)`` are union-find lookups of the current vertex that holds
-    a state or an earlier vertex.
+    or ``SuperVertex`` an id stands for; ``find(up, vid)`` is the current
+    vertex holding the vertex ``vid``, and ``vertex_of(state)`` the one
+    holding a state.
+    up[vid]:    vid's parent in that union-find forest; a current vertex is
+                its own parent.
     arcs[p]:    arc p of the chain; ids follow (tail, head) state order,
                 reversed when ``revlex``, the one order among equal weights.
     kappa[p]:   arc p's prefactor in force.
@@ -155,20 +157,16 @@ class WorkingGraph:
         for h in self._heap:
             heapify(h)
         self._gone = bytearray(len(arcs))  # arcs the sweeps took
-        self._up = list(range(n))
+        self.up = list(range(n))
         self._least = list(range(n))  # vid -> its least state's id
         self._offset = [0] * n
         self.u_min: list = [None] * n
 
     def vertex_of(self, state: State) -> int:
-        return find(self._up, self.sid[state])
-
-    def current(self, vid: int) -> int:
-        """The current vertex that holds the vertex ``vid``."""
-        return find(self._up, vid)
+        return find(self.up, self.sid[state])
 
     def _dead(self, vid: int, p: int) -> bool:
-        return self._gone[p] or find(self._up, self._head[p]) == vid
+        return self._gone[p] or find(self.up, self._head[p]) == vid
 
     def min_arcs(self, vid: int) -> list:
         """The ids of ``vid``'s least-weight arcs, in id order.
@@ -218,7 +216,7 @@ class WorkingGraph:
         self._gone[p] = 1
         a = self.arcs[p]
         t = self.sid[a.tail]
-        if self._up[t] == t:
+        if self.up[t] == t:
             return a
         return Arc(a.tail, a.head, Fraction(weight, self.scale), self.kappa[p])
 
@@ -240,7 +238,7 @@ class WorkingGraph:
         group = set(vids)
         if len(group) < 2:
             raise GraphError("contraction needs at least two vertices")
-        up, heaps, m = self._up, self._heap, self.m
+        up, heaps, m = self.up, self._heap, self.m
         for v in group:
             if not (isinstance(v, int) and 0 <= v < len(up) and up[v] == v):
                 raise GraphError(f"cannot contract missing vertex {v!r}")

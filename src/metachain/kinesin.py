@@ -38,8 +38,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .alg2 import run_algorithm2
-from .chain import Arc, ChainGraph, GraphError, InternalInvariantError, parse_rational
+from .alg2 import _sweep
+from .chain import Arc, ChainGraph, GraphError, InternalInvariantError, parse_rational, validate
 from .graphio import format_rational
 from .stopping import StopCriterion
 
@@ -265,7 +265,7 @@ def _regime(zeta: Fraction, rings: tuple) -> _Regime:
     regime at zeta - d / s; a tie between different slopes holds at zeta
     alone.  Values are the run's integers, exponents times ``scale``.
     """
-    report = run_algorithm2(ChainGraph(_STATES, rings + _switch_arcs(zeta)), stop=kinesin_stop())
+    report = _sweep(ChainGraph(_STATES, rings + _switch_arcs(zeta)), kinesin_stop())
     g = report.graph
     scale, values = g.integer_weights
     # switch arcs are exactly the arcs between the rings
@@ -444,6 +444,8 @@ def kinesin_sweep(
         params = KinesinParams(zeta=grid[0])
     rings = _ring_arcs(params)
     first, last = grid[0], grid[-1]
+    # every zeta gives a graph on the same arc pairs, so one check covers all
+    validate(ChainGraph(_STATES, rings + _switch_arcs(first))).require_one_closed_class()
 
     segments: list = []  # [lo, hi, signature], unclipped
     seg_of: list = []  # regime index -> segment index

@@ -47,6 +47,23 @@ def chain_graphs(draw, n=None, min_n=4, max_n=9):
     return mc.chain_graph([(t, h, w) for (t, h), w in zip(arcs, weights)])
 
 
+def deep_funnel(n: int, seed: int = 0):
+    """Birth-death funnel draining into state 1.
+
+    The downhill exponent out of state i+1 rises with i and stays below the
+    uphill exponent out of state i, so the cycle around state 1 absorbs the
+    other states one at a time and the contraction tree nests n - 1 deep.
+    """
+    rng = random.Random(seed)
+    arcs = []
+    for i in range(1, n):
+        down = Fraction(7000 * i + rng.randint(1, 6999), 7)
+        up = down + Fraction(rng.randint(1, 35000), 7)
+        arcs.append((i, i + 1, up))
+        arcs.append((i + 1, i, down))
+    return mc.chain_graph(arcs)
+
+
 def derived_report_keys(doc: dict) -> dict:
     """The keys that alg1 schema 3 and alg2 schema 4 reports leave out,
     rebuilt from a written report: ``tgraphs`` and the float lists.

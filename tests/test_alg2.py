@@ -1,5 +1,6 @@
 """Simultaneous-release sweep: windows, class contraction, comparison."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -10,9 +11,14 @@ from hypothesis import strategies as st
 import metachain as mc
 from conftest import chain_graphs, derived_report_keys
 from metachain.alg1 import HierarchyNode, hierarchy_json
-from metachain.alg2 import _expanded_adjacency, _GrowingClosedClasses, class_hierarchy
+from metachain.alg2 import (
+    _expanded_adjacency,
+    _GrowingClosedClasses,
+    _PairedClosedClasses,
+    class_hierarchy,
+)
 from metachain.chain import closed_communicating_classes, state_key, super_vertex_name
-from metachain.contraction import SuperVertex, WorkingGraph
+from metachain.contraction import SuperVertex, WorkingGraph, find
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
 from metachain.graphio import format_rational, state_to_json
 
@@ -354,6 +360,12 @@ def tied_cases(draw):
 @given(st.one_of(sweep_cases(), tied_cases()))
 # 1 and 2 close at step 1, the class leaks to 3 at step 2 and 3 is released last
 @example((mc.chain_graph([(1, 2, 1), (2, 1, 1), (2, 3, 2), (3, 1, 3)]), None))
+# a funnel: 2 stops at the sink 1, 3 and 4 at 2's memo 1; once 1 is
+# released that memo is stale, so 1 and then {1,2} walk to the class
+@example((mc.chain_graph([(1, 2, 5), (2, 1, 1), (2, 3, 6), (3, 2, 2), (3, 4, 7), (4, 3, 3)]), None))
+# one step: 1 stops at the sink 2 and 4 at 1's fresh memo, both before the
+# walk from 3 reaches 4
+@example((mc.chain_graph([(1, 2, 1), (3, 4, 1), (4, 1, 1), (4, 3, 1), (2, 3, 2)]), None))
 def test_closed_classes_match_a_fresh_scc_pass(case):
     """The sweep finds closed classes on the contracted graph; each step's
     records must be the nontrivial closed classes of that step's expanded
@@ -484,11 +496,24 @@ def arc_batches(draw):
 # 1, which already has an arc leaving it, gains another in the batch in
 # which the absorbing 2 and 3 gain theirs
 @example(([1, 2, 3], [[(1, 2)], [(1, 3), (2, 1), (3, 1)]]))
+# 1 and 3 stop at their first heads, the sink 2
+@example(([1, 2, 3], [[(1, 2)], [(3, 2)]]))
+# 1's first head 2 has the memo 3, still a sink
+@example(([1, 2, 3], [[(2, 3)], [(1, 2)]]))
+# 2's memo 3 goes stale inside the class {3,4}, which then leaks to 5:
+# 5 and 1 must walk, and find the class of all five
+@example(([1, 2, 3, 4, 5], [[(2, 3)], [(3, 4), (4, 3)], [(4, 5)], [(5, 1), (1, 2)]]))
+# 1 stops at the sink 2 before the walk from 3 reaches it through 4
+@example(([1, 2, 3, 4], [[(1, 2), (3, 4), (4, 3), (4, 1)]]))
 def test_tracker_matches_a_fresh_scc_pass_after_every_add(case):
     states, batches = case
     sid = {s: i for i, s in enumerate(states)}
     tracker = _GrowingClosedClasses(len(states))
     ids = range(len(states))
+
+    def label(i):
+        v = find(tracker.up, i)
+        return v if v in tracker.sinks else None
 
     def held(c):
         return frozenset(states[i] for i in tracker.states[c])
@@ -496,24 +521,75 @@ def test_tracker_matches_a_fresh_scc_pass_after_every_add(case):
     adj = {s: [] for s in states}
     prev = {frozenset((s,)) for s in states}
     for batch in batches:
-        before = {i: tracker.label(i) for i in ids}
+        before = {i: label(i) for i in ids}
         snapshot = {c: held(c) for c in before.values() if c is not None}
         lost, gained = tracker.add([(sid[t], sid[h]) for t, h in batch])
         for t, h in batch:
             adj[t].append(h)
         fresh = closed_communicating_classes(adj, vertices=states)
-        live = {tracker.label(i) for i in ids} - {None}
+        live = {label(i) for i in ids} - {None}
         now = {held(c) for c in live}
         assert len(now) == len(live)
         assert now == set(fresh.nontrivial) | {frozenset((s,)) for s in fresh.absorbing}
-        assert all(tracker.label(i) == c for c in live for i in tracker.states[c])
+        assert all(label(i) == c for c in live for i in tracker.states[c])
         assert {snapshot[c] for c in lost} == prev - now
         assert {held(c) for c in gained} == now - prev
         # every relabelled state is listed once, with its former label
-        changed = {i for i in ids if before[i] != tracker.label(i)}
+        changed = {i for i in ids if before[i] != label(i)}
         assert sorted(i for i, _old in tracker.moved) == sorted(changed)
         assert all(before[i] == old for i, old in tracker.moved)
         prev = now
+
+
+@st.composite
+def paired_streams(draw):
+    """Two streams of arc batches over the same 2-9 states: equal, or the
+    same arcs batched otherwise, or one arc more, less or moved."""
+    n = draw(st.integers(2, 9))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+
+    def batched(arcs):
+        sizes = draw(st.lists(st.integers(1, 4), min_size=len(arcs), max_size=len(arcs)))
+        ends = [e for e in itertools.accumulate(sizes) if e < len(arcs)]
+        return [arcs[a:b] for a, b in zip([0, *ends], [*ends, len(arcs)]) if a < b]
+
+    first = batched(arcs)
+    how = draw(st.sampled_from(["equal", "rebatched", "one more", "one less", "moved"]))
+    if how == "equal":
+        return n, first, [list(b) for b in first], True
+    other = list(arcs)
+    spare = [q for q in pairs if q not in arcs]
+    if how == "one more" and spare:
+        other.insert(draw(st.integers(0, len(other))), draw(st.sampled_from(spare)))
+    elif how == "one less" and other:
+        del other[draw(st.integers(0, len(other) - 1))]
+    elif how == "moved" and other:
+        q = other.pop(draw(st.integers(0, len(other) - 1)))
+        other.insert(draw(st.integers(0, len(other))), q)
+    return n, first, batched(other), False
+
+
+@settings(max_examples=400)
+@given(paired_streams())
+# {0,1} closes on side 0 a batch before side 1
+@example((3, [[(0, 1), (1, 0)], [(1, 2)]], [[(0, 1)], [(1, 0), (1, 2)]], False))
+# the same class on both sides, built in other orders
+@example((3, [[(0, 1), (1, 2), (2, 0)]], [[(2, 0)], [(1, 2)], [(0, 1)]], False))
+def test_paired_classes_differ_as_fresh_scc_passes_do(case):
+    n, first, second, equal = case
+    paired = _PairedClosedClasses(n)
+    adj = ({v: [] for v in range(n)}, {v: [] for v in range(n)})
+    for batch0, batch1 in itertools.zip_longest(first, second, fillvalue=[]):
+        paired.add(batch0, batch1)
+        for side, batch in ((0, batch0), (1, batch1)):
+            for t, h in batch:
+                adj[side][t].append(h)
+        cc0, cc1 = (closed_communicating_classes(a, vertices=range(n)) for a in adj)
+        expected = (set(cc0.nontrivial) != set(cc1.nontrivial), cc0.absorbing != cc1.absorbing)
+        assert paired.differ() == expected
+        if equal:
+            assert expected == (False, False)
 
 
 NAMES = [1, "1", "10", "{1", "1,2", "{1,2}", 2, "2", "{1,", "{10", "a", "{1,2", 10]

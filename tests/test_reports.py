@@ -5,7 +5,6 @@ chains, and the linear-time sweep cross-check."""
 import functools
 import gc
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -14,29 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from conftest import chain_graphs, derived_report_keys
+from conftest import chain_graphs, deep_funnel, derived_report_keys
 from metachain.alg1 import Alg1Report, cycle_hierarchy
 from metachain.alg2 import _expanded_adjacency, class_hierarchy
 from metachain.chain import closed_communicating_classes
 from metachain.cli import main
 from metachain.graphio import format_rational
-
-
-def deep_funnel(n: int, seed: int = 0):
-    """Birth-death funnel draining into state 1.
-
-    The downhill exponent out of state i+1 rises with i and stays below the
-    uphill exponent out of state i, so the cycle around state 1 absorbs the
-    other states one at a time and the contraction tree nests n - 1 deep.
-    """
-    rng = random.Random(seed)
-    arcs = []
-    for i in range(1, n):
-        down = Fraction(7000 * i + rng.randint(1, 6999), 7)
-        up = down + Fraction(rng.randint(1, 35000), 7)
-        arcs.append((i, i + 1, up))
-        arcs.append((i + 1, i, down))
-    return mc.chain_graph(arcs)
 
 
 def tree_depth(flat: list) -> int:

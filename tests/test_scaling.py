@@ -1,14 +1,17 @@
 """The sweeps run on integers over the chain's common denominator; these
 tests check that this scaling is invisible: multiplying every exponent by
-c scales every reported exponent by exactly c and changes nothing else."""
+c scales every reported exponent by exactly c and changes nothing else.
+The last test runs both sweeps and their comparison at 3000 states."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from conftest import chain_graphs
+from conftest import chain_graphs, deep_funnel
 from metachain.contraction import SuperVertex
 
 F = Fraction
@@ -106,3 +109,34 @@ def test_chain_with_a_huge_common_denominator():
     for m in range(1, g.n):
         optima, unique = per_m[m]
         assert unique and mc.extract_wgraph(r1, m) == optima[0]
+
+
+def cycle_plus_arcs(n: int, seed: int, weights):
+    """A Hamiltonian cycle through n states plus 2n random arcs, weighted
+    by ``weights(rng, 3 * n)`` in turn."""
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    pairs = dict.fromkeys((perm[i], perm[(i + 1) % n]) for i in range(n))
+    while len(pairs) < 3 * n:
+        t, h = rng.randint(1, n), rng.randint(1, n)
+        if t != h:
+            pairs[t, h] = None
+    return mc.chain_graph([(t, h, w) for (t, h), w in zip(pairs, weights(rng, 3 * n))])
+
+
+@pytest.mark.parametrize("family", ["deep", "distinct", "ties"])
+def test_the_sweeps_agree_on_3000_states(family):
+    """Both sweeps and their comparison on one chain of each family: a
+    funnel nested 2999 deep, pairwise distinct weights, and weights 1..10."""
+    n = 3000
+    if family == "deep":
+        g = deep_funnel(n, seed=3)
+    elif family == "distinct":
+        g = cycle_plus_arcs(n, 3, lambda rng, k: [F(x, 7) for x in rng.sample(range(7, 7 * 10**5), k)])
+    else:
+        g = cycle_plus_arcs(n, 3, lambda rng, k: [F(rng.randint(1, 10)) for _ in range(k)])
+    r1 = mc.run_algorithm1(g)
+    report = mc.compare_alg1_alg2(g, r1=r1)
+    assert report.ok, report.statements
+    assert report.k_index[-1] == r1.K

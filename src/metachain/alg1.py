@@ -29,15 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .chain import (
-    ChainGraph,
-    InternalInvariantError,
-    State,
-    state_key,
-    validate,
-)
+from .chain import ChainGraph, InternalInvariantError, State, state_key, state_to_json, validate
 from .contraction import SuperVertex, WorkingGraph, find, vertex_order
-from .graphio import arc_to_json, format_rational, gc_paused, state_to_json
+from .graphio import arc_to_json, format_rational, gc_paused
 from .stopping import StopCriterion
 from .wgraph import ForestExpansion
 

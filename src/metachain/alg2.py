@@ -44,10 +44,12 @@ from .chain import (
     State,
     closed_communicating_classes,
     state_key,
+    state_set_to_json,
+    state_to_json,
     validate,
 )
 from .contraction import SuperVertex, WorkingGraph, find, vertex_order
-from .graphio import arc_to_json, format_rational, gc_paused, state_set_to_json, state_to_json
+from .graphio import arc_to_json, format_rational, gc_paused
 from .stopping import StopCriterion
 
 __all__ = [

@@ -210,15 +210,13 @@ class ChainGraph:
         return bool(self.arcs) and self.arcs[0].kappa is not None
 
     @cached_property
-    def integer_weights(self) -> tuple[int, dict[tuple[State, State], int]]:
-        """``(scale, {pair: int})``: every exponent times ``scale``, the lcm
-        of their denominators.  Computed once per graph; the sweeps, the
-        oracle and the in-forest expansion all compare these integers."""
+    def integer_weights(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, weights)``: one int per arc, aligned with ``arcs``, where
+        ``weights[i]`` is ``arcs[i].weight * scale`` and ``scale`` is the lcm
+        of the exponents' denominators.  Computed once per graph; the sweeps,
+        the oracle and the in-forest expansion all compare these integers."""
         scale = math.lcm(*(a.weight.denominator for a in self.arcs))
-        return scale, {
-            (a.tail, a.head): a.weight.numerator * (scale // a.weight.denominator)
-            for a in self.arcs
-        }
+        return scale, tuple(a.weight.numerator * (scale // a.weight.denominator) for a in self.arcs)
 
     @cached_property
     def arc_map(self) -> dict[tuple[State, State], Arc]:

@@ -23,12 +23,13 @@ from .chain import (
     check_epsilon,
     closed_communicating_classes,
     generator_matrix,
+    parse_rational,
     parse_state,
     validate,
 )
 from .demos import nested_cycle_chain
 from .dot import export_dot
-from .graphio import dump_json, load_graph, parse_rational
+from .graphio import dump_json, load_graph
 from .kinesin import kinesin_sweep, parse_grid
 from .kmc import _check_window, census, census_vs_tgraph, simulate_ensemble
 from .spectral import (

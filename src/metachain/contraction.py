@@ -5,11 +5,12 @@ closed class into a super-vertex and reprice every arc leaving it as
 ``U_ij - U_min(i) + threshold``, Edmonds' reduced cost (Tarjan 1977,
 *Finding optimum branchings*).  ``WorkingGraph`` is the one place that
 makes that move, on integers: every exponent times the lcm of the chain's
-denominators (``ChainGraph.integer_weights``); the sweeps turn what they
-report back into Fractions.  An arc is its id p, its place in (tail, head)
-state order (reversed for revlex), so parallel arcs to one current head
-are all kept.  Each current vertex keeps its exit arcs in a heap of ints
-``key * m + p`` with an additive offset, and a contraction adds
+denominators (``ChainGraph.integer_weights``, one int per arc, aligned with
+``ChainGraph.arcs``); the sweeps turn what they report back into Fractions.
+An arc is its id p, its place in (tail, head) state order (reversed for
+revlex) whatever the order of ``ChainGraph.arcs``, so parallel arcs to one
+current head are all kept.  Each current vertex keeps its exit arcs in a
+heap of ints ``key * m + p`` with an additive offset, and a contraction adds
 ``threshold - U_min(i)`` to member i's offset and merges the smaller heaps
 into the largest (Tarjan 1977; Gabow, Galil, Spencer & Tarjan 1986), so an
 arc is repriced only when it is read.  The sweeps' buckets hold
@@ -147,13 +148,14 @@ class WorkingGraph:
         self.vertex: list = sorted(g.states, key=state_key)
         n = len(self.vertex)
         sid = self.sid = {s: i for i, s in enumerate(self.vertex)}
-        arcs = self.arcs = sorted(g.arcs, key=lambda a: (sid[a.tail], sid[a.head]), reverse=revlex)
+        by_id = sorted(zip(g.arcs, weight), key=lambda aw: (sid[aw[0].tail], sid[aw[0].head]), reverse=revlex)
+        arcs = self.arcs = [a for a, _w in by_id]
         m = self.m = max(len(arcs), 1)
         self._head = [sid[a.head] for a in arcs]
         self.kappa = [a.kappa for a in arcs]
         self._heap: list = [[] for _ in range(n)]
-        for p, a in enumerate(arcs):
-            self._heap[sid[a.tail]].append(weight[a.tail, a.head] * m + p)
+        for p, (a, w) in enumerate(by_id):
+            self._heap[sid[a.tail]].append(w * m + p)
         for h in self._heap:
             heapify(h)
         self._gone = bytearray(len(arcs))  # arcs the sweeps took

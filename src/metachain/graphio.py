@@ -13,11 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .chain import Arc, ChainGraph, GraphError, chain_graph, parse_rational, parse_state, state_key
-from .chain import state_set_to_json, state_to_json
+from .chain import Arc, ChainGraph, GraphError, chain_graph, parse_state, state_key, state_to_json
 
 __all__ = [
-    "parse_rational",
     "format_rational",
     "graph_to_json_dict",
     "graph_from_json_dict",

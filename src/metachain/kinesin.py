@@ -269,7 +269,7 @@ def _regime(zeta: Fraction, rings: tuple) -> _Regime:
     g = report.graph
     scale, values = g.integer_weights
     # switch arcs are exactly the arcs between the rings
-    weight = {q: (w, int(q[0][-1] != q[1][-1])) for q, w in values.items()}
+    weight = {a.pair(): (w, int(a.tail[-1] != a.head[-1])) for a, w in zip(g.arcs, values)}
     vertex = {s: s for s in g.states}  # state -> current vertex holding it
     out = {s: [a.pair() for a in g.out_arcs(s)] for s in g.states}  # vertex -> arcs leaving it
     taken: set = set()

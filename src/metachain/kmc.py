@@ -220,7 +220,7 @@ def _rates_stay_normal(g: ChainGraph, epsilon: float) -> bool:
         return False
     scale, weights = g.integer_weights
     try:
-        return max(weights.values(), default=0) / scale < _SAFE_EXPONENT * epsilon
+        return max(weights, default=0) / scale < _SAFE_EXPONENT * epsilon
     except OverflowError:  # an exponent too large for a float
         return False
 

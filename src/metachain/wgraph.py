@@ -25,20 +25,14 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from math import inf
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .chain import (
-    ChainGraph,
-    EnumerationCapError,
-    GraphError,
-    InternalInvariantError,
-    SymmetryError,
-    state_key,
-)
+from .chain import ChainGraph, EnumerationCapError, GraphError, InternalInvariantError, SymmetryError, state_key
+from .chain import state_set_to_json, state_to_json
 from .contraction import SuperVertex, find
-from .graphio import format_rational, state_set_to_json, state_to_json
+from .graphio import format_rational
 
 __all__ = [
     "WGraph",
@@ -94,7 +88,7 @@ def _check_cap(g: ChainGraph, cap: int) -> None:
 
 
 def _iter_assignments(
-    g: ChainGraph, cap: int, weight: Optional[Mapping] = None, ceiling: Optional[list] = None
+    g: ChainGraph, cap: int, weight: Optional[Sequence] = None, ceiling: Optional[list] = None
 ):
     """Yield every acyclic sink-or-arc assignment as (chosen pairs, total).
 
@@ -103,7 +97,8 @@ def _iter_assignments(
     in head order.  An arc that would close a cycle in the partial
     successor map is skipped, so only in-forests reach the caller.
     ``chosen`` is the walk's own list of (tail, head) pairs: copy it to keep
-    it.  ``total`` sums ``weight[pair]`` over it (0 without ``weight``).
+    it.  ``total`` sums the arcs' ``weight``, one int per arc aligned with
+    ``g.arcs``, over it (0 without ``weight``).
     With ``ceiling``, a list by sink count that the caller may lower between
     yields, the walk skips every partial assignment, leaves included, whose
     completions with m sinks all weigh more than ``ceiling[m]``.
@@ -112,8 +107,9 @@ def _iter_assignments(
     verts = _decision_order(g)
     n = len(verts)
     rank = {v: i for i, v in enumerate(verts)}
-    pairs = [sorted((a.pair() for a in g.out_arcs(v)), key=lambda p: rank[p[1]]) for v in verts]
-    options = [[(rank[p[1]], p, 0 if weight is None else weight[p]) for p in ps] for ps in pairs]
+    options: list = [[] for _ in verts]  # by tail rank: (head rank, pair, weight) in head order
+    for a, w in sorted(zip(g.arcs, weight or repeat(0)), key=lambda aw: rank[aw[0].head]):
+        options[rank[a.tail]].append((rank[a.head], a.pair(), w))
     # limit[i][a]: the heaviest total worth extending at depth i with a arcs
     limit = [[inf] * (n + 1)] * (n + 1)
     if ceiling is not None:
@@ -167,14 +163,14 @@ def _iter_assignments(
             seen, limit = list(ceiling), limits()
 
 
-def _greedy_ceilings(g: ChainGraph, weight: Mapping) -> list:
+def _greedy_ceilings(g: ChainGraph, weight: Sequence) -> list:
     """Weights by sink count of the in-forests met from all n sinks down,
     each step adding the lightest arc from a root into another tree; a
     count never met is over every in-forest's weight, and 0 sinks is -1."""
     n = g.n
     rank = {s: i for i, s in enumerate(g.states)}
-    arcs = sorted((w, rank[t], rank[h]) for (t, h), w in weight.items())
-    ceiling = [-1] + [sum(weight.values()) + 1] * n
+    arcs = sorted((w, rank[a.tail], rank[a.head]) for a, w in zip(g.arcs, weight))
+    ceiling = [-1] + [sum(weight) + 1] * n
     ceiling[n] = total = 0
     up = list(range(n))  # union-find: each tree's representative is its root
     for m in range(n - 1, 0, -1):
@@ -260,7 +256,8 @@ class ForestExpansion:
         self.scale, int_weight = g.integer_weights
         pairs = [a.pair() for a in report.transfers]
         tails = self.tails = [rank[t] for (t, _h) in pairs]
-        self.weights = [int_weight[p] for p in pairs]
+        arc_id = {(a.tail, a.head): i for i, a in enumerate(g.arcs)}  # local: the graph keeps no map by pair
+        self.weights = [int_weight[arc_id[p]] for p in pairs]
         by_tail = sorted(range(len(pairs)), key=lambda i: (tails[i], rank[pairs[i][1]]))
         self.arcs = [pairs[i] for i in by_tail]
         self.position = sorted(range(len(pairs)), key=by_tail.__getitem__)

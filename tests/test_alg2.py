@@ -17,10 +17,10 @@ from metachain.alg2 import (
     _PairedClosedClasses,
     class_hierarchy,
 )
-from metachain.chain import closed_communicating_classes, state_key, super_vertex_name
+from metachain.chain import closed_communicating_classes, state_key, state_to_json, super_vertex_name
 from metachain.contraction import SuperVertex, WorkingGraph, find
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
-from metachain.graphio import format_rational, state_to_json
+from metachain.graphio import format_rational
 
 F = Fraction
 

@@ -1,9 +1,14 @@
-"""The sweeps run on integers over the chain's common denominator; these
-tests check that this scaling is invisible: multiplying every exponent by
-c scales every reported exponent by exactly c and changes nothing else.
-The last test runs both sweeps and their comparison at 3000 states."""
+"""The sweeps run on integers over the chain's common denominator, one int
+per arc aligned with ``ChainGraph.arcs``; these tests check that this
+scaling is invisible: multiplying every exponent by c scales every reported
+exponent by exactly c and changes nothing else, and listing the arcs in
+another order changes nothing at all.  The integers stay exact past 2^100
+and cost at most 48 bytes per arc.  The last test runs both sweeps and
+their comparison at 3000 states."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 
 import metachain as mc
 from conftest import chain_graphs, deep_funnel
+from metachain.chain import ChainGraph
 from metachain.contraction import SuperVertex
 
 F = Fraction
@@ -100,8 +106,10 @@ def prime_denominator_chain():
 
 def test_chain_with_a_huge_common_denominator():
     g = prime_denominator_chain()
-    scale, _weights = g.integer_weights
+    scale, weights = g.integer_weights
     assert scale > 10**30 and sorted(a.weight.denominator for a in g.arcs) == list(PRIMES)
+    assert len(weights) == len(g.arcs)
+    assert all(type(w) is int and w == a.weight * scale for a, w in zip(g.arcs, weights))
     r1 = mc.run_algorithm1(g)
     assert not r1.symmetry_detected and r1.complete
     assert mc.compare_alg1_alg2(g, r1=r1).ok
@@ -109,6 +117,47 @@ def test_chain_with_a_huge_common_denominator():
     for m in range(1, g.n):
         optima, unique = per_m[m]
         assert unique and mc.extract_wgraph(r1, m) == optima[0]
+
+
+@given(st.data())
+@settings(max_examples=120)
+def test_arc_order_changes_no_result(data):
+    """The same chain with its arcs listed in another order gives the same
+    reports, optima and extracted in-forests.  ``chain_graphs`` lists arcs in
+    (tail, head) order, the order the sweeps number them in, so a weight
+    read by that number instead of by the arc's place in ``arcs`` shows
+    here."""
+    g = data.draw(chain_graphs())
+    h = ChainGraph(g.states, tuple(data.draw(st.permutations(g.arcs))))
+    for tie_break in ("lex", "revlex"):
+        r, s = (mc.run_algorithm1(x, tie_break=tie_break) for x in (g, h))
+        assert s.to_json_dict() == r.to_json_dict()
+        if not r.symmetry_detected:
+            for m in range(1, g.n):
+                assert mc.extract_wgraph(s, m) == mc.extract_wgraph(r, m)
+    assert mc.run_algorithm2(h).to_json_dict() == mc.run_algorithm2(g).to_json_dict()
+    assert mc.compare_alg1_alg2(h).to_json_dict() == mc.compare_alg1_alg2(g).to_json_dict()
+    assert mc.enumerate_all_optimal(h) == mc.enumerate_all_optimal(g)
+
+
+def test_integer_weights_cost_under_48_bytes_per_arc():
+    """One int per arc in a tuple: the first access to ``integer_weights``
+    on a 3000-state chain with 9000 distinct exponents keeps at most 48 bytes
+    per arc alive (an int and its slot), not a second copy of the arc set."""
+    g = cycle_plus_arcs(3000, 3, lambda rng, k: [F(x, 7) for x in rng.sample(range(7, 7 * 10**5), k)])
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scale, weights = g.integer_weights
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert scale == 7 and len(weights) == len(g.arcs) == 9000
+    assert grown <= 48 * len(g.arcs), f"{grown / len(g.arcs):.1f} B per arc"
 
 
 def cycle_plus_arcs(n: int, seed: int, weights):

@@ -14,10 +14,10 @@ to a sink, directly or by a memo, is settled without a walk.
 
 ``compare_alg1_alg2`` checks the four consistency statements tying the two
 sweeps together; the command-line ``compare`` subcommand turns a violation
-into exit code 2 because it can only mean an implementation bug.  It
-follows the closed classes of both expanded arc sets with the same walk
-the sweep uses, on state ids rather than the sweep's working graph, and
-pairs again only the classes a window changed.
+into exit code 2 because it can only mean an implementation bug.  It skips
+each window whose two expanded arc sets are equal, then follows the closed
+classes of both from the first window that differs with the sweep's walk,
+on state ids, and pairs again only the classes a window changed.
 """
 
 from __future__ import annotations
@@ -630,6 +630,7 @@ def compare_alg1_alg2(
       3. nontrivial closed classes of the expanded graphs coincide at the
          matching indices K_p;
       4. so do the absorbing vertices.
+    Windows with equal arc sets are skipped; tracking starts at the first that differs.
     """
     if r1 is None:
         r1 = run_algorithm1(g, tie_break=tie_break)
@@ -678,10 +679,13 @@ def compare_alg1_alg2(
     ends = r2.tgraphs.ends
 
     # Statement 2: every earlier step lay inside an earlier (smaller) window,
-    # so a step fits its window exactly when its own arc does.
+    # so a step fits its window exactly when its own arc does; a window with
+    # as many pairs as its steps, all distinct, equals them: ``same[p]``.
     ok2 = True
     detail2 = "every partial arc set is contained in its matching window"
     window: set = set()
+    distinct1 = len(set(ids1)) == len(ids1)
+    same = [False] * (len(k_index) + 1)
     prev = 0
     for p, kp in enumerate(k_index, start=1):
         window.update(ids2[ends[p - 1]:ends[p]])
@@ -693,21 +697,25 @@ def compare_alg1_alg2(
                 break
         if not ok2:
             break
+        same[p] = distinct1 and kp == len(window)
         prev = kp
     if ok2 and k_index and k_index[-1] != r1.K:
         ok2 = False
         detail2 = f"window index ends at {k_index[-1]} but the sweep took {r1.K} steps"
     statements.append(StatementResult(2, ok2, detail2))
 
-    # Statements 3/4: follow both closed-class families window by window,
-    # noting the last window where a class of one side has no equal on the
-    # other; that window is then described from scratch.
-    paired = _PairedClosedClasses(len(sid))
-    last3 = last4 = None
-    prev = 0
+    # Statements 3/4: equal arc sets have equal closed classes, so both
+    # families are followed from the first window that differs, noting the
+    # last window where a class of one side has no equal on the other; that
+    # window is then described from scratch.
+    last3 = last4 = paired = None
+    prev = end = 0
     for p, kp in enumerate(k_index, start=1):
-        paired.add(ids1[prev:kp], ids2[ends[p - 1]:ends[p]])
-        prev = kp
+        if same[p]:
+            continue
+        paired = paired or _PairedClosedClasses(len(sid))
+        paired.add(ids1[prev:kp], ids2[end:ends[p]])
+        prev, end = kp, ends[p]
         nontrivial_differ, absorbing_differ = paired.differ()
         if nontrivial_differ:
             last3 = p

@@ -219,10 +219,6 @@ class ChainGraph:
         return scale, tuple(a.weight.numerator * (scale // a.weight.denominator) for a in self.arcs)
 
     @cached_property
-    def arc_map(self) -> dict[tuple[State, State], Arc]:
-        return {a.pair(): a for a in self.arcs}
-
-    @cached_property
     def _out(self) -> dict[State, tuple[Arc, ...]]:
         out: dict[State, list[Arc]] = {s: [] for s in self.states}
         for a in self.arcs:

@@ -211,6 +211,11 @@ def mean_occupancy(trajectories, state) -> tuple:
     return float(fracs.mean()), float(fracs.std(ddof=1) / np.sqrt(len(fracs)))
 
 
+def arcs_by_pair(g) -> dict:
+    """Each arc of a chain graph keyed by its (tail, head) pair."""
+    return {a.pair(): a for a in g.arcs}
+
+
 def successor_map(w) -> dict:
     """Each non-sink vertex of a w-graph mapped to the head of its arc."""
     return {t: h for (t, h) in w.arcs}

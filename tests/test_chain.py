@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import metachain as mc
+from conftest import arcs_by_pair
 from metachain.chain import (
     Arc,
     ChainGraph,
@@ -52,7 +53,7 @@ def test_chain_graph_infers_sorted_states():
 
 def test_arc_lookup_and_pair():
     g = triangle()
-    a = g.arc_map[(1, 2)]
+    a = arcs_by_pair(g)[(1, 2)]
     assert a.pair() == (1, 2)
     assert a.weight == Fraction(1)
     assert [x.head for x in g.out_arcs(2)] == [3]
@@ -61,8 +62,8 @@ def test_arc_lookup_and_pair():
 
 def test_decimal_string_weights_are_exact():
     g = mc.chain_graph([(1, 2, "1.1"), (2, 1, "3/2")])
-    assert g.arc_map[(1, 2)].weight == Fraction(11, 10)
-    assert g.arc_map[(2, 1)].weight == Fraction(3, 2)
+    assert arcs_by_pair(g)[(1, 2)].weight == Fraction(11, 10)
+    assert arcs_by_pair(g)[(2, 1)].weight == Fraction(3, 2)
 
 
 def test_float_weight_rejected():

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import metachain as mc
+from conftest import arcs_by_pair
 from metachain.chain import ChainGraph
 from metachain.demos import two_state_chain
 from metachain.graphio import (
@@ -86,8 +87,8 @@ def test_format_parse_round_trip(q):
 def _same_graph(a: ChainGraph, b: ChainGraph) -> bool:
     if a.states != b.states:
         return False
-    am = {p: (x.weight, x.kappa) for p, x in a.arc_map.items()}
-    bm = {p: (x.weight, x.kappa) for p, x in b.arc_map.items()}
+    am = {p: (x.weight, x.kappa) for p, x in arcs_by_pair(a).items()}
+    bm = {p: (x.weight, x.kappa) for p, x in arcs_by_pair(b).items()}
     return am == bm
 
 
@@ -104,7 +105,7 @@ def test_json_round_trip_with_prefactors():
     doc = graph_to_json_dict(g)
     back = graph_from_json_dict(doc)
     assert _same_graph(back, g)
-    assert back.arc_map[(1, 2)].kappa == 1.25
+    assert arcs_by_pair(back)[(1, 2)].kappa == 1.25
 
 
 def test_json_dict_survives_serialization():
@@ -193,7 +194,7 @@ def test_tsv_skips_comments_and_blanks():
     text = "# weighted arcs\n\n1\t2\t1\n2\t1\t3/2\n"
     g = graph_from_tsv(text)
     assert g.states == (1, 2)
-    assert g.arc_map[(2, 1)].weight == Fraction(3, 2)
+    assert arcs_by_pair(g)[(2, 1)].weight == Fraction(3, 2)
 
 
 def test_tsv_malformed_line_names_line_number():

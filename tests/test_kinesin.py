@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
+from conftest import arcs_by_pair
 from metachain import kinesin
 from metachain.chain import InternalInvariantError
 from metachain.kinesin import _regime, _Regime, _ring_arcs, kinesin_stop, parse_grid
@@ -36,26 +37,28 @@ def test_graph_shape():
     assert g.n == 8
     assert len(g.arcs) == 24  # 8 per ring plus 8 switch arcs
     assert set(g.states) == {f"{i}{s}" for i in (1, 2, 3, 4) for s in "+-"}
+    arcs = arcs_by_pair(g)
     for i in (1, 2, 3, 4):
-        assert g.arc_map[(f"{i}+", f"{i}-")].weight == F(7)
-        assert g.arc_map[(f"{i}-", f"{i}+")].weight == F(7)
+        assert arcs[(f"{i}+", f"{i}-")].weight == F(7)
+        assert arcs[(f"{i}-", f"{i}+")].weight == F(7)
 
 
 def test_spot_exponents():
-    g = mc.build_kinesin(mc.KinesinParams(zeta=7))
-    assert g.arc_map[("3+", "2+")].weight == F(1, 2)
-    assert g.arc_map[("4+", "3+")].weight == F(10)
-    assert g.arc_map[("1-", "4-")].weight == F(1, 2)
-    assert g.arc_map[("2+", "3+")].weight == F(19, 2)
+    arcs = arcs_by_pair(mc.build_kinesin(mc.KinesinParams(zeta=7)))
+    assert arcs[("3+", "2+")].weight == F(1, 2)
+    assert arcs[("4+", "3+")].weight == F(10)
+    assert arcs[("1-", "4-")].weight == F(1, 2)
+    assert arcs[("2+", "3+")].weight == F(19, 2)
 
 
 def test_rings_differ_only_by_the_tilt():
     p = mc.KinesinParams(zeta=3)
     g = mc.build_kinesin(p)
     tilted = {(2, 3): 1, (1, 4): 1, (3, 2): -1, (4, 1): -1}
+    arcs = arcs_by_pair(g)
     for i, j in RING:
-        plus = g.arc_map[(f"{i}+", f"{j}+")].weight
-        minus = g.arc_map[(f"{i}-", f"{j}-")].weight
+        plus = arcs[(f"{i}+", f"{j}+")].weight
+        minus = arcs[(f"{i}-", f"{j}-")].weight
         assert minus == plus - 2 * p.psi * tilted.get((i, j), 0)
         assert plus > 0 and minus > 0
 

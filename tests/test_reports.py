@@ -2,11 +2,14 @@
 prefixes, flat contraction trees, keys derived instead of written, deep
 chains, and the linear-time sweep cross-check."""
 
+import dataclasses
 import functools
 import gc
+import itertools
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +203,37 @@ def test_comparison_matches_reference(data):
     assert [(s.ok, s.detail) for s in got.statements] == reference_comparison(g, r1, r2)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("tie_break", ["lex", "revlex"])
+@pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.graph.json")))
+def test_comparison_matches_reference_on_golden_graphs(name, tie_break):
+    """Windows equal on both sides, then differing, then fed to the
+    closed-class tracker in one batch."""
+    g = mc.load_graph(GOLDEN / f"{name}.graph.json")
+    r1, r2 = mc.run_algorithm1(g, tie_break=tie_break), mc.run_algorithm2(g)
+    got = mc.compare_alg1_alg2(g, r1=r1, r2=r2)
+    assert [(s.ok, s.detail) for s in got.statements] == reference_comparison(g, r1, r2)
+
+
+def test_a_repeated_arc_never_makes_a_window_equal():
+    """Transfers that repeat one arc in place of another still fit each
+    window and count as many pairs as it holds, yet their arc set differs."""
+    g = mc.nested_cycle_chain()
+    r1, r2 = mc.run_algorithm1(g), mc.run_algorithm2(g)
+    caught = 0
+    for i, j in itertools.permutations(range(r1.K), 2):
+        transfers = r1.transfers[:j] + (r1.transfers[i],) + r1.transfers[j + 1:]
+        tgraphs = dataclasses.replace(r1.tgraphs, transfers=transfers)
+        bad = dataclasses.replace(r1, transfers=transfers, tgraphs=tgraphs)
+        want = reference_comparison(g, bad, r2)
+        got = mc.compare_alg1_alg2(g, r1=bad, r2=r2)
+        assert [(s.ok, s.detail) for s in got.statements] == want
+        caught += want[1][0] and not (want[2][0] and want[3][0])
+    assert caught  # some repeat passes statement 2 and fails 3 or 4
+
+
 @st.composite
 def swept_reports(draw):
     """A report of alg1 (lex or revlex) or alg2 on a 3-9-state chain, run
@@ -247,6 +281,7 @@ def test_report_building_restores_the_collector(monkeypatch, module, builder, ru
     g = mc.nested_cycle_chain()
     samplers = {mc.simulate: (0,), mc.simulate_ensemble: (3, 0)}  # [n,] seed
     if run is mc.compare_alg1_alg2:  # the comparison as a whole is paused
+        g = mc.nested_cycle_chain_integer()  # windows 2 and 3 differ, so the tracker runs
         paused = functools.partial(run, g, "lex", mc.run_algorithm1(g), mc.run_algorithm2(g))
     elif run in samplers:  # so is a sampler, which keeps every jump live
         paused = functools.partial(run, g, 1.0, 1, 10.0, *samplers[run])

@@ -3,7 +3,7 @@ per arc aligned with ``ChainGraph.arcs``; these tests check that this
 scaling is invisible: multiplying every exponent by c scales every reported
 exponent by exactly c and changes nothing else, and listing the arcs in
 another order changes nothing at all.  The integers stay exact past 2^100
-and cost at most 48 bytes per arc.  The last test runs both sweeps and
+and cost at most 48 bytes per arc.  The last tests run both sweeps and
 their comparison at 3000 states."""
 
 import gc
@@ -174,18 +174,37 @@ def cycle_plus_arcs(n: int, seed: int, weights):
     return mc.chain_graph([(t, h, w) for (t, h), w in zip(pairs, weights(rng, 3 * n))])
 
 
-@pytest.mark.parametrize("family", ["deep", "distinct", "ties"])
-def test_the_sweeps_agree_on_3000_states(family):
-    """Both sweeps and their comparison on one chain of each family: a
-    funnel nested 2999 deep, pairwise distinct weights, and weights 1..10."""
+def chain_of_3000(family: str) -> ChainGraph:
+    """One 3000-state chain of each family: a funnel nested 2999 deep,
+    pairwise distinct weights, and weights 1..10."""
     n = 3000
     if family == "deep":
-        g = deep_funnel(n, seed=3)
-    elif family == "distinct":
-        g = cycle_plus_arcs(n, 3, lambda rng, k: [F(x, 7) for x in rng.sample(range(7, 7 * 10**5), k)])
-    else:
-        g = cycle_plus_arcs(n, 3, lambda rng, k: [F(rng.randint(1, 10)) for _ in range(k)])
+        return deep_funnel(n, seed=3)
+    if family == "distinct":
+        return cycle_plus_arcs(n, 3, lambda rng, k: [F(x, 7) for x in rng.sample(range(7, 7 * 10**5), k)])
+    return cycle_plus_arcs(n, 3, lambda rng, k: [F(rng.randint(1, 10)) for _ in range(k)])
+
+
+@pytest.mark.parametrize("family", ["deep", "distinct", "ties"])
+def test_the_sweeps_agree_on_3000_states(family):
+    """Both sweeps and their comparison on one chain of each family."""
+    g = chain_of_3000(family)
     r1 = mc.run_algorithm1(g)
     report = mc.compare_alg1_alg2(g, r1=r1)
     assert report.ok, report.statements
     assert report.k_index[-1] == r1.K
+
+
+@pytest.mark.parametrize("family", ["nested", "deep", "distinct"])
+def test_equal_windows_never_reach_the_tracker(monkeypatch, family):
+    """Every window of these chains holds the same arcs on both sides, so
+    the comparison holds without building the closed-class tracker."""
+    g = mc.nested_cycle_chain() if family == "nested" else chain_of_3000(family)
+    r1, r2 = mc.run_algorithm1(g), mc.run_algorithm2(g)
+
+    def boom(*_args):
+        raise AssertionError("the tracker was built")
+
+    monkeypatch.setattr("metachain.alg2._PairedClosedClasses", boom)
+    report = mc.compare_alg1_alg2(g, r1=r1, r2=r2)
+    assert report.ok, report.statements

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metachain as mc
-from conftest import chain_graphs, successor_map, weak_nested_violations
+from conftest import arcs_by_pair, chain_graphs, successor_map, weak_nested_violations
 from metachain.chain import state_key
 from metachain.contraction import SuperVertex
 from metachain.demos import tied_min_arc_chain, tied_optimum_chain, two_state_chain
@@ -250,6 +250,7 @@ def reference_forests(rep):
     Edmonds' expansion replayed from the report's transfers, cycles and
     sinks one m at a time, with plain loops and sets."""
     g = rep.graph
+    by_pair = arcs_by_pair(g)
     states = sorted(g.states, key=state_key)
     rank = {s: i for i, s in enumerate(states)}
     n, pairs = len(states), [a.pair() for a in rep.transfers]
@@ -287,7 +288,7 @@ def reference_forests(rep):
             vertices=tuple(states),
             sinks=frozenset(sinks),
             arcs=tuple(kept),
-            total_weight=sum((g.arc_map[p].weight for p in kept), F(0)),
+            total_weight=sum((by_pair[p].weight for p in kept), F(0)),
         )
     return forests
 
@@ -486,8 +487,9 @@ def reference_optima(g, m):
     """The lightest w-graphs with m sinks from the full enumeration, in its
     order, and whether there is exactly one; None when there are none."""
     forests = list(enumerate_wgraphs(g, m))
+    by_pair = arcs_by_pair(g)
     for w in forests:
-        assert w.total_weight == sum(g.arc_map[p].weight for p in w.arcs)
+        assert w.total_weight == sum(by_pair[p].weight for p in w.arcs)
     if not forests:
         return None
     low = min(w.total_weight for w in forests)
@@ -509,6 +511,7 @@ def brute_force_optima(g) -> dict:
     order, so the assignments come in the oracle's enumeration order; an
     assignment with a cycle, found by following successors, is skipped."""
     verts = sorted(g.states, key=state_key)
+    by_pair = arcs_by_pair(g)
     choices = [[None] + sorted((a.head for a in g.out_arcs(v)), key=state_key) for v in verts]
     best: dict = {}
     for heads in itertools.product(*choices):
@@ -529,7 +532,7 @@ def brute_force_optima(g) -> dict:
             vertices=tuple(verts),
             sinks=frozenset(v for v in verts if v not in succ),
             arcs=arcs,
-            total_weight=sum((g.arc_map[p].weight for p in arcs), Fraction(0)),
+            total_weight=sum((by_pair[p].weight for p in arcs), Fraction(0)),
         )
         lightest = best.get(w.m)
         if lightest is None or w.total_weight < lightest[0].total_weight:
